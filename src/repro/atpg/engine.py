@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import telemetry
 from ..netlist import Netlist
 from ..runtime.budget import Budget
 from ..sim import random_words
@@ -162,8 +163,10 @@ def run_atpg(
             sorted(alive, key=Fault.sort_key), in_words, 1, budget=budget
         )
         if fault not in dropped:
-            # defensive: PODEM claimed detection but simulation disagrees —
-            # count the fault as aborted rather than mis-reporting coverage
+            # the deterministic engine claimed a test that simulation does
+            # not confirm: book the fault as aborted rather than
+            # mis-reporting coverage, and count the disagreement
+            telemetry.counter_add("atpg.verdict.disagree")
             n_aborted += 1
             alive.discard(fault)
             continue

@@ -1,23 +1,28 @@
 """Bit-parallel stuck-at fault simulator (HOPE-class role).
 
-Parallel-pattern single-fault propagation: the good machine is simulated
-once per pattern block; each fault is then re-simulated only through the
-transitive fanout cone of its site, reusing good values everywhere else.
-64 patterns per word, numpy bitwise ops per gate — the same engineering
-trade HOPE [28] makes (parallel patterns, event-driven regions).
+Fault-parallel × pattern-parallel: the good machine is simulated once per
+pattern block on the compiled op-tape engine, then every fault of the
+list becomes one *forced lane* of
+:meth:`~repro.sim.optape.OpTapeEngine.count_output_flips` — lane ``k``
+replays the block with fault ``k``'s site overridden.  A stem fault
+forces its net to the stuck constant; a pin fault forces the gate's
+output to the gate re-evaluated from good values with that one input
+stuck.  A fault is detected when its lane flips at least one valid
+output bit.  64 patterns per word and many faults per pass — the same
+engineering trade HOPE [28] makes with parallel patterns, widened across
+faults.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..netlist import Netlist
+from ..netlist import GateType, Netlist
 from ..runtime import faultinject
 from ..runtime.budget import Budget
-from ..sim.bitsim import _eval_words, tail_mask
-from ..sim.optape import compile_engine
+from ..sim.optape import _eval_gathered, compile_engine
 from .faults import Fault
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -28,37 +33,40 @@ class FaultSimulator:
 
     def __init__(self, netlist: Netlist) -> None:
         self.netlist = netlist
-        # the good-machine pass runs on the compiled op-tape engine (shared
-        # via the compile cache); per-fault cone propagation stays
-        # event-driven below, reading good values through net_index
+        # shared via the compile cache with every other user of the circuit
         self.sim = compile_engine(netlist)
-        self._topo = netlist.topological_order()
-        self._topo_pos = {n: i for i, n in enumerate(self._topo)}
-        self._fanout = netlist.fanout_map()
-        self._out_idx = {o: self.sim.net_index(o) for o in netlist.outputs}
 
     def good_values(self, input_words: Mapping[str, np.ndarray]) -> np.ndarray:
         """Fault-free value matrix for one packed pattern block."""
         return self.sim.run(input_words)
 
-    def _faulty_site_words(
-        self, fault: Fault, good: np.ndarray, nw: int
-    ) -> tuple[str, np.ndarray]:
-        """(first affected net, its faulty value words)."""
-        stuck = (
-            np.full(nw, _ALL_ONES, dtype=np.uint64)
-            if fault.stuck_at
-            else np.zeros(nw, dtype=np.uint64)
-        )
-        if fault.pin is None:
-            return fault.gate, stuck
-        # pin fault: re-evaluate the gate with that one input forced
-        g = self.netlist.gate(fault.gate)
-        fins = list(g.fanin)
-        vals = np.stack([good[self.sim.net_index(f)] for f in fins])
-        vals[fault.pin] = stuck
-        out = _eval_words(g.gtype, vals, list(range(len(fins))), nw)
-        return fault.gate, out
+    def _lanes(
+        self, faults: Sequence[Fault], good: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(engine row, forced words) per fault: the lane inputs of
+        :meth:`~repro.sim.optape.OpTapeEngine.count_output_flips`."""
+        net_index = self.sim.net_index
+        gate = self.netlist.gate
+        rows = np.array([net_index(f.gate) for f in faults], dtype=np.int64)
+        forced = np.zeros((len(faults), good.shape[1]), dtype=np.uint64)
+        forced[[bool(f.stuck_at) for f in faults]] = _ALL_ONES
+        # pin faults, batched per (gate type, arity): gather the fan-in
+        # good values, stick the faulty pin, re-evaluate the gate
+        pin_lanes: dict[tuple[GateType, int], list[int]] = {}
+        for k, f in enumerate(faults):
+            if f.pin is not None:
+                g = gate(f.gate)
+                pin_lanes.setdefault((g.gtype, len(g.fanin)), []).append(k)
+        for (gtype, _arity), ks in pin_lanes.items():
+            fan = np.array(
+                [[net_index(n) for n in gate(faults[k].gate).fanin] for k in ks],
+                dtype=np.int64,
+            ).T
+            slots = good[fan]  # (arity, len(ks), n_words)
+            pins = [faults[k].pin for k in ks]
+            slots[pins, np.arange(len(ks))] = forced[ks]
+            forced[ks] = _eval_gathered(gtype, list(slots))
+        return rows, forced
 
     def detects(
         self,
@@ -69,55 +77,11 @@ class FaultSimulator:
     ) -> np.ndarray:
         """Word-mask of patterns detecting ``fault`` (given good values).
 
-        With ``early_exit`` the propagation stops at the first detecting
-        output (the mask is then partial but non-zero iff detected).
+        One forced lane; ``early_exit`` is accepted for compatibility and
+        changes nothing (the mask is always complete).
         """
-        import heapq
-
-        nw = good.shape[1]
-        start_net, faulty_words = self._faulty_site_words(fault, good, nw)
-        base = good[self.sim.net_index(start_net)]
-        delta = base ^ faulty_words
-        delta[-1] &= tail_mask(n_patterns)
-        changed: dict[str, np.ndarray] = {}
-        detected = np.zeros(nw, dtype=np.uint64)
-        if start_net in self._out_idx:
-            detected |= delta
-            if early_exit and detected.any():
-                return detected
-        if not delta.any():
-            return detected
-        changed[start_net] = faulty_words
-
-        # event-driven propagation through the fanout cone in topo order
-        frontier = {n for n in self._fanout[start_net]}
-        heap = [(self._topo_pos[n], n) for n in frontier]
-        heapq.heapify(heap)
-        seen = set(frontier)
-        gate = self.netlist.gate
-        net_index = self.sim.net_index
-        while heap:
-            _, net = heapq.heappop(heap)
-            g = gate(net)
-            fins = g.fanin
-            vals = np.stack(
-                [changed.get(f, good[net_index(f)]) for f in fins]
-            )
-            out = _eval_words(g.gtype, vals, list(range(len(fins))), nw)
-            d = out ^ good[net_index(net)]
-            d[-1] &= tail_mask(n_patterns)
-            if not d.any():
-                continue
-            changed[net] = out
-            if net in self._out_idx:
-                detected |= d
-                if early_exit:
-                    return detected
-            for succ in self._fanout[net]:
-                if succ not in seen:
-                    seen.add(succ)
-                    heapq.heappush(heap, (self._topo_pos[succ], succ))
-        return detected
+        rows, forced = self._lanes([fault], good)
+        return self.sim.output_flip_masks(good, rows, forced, n_patterns)[0]
 
     def run(
         self,
@@ -129,21 +93,21 @@ class FaultSimulator:
         """Return the subset of ``faults`` detected by the pattern block.
 
         ``budget`` (if given) is charged ``n_patterns``
-        pattern-equivalents per fault simulated and polled for its
-        deadline at the same granularity — one fault's propagation is
-        the natural cooperative checkpoint of this inner loop.
+        pattern-equivalents per fault and polled for its deadline at the
+        same granularity, all before the block is simulated — so a
+        budget trips at a fault count that does not depend on how the
+        faults are chunked into lanes.
         """
         good = self.good_values(input_words)
-        detected: set[Fault] = set()
-        for fault in faults:
+        faults = list(faults)
+        for _fault in faults:
             if faultinject.enabled:
                 faultinject.fire("faultsim.fault")
             if budget is not None:
                 budget.charge_patterns(n_patterns)
-            mask = self.detects(fault, good, n_patterns, early_exit=True)
-            if mask.any():
-                detected.add(fault)
-        return detected
+        rows, forced = self._lanes(faults, good)
+        flips = self.sim.count_output_flips(good, rows, forced, n_patterns)
+        return {f for f, c in zip(faults, flips.tolist()) if c}
 
     def detects_pattern(
         self, fault: Fault, assignment: Mapping[str, int]

@@ -3,9 +3,14 @@
 Key gates are placed on nets whose corruption propagates widely, ranked by
 a fault-impact measurement: for each candidate net, flip it over a block of
 random patterns and count output-bit corruptions.  This is the
-fault-analysis ranking of Rajendran et al. computed with the bit-parallel
-simulator instead of a fault simulator — the same quantity, measured the
-same way (a stuck-at-like perturbation).
+fault-analysis ranking of Rajendran et al. — the same quantity, measured
+the same way (a stuck-at-like perturbation).
+
+Every candidate is scored at once on the op-tape engine's forced lanes
+(:meth:`~repro.sim.optape.OpTapeEngine.count_output_flips`): lane ``k``
+replays the random block with candidate ``k`` inverted, and the lane's
+count of flipped output bits is its score.  One unforced pass plus a few
+chunked lane passes replace one full simulation per candidate.
 """
 
 from __future__ import annotations
@@ -13,9 +18,11 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+import numpy as np
 
 from ..netlist import Netlist
-from ..sim import BitSimulator, popcount_words, random_words, tail_mask
+from ..sim import random_words
+from ..sim.optape import compile_engine
 from .base import (
     LockedCircuit,
     LockingError,
@@ -39,11 +46,8 @@ def rank_nets_by_fault_impact(
     deterministic sample) — the ranking is a selection heuristic, not an
     exact analysis, so sampling preserves its role at much lower cost.
     """
-    sim = BitSimulator(netlist)
-    words = random_words(len(netlist.inputs), n_patterns, seed=seed)
-    in_words = {name: words[i] for i, name in enumerate(netlist.inputs)}
-    base_values = sim.run(in_words)
-    base_out = sim.outputs_from_matrix(base_values)
+    engine = compile_engine(netlist)
+    good = engine.run(random_words(len(netlist.inputs), n_patterns, seed=seed))
     if candidates is None:
         candidates = [
             n for n in netlist.nets if not netlist.gate(n).gtype.is_source
@@ -51,13 +55,9 @@ def rank_nets_by_fault_impact(
     if len(candidates) > max_candidates:
         rng = random.Random(seed)
         candidates = rng.sample(list(candidates), max_candidates)
-    scores: list[tuple[str, float]] = []
-    for net in candidates:
-        flipped = ~base_values[sim.net_index(net)]
-        out = sim.run_outputs(in_words, forced={net: flipped})
-        diff = out ^ base_out
-        diff[:, -1] &= tail_mask(n_patterns)
-        scores.append((net, popcount_words(diff) / n_patterns))
+    rows = np.array([engine.net_index(n) for n in candidates], dtype=np.int64)
+    flips = engine.count_output_flips(good, rows, ~good[rows], n_patterns)
+    scores = [(net, f / n_patterns) for net, f in zip(candidates, flips.tolist())]
     scores.sort(key=lambda t: (-t[1], t[0]))
     return scores
 

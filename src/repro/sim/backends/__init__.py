@@ -57,7 +57,6 @@ class SimBackend(Protocol):
         self,
         engine: Any,
         input_words: Mapping[str, np.ndarray] | np.ndarray,
-        forced: Mapping[str, np.ndarray] | None = None,
     ) -> np.ndarray:
         """Packed ``(n_outputs, n_words)`` outputs in netlist order."""
         ...

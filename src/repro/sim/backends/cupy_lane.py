@@ -114,32 +114,12 @@ class CupyBackend:
         self,
         engine: Any,
         input_words: Mapping[str, np.ndarray] | np.ndarray,
-        forced: Mapping[str, np.ndarray] | None = None,
     ) -> np.ndarray:
         cp = self._require()
-        if forced:
-            return engine.run_outputs(input_words, forced, backend="numpy")
-        index = engine._index
-        if isinstance(input_words, np.ndarray):
-            if input_words.shape[0] != len(engine._input_idx):
-                raise ValueError(
-                    f"expected {len(engine._input_idx)} input rows, "
-                    f"got {input_words.shape[0]}"
-                )
-            nw = input_words.shape[1]
-            values = _alloc_device(cp, engine, nw)
-            for row, idx in enumerate(engine._input_idx):
-                values[idx] = cp.asarray(input_words[row])
-        else:
-            arrays = list(input_words.values())
-            if not arrays:
-                raise ValueError("no input patterns supplied")
-            nw = arrays[0].shape[0]
-            values = _alloc_device(cp, engine, nw)
-            for name in engine.netlist.inputs:
-                if name not in input_words:
-                    raise ValueError(f"missing patterns for input {name!r}")
-                values[index[name]] = cp.asarray(input_words[name])
+        nw, fills = engine.input_fills(input_words)
+        values = _alloc_device(cp, engine, nw)
+        for row, words in fills:
+            values[row] = cp.asarray(words)
         with telemetry.span(
             "optape.run", words=nw, groups=engine.n_groups, backend=self.name
         ):

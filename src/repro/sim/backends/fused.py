@@ -30,9 +30,7 @@ Cyclic-region nets (``allow_cycles`` netlists) are pinned to their
 engine rows, pre-zeroed per pass, and always materialized with positive
 polarity, reproducing the reference evaluator's read-before-write
 semantics exactly; self-referential reductions route through a scratch
-row so partial results are never observed.  ``forced`` (stuck-at)
-simulation falls back to the numpy lane — it is a debug path, not a hot
-path.
+row so partial results are never observed.
 
 Key lanes can optionally run on a thread pool (numpy releases the GIL
 for ufunc bodies): set ``REPRO_FUSED_THREADS=N`` to split the key axis
@@ -413,31 +411,8 @@ class FusedBackend:
         self,
         engine: Any,
         input_words: Mapping[str, np.ndarray] | np.ndarray,
-        forced: Mapping[str, np.ndarray] | None = None,
     ) -> np.ndarray:
-        if forced:
-            # stuck-at forcing re-asserts values between groups — a
-            # debug/fault path the plan deliberately does not model
-            return engine.run_outputs(input_words, forced, backend="numpy")
-        index = engine._index
-        if isinstance(input_words, np.ndarray):
-            if input_words.shape[0] != len(engine._input_idx):
-                raise ValueError(
-                    f"expected {len(engine._input_idx)} input rows, "
-                    f"got {input_words.shape[0]}"
-                )
-            nw = input_words.shape[1]
-            fills = list(zip(engine._input_idx, input_words))
-        else:
-            arrays = list(input_words.values())
-            if not arrays:
-                raise ValueError("no input patterns supplied")
-            nw = arrays[0].shape[0]
-            fills = []
-            for name in engine.netlist.inputs:
-                if name not in input_words:
-                    raise ValueError(f"missing patterns for input {name!r}")
-                fills.append((index[name], input_words[name]))
+        nw, fills = engine.input_fills(input_words)
         plan = _plan_for(engine, nw)
         for row, words in fills:
             _fill_row(plan, row, words)

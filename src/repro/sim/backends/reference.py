@@ -25,9 +25,8 @@ class NumpyReference:
         self,
         engine: Any,
         input_words: Mapping[str, np.ndarray] | np.ndarray,
-        forced: Mapping[str, np.ndarray] | None = None,
     ) -> np.ndarray:
-        return engine.run_outputs(input_words, forced, backend="numpy")
+        return engine.run_outputs(input_words, backend="numpy")
 
     def run_keyed(
         self,

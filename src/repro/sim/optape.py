@@ -25,9 +25,15 @@ Three engineering choices keep the hot loop memory-lean:
   with key ``k`` broadcast as constant words.  One pass computes the
   outputs under every key simultaneously; Hamming distance then reduces
   per lane (see :func:`repro.sim.metrics.measure_corruption`).
+* **Forced lanes** — :meth:`OpTapeEngine.count_output_flips` is the
+  dual of key lanes: lane ``k`` shares the unforced pass's input words
+  but overrides one row with its own forced words, and the pass reports
+  per lane how many output bits moved.  Lock-site ranking (flip one net
+  per lane) and stuck-at fault simulation (one fault per lane) both run
+  on it, a few chunked passes instead of one pass per net or fault.
 * **Compile cache** — :func:`compile_engine` memoizes engines by netlist
-  *content hash*, so repeated experiment rows (and the fault simulator's
-  good-machine pass) reuse the tape instead of recompiling.
+  *content hash*, so repeated experiment rows, the lock-site ranking and
+  the fault simulator reuse the tape instead of recompiling.
 
 :class:`BitSimulator` stays around as the slow, obviously-correct
 cross-check oracle; the equivalence suite asserts bit-identical values
@@ -40,14 +46,21 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .. import telemetry
 from ..netlist import GateType, Netlist
+from .bitsim import popcount_lanes, tail_mask
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: value-matrix bytes per forced-lane chunk: small enough that a chunk's
+#: matrix and its gather temporaries stay cache-resident and peak memory
+#: does not move, large enough that the per-group dispatch is amortized
+#: over many lanes
+_LANE_CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -84,13 +97,15 @@ class OpGroup:
 class OpTapeEngine:
     """Compiled levelized evaluator for one netlist.
 
-    The constructor freezes the netlist's structure (like
-    :class:`BitSimulator`, mutating the netlist afterwards requires a new
-    engine — or let :func:`compile_engine` notice via the content hash).
+    The constructor snapshots everything it needs from the netlist and
+    keeps no reference to it: :func:`compile_engine` shares one engine
+    between every netlist with the same content hash, so an engine must
+    not observe later mutations of the netlist it was compiled from.
     """
 
     def __init__(self, netlist: Netlist) -> None:
-        self.netlist = netlist
+        #: primary inputs in netlist order, frozen at compile time
+        self.inputs: tuple[str, ...] = tuple(netlist.inputs)
         topo = netlist.topological_order()
 
         # Relaxed (latest-join) levelization: a gate is *ready* one slot
@@ -140,7 +155,7 @@ class OpTapeEngine:
             order.extend(names)
         self._order = order
         self._index = {n: i for i, n in enumerate(order)}
-        self._input_idx = [self._index[i] for i in netlist.inputs]
+        self._input_idx = [self._index[i] for i in self.inputs]
         self._output_idx = np.array(
             [self._index[o] for o in netlist.outputs], dtype=np.int64
         )
@@ -203,7 +218,10 @@ class OpTapeEngine:
     def _alloc(self, n_cols: int) -> np.ndarray:
         """Fresh value matrix: only rows that may be read before being
         written (constants, cyclic region) need pre-clearing."""
-        values = np.empty((self.n_nets, n_cols), dtype=np.uint64)
+        return self._preset(np.empty((self.n_nets, n_cols), dtype=np.uint64))
+
+    def _preset(self, values: np.ndarray) -> np.ndarray:
+        """Write the rows of ``values`` that are read before written."""
         if self._const0_idx:
             values[self._const0_idx] = 0
         if self._const1_idx:
@@ -212,32 +230,15 @@ class OpTapeEngine:
             values[self._cyclic_idx] = 0
         return values
 
-    def _eval_tape(
-        self,
-        values: np.ndarray,
-        forced_idx: Mapping[int, np.ndarray] | None = None,
-    ) -> np.ndarray:
-        if forced_idx:
-            for idx, v in forced_idx.items():
-                values[idx] = v
-        for group in self._tape:
-            _eval_group(group, values)
-            if forced_idx:
-                # re-assert forces after every group: a forced gate output
-                # must be seen overridden by everything downstream
-                for idx, v in forced_idx.items():
-                    values[idx] = v
-        return values
+    def input_fills(
+        self, input_words: Mapping[str, np.ndarray] | np.ndarray
+    ) -> tuple[int, list[tuple[int, np.ndarray]]]:
+        """Validate packed input patterns and pair each with its row.
 
-    def run(
-        self,
-        input_words: Mapping[str, np.ndarray] | np.ndarray,
-        forced: Mapping[str, np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """Simulate packed patterns; returns the ``(n_nets, n_cols)``
-        value matrix — same semantics as :meth:`BitSimulator.run`
-        (including ``forced`` stuck-value nets) but with rows in engine
-        order: index via :meth:`net_index`.
+        ``input_words`` is a mapping input-name -> word array, or a
+        ``(n_inputs, n_words)`` array in :attr:`inputs` order.  Returns
+        ``(n_words, [(row, words), ...])``; every execution lane fills
+        its value matrix from this list.
         """
         if isinstance(input_words, np.ndarray):
             if input_words.shape[0] != len(self._input_idx):
@@ -245,33 +246,38 @@ class OpTapeEngine:
                     f"expected {len(self._input_idx)} input rows, "
                     f"got {input_words.shape[0]}"
                 )
-            nw = input_words.shape[1]
-            values = self._alloc(nw)
-            for row, idx in enumerate(self._input_idx):
-                values[idx] = input_words[row]
-        else:
-            arrays = list(input_words.values())
-            if not arrays:
-                raise ValueError("no input patterns supplied")
-            nw = arrays[0].shape[0]
-            values = self._alloc(nw)
-            for name in self.netlist.inputs:
-                if name not in input_words:
-                    raise ValueError(f"missing patterns for input {name!r}")
-                values[self._index[name]] = input_words[name]
-        forced_idx = (
-            {self._index[n]: np.asarray(v, dtype=np.uint64) for n, v in forced.items()}
-            if forced
-            else None
-        )
+            return input_words.shape[1], list(zip(self._input_idx, input_words))
+        arrays = list(input_words.values())
+        if not arrays:
+            raise ValueError("no input patterns supplied")
+        fills = []
+        for name in self.inputs:
+            if name not in input_words:
+                raise ValueError(f"missing patterns for input {name!r}")
+            fills.append((self._index[name], input_words[name]))
+        return arrays[0].shape[0], fills
+
+    def _eval_tape(self, values: np.ndarray) -> np.ndarray:
+        for group in self._tape:
+            _eval_group(group, values)
+        return values
+
+    def run(self, input_words: Mapping[str, np.ndarray] | np.ndarray) -> np.ndarray:
+        """Simulate packed patterns; returns the ``(n_nets, n_cols)``
+        value matrix — same semantics as :meth:`BitSimulator.run` but
+        with rows in engine order: index via :meth:`net_index`.
+        """
+        nw, fills = self.input_fills(input_words)
+        values = self._alloc(nw)
+        for row, words in fills:
+            values[row] = words
         with telemetry.span("optape.run", words=nw, groups=self.n_groups):
             telemetry.counter_add("optape.words", nw)
-            return self._eval_tape(values, forced_idx)
+            return self._eval_tape(values)
 
     def run_outputs(
         self,
         input_words: Mapping[str, np.ndarray] | np.ndarray,
-        forced: Mapping[str, np.ndarray] | None = None,
         backend: str = "auto",
     ) -> np.ndarray:
         """Like :meth:`run` but returns only ``(n_outputs, n_cols)`` in
@@ -285,8 +291,122 @@ class OpTapeEngine:
         if backend != "numpy":
             from .backends import resolve_backend
 
-            return resolve_backend(backend).run_outputs(self, input_words, forced)
-        return self.outputs_from_matrix(self.run(input_words, forced))
+            return resolve_backend(backend).run_outputs(self, input_words)
+        return self.outputs_from_matrix(self.run(input_words))
+
+    def count_output_flips(
+        self,
+        good: np.ndarray,
+        rows: Sequence[int] | np.ndarray,
+        forced_words: np.ndarray,
+        n_patterns: int,
+    ) -> np.ndarray:
+        """Per-lane output corruption when one row is forced per lane.
+
+        Lane ``k`` re-simulates the patterns of ``good`` with row
+        ``rows[k]`` overridden by ``forced_words[k]`` — the semantics of
+        :meth:`BitSimulator.run` with ``forced={net: forced_words[k]}``.
+        Lanes are laid side by side on the word axis (like
+        :meth:`run_keyed`) and evaluated in chunks of at most
+        ``_LANE_CHUNK_BYTES`` of value matrix.
+
+        Args:
+            good: the unforced ``(n_nets, n_words)`` value matrix, as
+                returned by :meth:`run` (it supplies every lane's input
+                words and the reference outputs).
+            rows: ``(L,)`` engine row per lane (see :meth:`net_index`).
+            forced_words: ``(L, n_words)`` value each lane forces.
+            n_patterns: valid patterns; bits past it in the last word
+                are not counted.
+
+        Returns:
+            ``(L,)`` int64: output bits (over all outputs and valid
+            patterns) that differ from the unforced pass, per lane.
+        """
+        counts = np.zeros(len(rows), dtype=np.int64)
+        for lo, hi, diff in self._forced_lane_diffs(
+            good, rows, forced_words, n_patterns
+        ):
+            counts[lo:hi] = popcount_lanes(diff.transpose(1, 0, 2))
+        return counts
+
+    def output_flip_masks(
+        self,
+        good: np.ndarray,
+        rows: Sequence[int] | np.ndarray,
+        forced_words: np.ndarray,
+        n_patterns: int,
+    ) -> np.ndarray:
+        """Like :meth:`count_output_flips`, but returns ``(L, n_words)``
+        pattern masks: bit ``i`` of lane ``k`` is set when pattern ``i``
+        flips at least one output under lane ``k``'s force."""
+        masks = np.zeros((len(rows), good.shape[1]), dtype=np.uint64)
+        for lo, hi, diff in self._forced_lane_diffs(
+            good, rows, forced_words, n_patterns
+        ):
+            np.bitwise_or.reduce(diff, axis=0, out=masks[lo:hi])
+        return masks
+
+    def _forced_lane_diffs(
+        self,
+        good: np.ndarray,
+        rows: Sequence[int] | np.ndarray,
+        forced_words: np.ndarray,
+        n_patterns: int,
+    ) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Yield ``(lo, hi, diff)`` per lane chunk: ``diff`` is the
+        tail-masked ``(n_outputs, hi - lo, n_words)`` XOR of each lane's
+        outputs against the unforced outputs."""
+        rows = np.asarray(rows, dtype=np.int64)
+        forced_words = np.asarray(forced_words, dtype=np.uint64)
+        n_lanes = rows.shape[0]
+        nw = good.shape[1]
+        if forced_words.shape != (n_lanes, nw):
+            raise ValueError(
+                f"forced_words must be ({n_lanes}, {nw}), got {forced_words.shape}"
+            )
+        # tape position after which each lane's override is re-written;
+        # -1 for source rows (written once, before the tape)
+        stops = np.array([g.stop for g in self._tape], dtype=np.int64)
+        group_of = np.where(
+            rows < self._n_sources, -1, np.searchsorted(stops, rows, side="right")
+        )
+        good_in = good[self._input_idx][:, None, :]
+        good_out = good[self._output_idx][:, None, :]
+        mask = tail_mask(n_patterns)
+        chunk = max(1, _LANE_CHUNK_BYTES // (self.n_nets * nw * 8))
+        # one buffer serves every chunk, so peak memory holds one matrix
+        buf = np.empty(self.n_nets * min(chunk, n_lanes) * nw, dtype=np.uint64)
+        with telemetry.span(
+            "optape.run", words=n_lanes * nw, lanes=n_lanes, groups=self.n_groups
+        ):
+            telemetry.counter_add("optape.words", n_lanes * nw)
+            for lo in range(0, n_lanes, chunk):
+                hi = min(lo + chunk, n_lanes)
+                lane_rows = rows[lo:hi]
+                lane_words = forced_words[lo:hi]
+                values = self._preset(
+                    buf[: self.n_nets * (hi - lo) * nw].reshape(self.n_nets, -1)
+                )
+                v3 = values.reshape(self.n_nets, hi - lo, nw)
+                v3[self._input_idx] = good_in
+                # every force also lands before the tape: cyclic-region
+                # readers that run ahead of the forced gate must see the
+                # forced value, exactly as BitSimulator pre-applies forces
+                v3[lane_rows, np.arange(hi - lo)] = lane_words
+                after: dict[int, list[int]] = {}
+                for lane, gi in enumerate(group_of[lo:hi].tolist()):
+                    if gi >= 0:
+                        after.setdefault(gi, []).append(lane)
+                for gi, group in enumerate(self._tape):
+                    _eval_group(group, values)
+                    hit = after.get(gi)
+                    if hit is not None:
+                        v3[lane_rows[hit], hit] = lane_words[hit]
+                diff = v3[self._output_idx]
+                np.bitwise_xor(diff, good_out, out=diff)
+                diff[:, :, -1] &= mask
+                yield lo, hi, diff
 
     def run_keyed(
         self,
@@ -332,7 +452,7 @@ class OpTapeEngine:
                 f"got {data_words.shape[0]}"
             )
         driven = set(data_inputs) | set(key_inputs)
-        missing = [i for i in self.netlist.inputs if i not in driven]
+        missing = [i for i in self.inputs if i not in driven]
         if missing:
             raise ValueError(f"missing patterns for inputs {missing!r}")
         if backend != "numpy":

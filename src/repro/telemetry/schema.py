@@ -89,6 +89,8 @@ KNOWN_COUNTERS = frozenset(
         "job.failed",
         "job.cancelled",
         "job.requeued",
+        # anomaly counters: silent fallbacks made visible
+        "atpg.verdict.disagree",
     }
 )
 

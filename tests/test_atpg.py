@@ -214,6 +214,32 @@ class TestEngine:
         with pytest.raises(ValueError):
             run_atpg(c17(), deterministic="magic")
 
+    def test_unconfirmed_test_counted_as_verdict_disagreement(self, monkeypatch):
+        """A claimed test that fault simulation does not confirm is booked
+        as aborted and counted as ``atpg.verdict.disagree``."""
+        from repro import telemetry
+        from repro.atpg.podem import TestResult
+        from repro.telemetry import MemorySink
+
+        nl = c17()
+        # every fault "detected" by the all-zero pattern, which is wrong
+        # for most of them
+        monkeypatch.setattr(
+            PODEM,
+            "generate",
+            lambda self, fault, budget=None: TestResult(
+                TestOutcome.DETECTED, {i: 0 for i in nl.inputs}, 0
+            ),
+        )
+        telemetry.configure(MemorySink())
+        try:
+            rep = run_atpg(nl, n_random_patterns=0, deterministic="podem")
+            disagree = telemetry.counter_totals().get("atpg.verdict.disagree", 0)
+        finally:
+            telemetry.shutdown()
+        assert rep.n_aborted > 0 and rep.n_redundant == 0
+        assert disagree == rep.n_aborted
+
     def test_key_inputs_act_as_test_inputs(self):
         """The Table II effect: a locked circuit with free key inputs has
         fault coverage at least as high as the original."""

@@ -156,16 +156,6 @@ class TestDifferential:
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert np.array_equal(got, ref), lane
 
-    def test_forced_nets_fall_back_identically(self):
-        netlist = _circuit(13)
-        engine = compile_engine(netlist, cache=False)
-        words = random_words(len(netlist.inputs), 64, seed=0)
-        some_net = next(iter(netlist.outputs))
-        forced = {some_net: np.zeros(1, dtype=np.uint64)}
-        ref = engine.run_outputs(words, forced=forced, backend="numpy")
-        got = engine.run_outputs(words, forced=forced, backend="fused")
-        assert np.array_equal(got, ref)
-
 
 class TestFusedInternals:
     def test_plan_cache_counters(self):

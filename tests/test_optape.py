@@ -1,7 +1,7 @@
 """Equivalence and regression tests for the compiled op-tape engine.
 
 The scalar :class:`BitSimulator` is the oracle throughout: every engine
-path (leveled groups, cyclic singletons, forced nets, multi-key lanes)
+path (leveled groups, cyclic singletons, multi-key lanes)
 must be bit-exact against it, and the batched multi-key HD reduction
 must reproduce the looped per-key measurement report for report.
 """
@@ -102,17 +102,6 @@ class TestEngineEquivalence:
             assert np.array_equal(
                 vs[sim.net_index(net)], ve[eng.net_index(net)]
             ), net
-
-    def test_forced_nets_match_bitsim(self):
-        nl = c17()
-        sim = BitSimulator(nl)
-        eng = OpTapeEngine(nl)
-        words = random_words(5, 64, seed=1)
-        in_words = {n: words[i] for i, n in enumerate(nl.inputs)}
-        forced = {"G10": broadcast_constant(1, 1), "G1": broadcast_constant(0, 1)}
-        a = sim.run_outputs(in_words, forced=forced)
-        b = eng.run_outputs(in_words, forced=forced)
-        assert np.array_equal(a, b)
 
     def test_array_input_form(self):
         nl = ripple_adder(3)
@@ -282,6 +271,28 @@ class TestCompileCache:
         changed = nl.copy()
         changed.add_gate("extra", GateType.NOT, [nl.outputs[0]])
         assert netlist_fingerprint(nl) != netlist_fingerprint(changed)
+
+    def test_cached_engine_ignores_later_mutation_of_its_source(self):
+        # the engine compiled from ``a`` serves every netlist with a's
+        # pre-mutation content; mutating ``a`` afterwards (as
+        # lock_weighted does after ranking) must not leak into it
+        clear_engine_cache()
+        a = c17()
+        b = a.copy()
+        compile_engine(a)
+        a.add_input("keyinput0")
+        engine = compile_engine(b)
+        words = random_words(len(b.inputs), 64, seed=1)
+        in_words = {n: words[i] for i, n in enumerate(b.inputs)}
+        want = BitSimulator(b).run_outputs(in_words)
+        assert np.array_equal(engine.run_outputs(in_words), want)
+        assert np.array_equal(engine.run_outputs(in_words, backend="numpy"), want)
+        data = [i for i in b.inputs if i != "G1"]
+        keyed = engine.run_keyed(
+            data, words[1:], ["G1"], np.array([[0], [1]], dtype=np.uint8)
+        )
+        assert keyed.shape == (2, len(b.outputs), 1)
+        assert engine.inputs == tuple(b.inputs)
 
     def test_cache_bypass(self):
         clear_engine_cache()

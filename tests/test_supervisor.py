@@ -95,8 +95,10 @@ class TestCrashContainment:
         assert all(results[i].ok for i in range(3))
         # the re-dispatched row ran as process-level attempt 1
         assert results[1].value["attempt"] == 1
+        # restarts is timing-dependent (the surviving worker may run the
+        # requeued row before a replacement is needed), so it is not asserted
         assert pool.crashes == 1 and pool.requeues == 1
-        assert pool.restarts >= 1 and pool.quarantined == {}
+        assert pool.quarantined == {}
         assert _no_supervised_children()
 
     def test_poison_row_quarantined_with_signal_history(self, monkeypatch):
