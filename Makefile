@@ -47,13 +47,11 @@ bench-sim:
 	PYTHONPATH=src $(PY) -m repro bench
 
 # tiny fixed workload: fails only if the engine and the scalar oracle
-# disagree — never on timing (safe for loaded CI boxes).  BENCH_LANE adds
-# an extra backend lane (e.g. numba) which skips cleanly when the lane's
-# runtime is not installed; cProfile stats land in .bench-profile/
+# disagree — never on timing (safe for loaded CI boxes); cProfile stats
+# land in .bench-profile/
 bench-sim-smoke:
 	PYTHONPATH=src $(PY) -m repro bench --smoke --out BENCH_sim_smoke.json \
-		--profile .bench-profile \
-		$(if $(BENCH_LANE),--backend $(BENCH_LANE),)
+		--profile .bench-profile
 
 # disabled-telemetry cost on the smoke workload: counts the dispatches
 # the workload performs, prices each primitive, and fails if the

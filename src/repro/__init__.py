@@ -42,9 +42,10 @@ __version__ = "1.0.0"
 #: API stability: v1.  Everything in this table is the *frozen* public
 #: surface — importable directly from ``repro`` — and follows the
 #: deprecation policy in docs/ATTACK_API.md: a spelling is never removed
-#: without a full release of :class:`DeprecationWarning` first (the
-#: pre-v1 ``max_flips``/``max_rounds``/``backend="optape"`` spellings
-#: completed that cycle and are gone).  Names are resolved lazily (PEP
+#: without a full release of :class:`DeprecationWarning` first, through a
+#: shim written for that case (the pre-v1 ``max_flips``/``max_rounds``/
+#: ``backend="optape"`` spellings completed that cycle and are gone; the
+#: simulation-lane knobs are in it now).  Names are resolved lazily (PEP
 #: 562) so ``import repro`` stays cheap for programs that only need one
 #: subsystem.
 _V1_EXPORTS: dict[str, str] = {

@@ -19,12 +19,12 @@ Usage::
 
 Every campaign subcommand (and ``repro serve``) carries one identical
 runtime flag set via :func:`add_runtime_flags` — ``--jobs``, ``--trace``,
-``--cache``/``--no-cache``/``--cache-dir``, ``--sim-backend`` and
-``--max-matrix-bytes`` mean the same thing everywhere.  ``--trace``
-streams telemetry spans/counters (merged across worker processes) into a
-JSONL trace, inspected with ``repro trace report`` / ``repro trace
-validate``; ``--cache`` serves unchanged rows from the content-addressed
-result cache (``repro cache stats|clear|verify``; see docs/CACHING.md).
+``--cache``/``--no-cache``/``--cache-dir`` mean the same thing
+everywhere.  ``--trace`` streams telemetry spans/counters (merged across
+worker processes) into a JSONL trace, inspected with ``repro trace
+report`` / ``repro trace validate``; ``--cache`` serves unchanged rows
+from the content-addressed result cache (``repro cache
+stats|clear|verify``; see docs/CACHING.md).
 
 ``table1``/``table2``/``attacks`` are thin clients of the same internal
 :class:`~repro.service.api.JobSpec` path the ``repro serve`` daemon
@@ -35,7 +35,6 @@ executes — one registry, one parameter schema, one execution function
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 
@@ -43,10 +42,9 @@ def add_runtime_flags(p, policy: bool = True) -> None:
     """Attach the unified runtime flag set to one subparser.
 
     Every campaign parser (and ``repro serve``) goes through here, so
-    ``--jobs/--trace/--cache*/--sim-backend/--max-matrix-bytes`` are
-    spelled and documented identically across the CLI.  ``policy=True``
-    additionally attaches the checkpoint/retry knobs that only
-    row-runner campaigns honour.
+    ``--jobs/--trace/--cache*`` are spelled and documented identically
+    across the CLI.  ``policy=True`` additionally attaches the
+    checkpoint/retry knobs that only row-runner campaigns honour.
     """
     p.add_argument(
         "--jobs",
@@ -63,23 +61,6 @@ def add_runtime_flags(p, policy: bool = True) -> None:
         metavar="FILE.jsonl",
         help="append telemetry spans/counters to this JSONL trace "
         "(merged across --jobs workers)",
-    )
-    p.add_argument(
-        "--sim-backend",
-        type=str,
-        default="auto",
-        metavar="LANE",
-        help="bit-parallel simulation backend (auto, fused, numpy, "
-        "numba, cupy; default auto — also settable via the "
-        "REPRO_SIM_BACKEND environment variable)",
-    )
-    p.add_argument(
-        "--max-matrix-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="cap on the transient simulation value matrix per chunk "
-        "(default: REPRO_MAX_MATRIX_BYTES env or 32 MiB)",
     )
     p.add_argument(
         "--cache",
@@ -301,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats",
         type=int,
         default=5,
-        help="timing repeats per backend (minimum is reported)",
+        help="timing repeats per lane (minimum is reported)",
     )
     pb.add_argument(
         "--out", type=str, default="BENCH_sim.json", help="output JSON path"
@@ -311,14 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="tiny fixed workload: verifies engine/scalar agreement only "
         "(never fails on timing)",
-    )
-    pb.add_argument(
-        "--backend",
-        type=str,
-        default=None,
-        metavar="LANE",
-        help="benchmark one extra execution lane (e.g. numba, cupy); "
-        "skipped with a notice when its runtime is unavailable",
     )
     pb.add_argument(
         "--profile",
@@ -519,7 +492,6 @@ def main(argv: list[str] | None = None) -> int:
             repeats=args.repeats,
             out=args.out,
             smoke=args.smoke,
-            backend=args.backend,
             profile_dir=args.profile,
         )
 
@@ -597,16 +569,8 @@ def main(argv: list[str] | None = None) -> int:
 
         _cache.configure(resolved_cache_dir)
 
-    # the unified runtime flags must bite on every campaign, including
-    # harnesses that never thread a RunPolicy: --sim-backend and
-    # --max-matrix-bytes travel via their environment hooks (inherited
-    # by forked workers), --trace configures telemetry process-globally
-    sim_backend = getattr(args, "sim_backend", "auto")
-    if sim_backend != "auto":
-        os.environ["REPRO_SIM_BACKEND"] = sim_backend
-    max_matrix_bytes = getattr(args, "max_matrix_bytes", None)
-    if max_matrix_bytes is not None:
-        os.environ["REPRO_MAX_MATRIX_BYTES"] = str(max_matrix_bytes)
+    # --trace must bite on every campaign, including harnesses that
+    # never thread a RunPolicy: it configures telemetry process-globally
     trace = getattr(args, "trace", None)
     if trace is not None and args.cmd != "serve":
         from . import telemetry
@@ -625,8 +589,6 @@ def main(argv: list[str] | None = None) -> int:
                 tenant_budget_s=args.tenant_budget,
                 trace_path=args.trace,
                 cache_dir=resolved_cache_dir,
-                sim_backend=args.sim_backend,
-                max_matrix_bytes=args.max_matrix_bytes,
             )
         )
 
@@ -645,8 +607,6 @@ def main(argv: list[str] | None = None) -> int:
         jobs = getattr(a, "jobs", 1)
         trace = getattr(a, "trace", None)
         cache_dir = cache_dir_of(a)
-        sim_backend = getattr(a, "sim_backend", "auto")
-        max_matrix_bytes = getattr(a, "max_matrix_bytes", None)
         if (
             checkpoint_dir is None
             and not resume
@@ -655,8 +615,6 @@ def main(argv: list[str] | None = None) -> int:
             and jobs <= 1
             and trace is None
             and cache_dir is None
-            and sim_backend == "auto"
-            and max_matrix_bytes is None
         ):
             return None
         return RunPolicy(
@@ -668,8 +626,6 @@ def main(argv: list[str] | None = None) -> int:
             trace_path=trace,
             cache_dir=cache_dir,
             worker_retries=getattr(a, "worker_retries", 1),
-            sim_backend=sim_backend,
-            max_matrix_bytes=max_matrix_bytes,
         )
 
     from .runtime import CampaignInterrupted

@@ -118,15 +118,23 @@ def run_atpg(
 
     podem = PODEM(netlist, max_backtracks=max_backtracks)
 
+    def sat_test(fault: Fault):
+        result = sat_generate(netlist, fault, sat_conflict_budget, budget=budget)
+        if result.outcome is TestOutcome.ABORTED:
+            # the conflict budget ran out: the fault is booked aborted,
+            # and the counter makes that give-up visible in a trace
+            telemetry.counter_add("atpg.sat.aborted")
+        return result
+
     def deterministic_test(fault: Fault):
         if deterministic == "sat":
-            return sat_generate(netlist, fault, sat_conflict_budget, budget=budget)
+            return sat_test(fault)
         result = podem.generate(fault, budget=budget)
         if deterministic == "podem+sat" and result.outcome in (
             TestOutcome.REDUNDANT,
             TestOutcome.ABORTED,
         ):
-            return sat_generate(netlist, fault, sat_conflict_budget, budget=budget)
+            return sat_test(fault)
         return result
 
     n_redundant = 0

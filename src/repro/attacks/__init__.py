@@ -10,7 +10,7 @@ from .api import (
     register,
     run_attack,
 )
-from .config import AttackConfig, deprecated_kwargs
+from .config import AttackConfig
 from .oracle import (
     CountingOracle,
     IdealOracle,
@@ -62,7 +62,6 @@ __all__ = [
     "register",
     "run_attack",
     "AttackConfig",
-    "deprecated_kwargs",
     "CountingOracle",
     "IdealOracle",
     "Oracle",

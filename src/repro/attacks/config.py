@@ -14,21 +14,17 @@ column.  :class:`AttackConfig` is the shared base:
 
 The pre-v1 spellings (``max_rounds``, ``max_flips``) completed their
 deprecation cycle and were removed with the v1 API freeze — passing
-them is now a :class:`TypeError`.  :func:`deprecated_kwargs` stays: it
-is the mechanism any *future* rename of the frozen v1 surface must go
-through (one full release of warnings before removal); migration policy
-is documented in ``docs/ATTACK_API.md``.
+them is now a :class:`TypeError`.  A frozen v1 spelling still gets one
+release of :class:`DeprecationWarning` before removal, with a shim
+written for that case; migration policy is documented in
+``docs/ATTACK_API.md``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
-from typing import Any, Callable, TypeVar
 
 from ..runtime.budget import Budget
-
-_C = TypeVar("_C")
 
 
 @dataclass
@@ -55,54 +51,3 @@ class AttackConfig:
         if budget is None:
             return self
         return replace(self, budget=budget)
-
-
-def deprecated_kwargs(**aliases: str) -> Callable[[type[_C]], type[_C]]:
-    """Class decorator: accept legacy constructor kwargs with a warning.
-
-    ``@deprecated_kwargs(max_rounds="max_iterations")`` makes
-    ``Config(max_rounds=3)`` behave as ``Config(max_iterations=3)``
-    while emitting a :class:`DeprecationWarning`; passing both the old
-    and the new name is an error.  A read-only property is added for
-    each old name so legacy *reads* keep working too (also warning).
-    """
-
-    def decorate(cls: type[_C]) -> type[_C]:
-        original_init = cls.__init__  # type: ignore[misc]
-
-        def __init__(self: Any, *args: Any, **kwargs: Any) -> None:
-            for old, new in aliases.items():
-                if old in kwargs:
-                    if new in kwargs:
-                        raise TypeError(
-                            f"{cls.__name__}: got both deprecated {old!r} "
-                            f"and its replacement {new!r}"
-                        )
-                    warnings.warn(
-                        f"{cls.__name__}({old}=...) is deprecated; "
-                        f"use {new}=... instead",
-                        DeprecationWarning,
-                        stacklevel=2,
-                    )
-                    kwargs[new] = kwargs.pop(old)
-            original_init(self, *args, **kwargs)
-
-        cls.__init__ = __init__  # type: ignore[misc]
-
-        def make_alias(old_name: str, new_name: str) -> property:
-            def getter(self: Any) -> Any:
-                warnings.warn(
-                    f"{cls.__name__}.{old_name} is deprecated; "
-                    f"read {new_name} instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                return getattr(self, new_name)
-
-            return property(getter)
-
-        for old, new in aliases.items():
-            setattr(cls, old, make_alias(old, new))
-        return cls
-
-    return decorate

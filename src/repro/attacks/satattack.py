@@ -90,8 +90,6 @@ class SATAttackConfig(AttackConfig):
             WLL) keep contradicting fresh witnesses so batching stays
             on; point-function schemes (SARLock) re-kill the same one
             and trigger the batch backoff.
-        sim_backend: execution backend for the batch-probe simulation
-            (see :mod:`repro.sim.backends`).
         budget: shared :class:`~repro.runtime.Budget` bounding the whole
             attack (all solves plus oracle traffic); violations become a
             ``timeout``/``budget`` status row, never an exception.
@@ -103,7 +101,6 @@ class SATAttackConfig(AttackConfig):
     dip_batch: int = 8
     dip_probe_patterns: int = 256
     dip_probe_keys: int = 8
-    sim_backend: str = "auto"
 
 
 def _probe_candidate_columns(
@@ -113,7 +110,6 @@ def _probe_candidate_columns(
     witness_keys: np.ndarray,
     n_patterns: int,
     seed: int,
-    backend: str,
 ) -> tuple[np.ndarray, list[int], np.ndarray]:
     """Simulate the witness keys over random patterns; return the packed
     pattern words, every column index where the first two witnesses (the
@@ -128,9 +124,7 @@ def _probe_candidate_columns(
     from ..sim.patterns import random_words
 
     words = random_words(len(data_inputs), n_patterns, seed=seed)
-    outs = engine.run_keyed(
-        data_inputs, words, key_inputs, witness_keys, backend=backend
-    )
+    outs = engine.run_keyed(data_inputs, words, key_inputs, witness_keys)
     diff = np.bitwise_or.reduce(outs[0] ^ outs[1], axis=0)
     cols: list[int] = []
     nw = int(diff.shape[0])
@@ -344,7 +338,6 @@ def sat_attack(
                         witness_keys,
                         config.dip_probe_patterns,
                         config.seed + 7919 * n_solves,
-                        config.sim_backend,
                     )
                     extra = allowed_extra
                     informative = 0

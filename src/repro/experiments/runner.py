@@ -92,14 +92,10 @@ class RunPolicy:
         retry_quarantined: recompute quarantined rows on ``--resume``
             instead of reusing their quarantine verdict (default False:
             a poison row would just take workers down again).
-        sim_backend: execution lane for the campaign's bit-parallel
-            simulation (:mod:`repro.sim.backends`); threaded into every
-            row that measures corruption and into its cache fingerprint,
-            so results from different lanes never alias.
-        max_matrix_bytes: transient value-matrix chunking bound for
-            :func:`repro.sim.metrics.measure_corruption` (None = the
-            ``REPRO_MAX_MATRIX_BYTES`` env override or the 32 MiB
-            default).
+        sim_backend, max_matrix_bytes: deprecated v1 no-ops.  A
+            non-default value warns once and is reset to the default;
+            simulation always runs on the fused lane under a fixed
+            chunk cap, which is bit-identical to every former choice.
         prewarm: tuple of ``(callable, args)`` pairs executed by every
             supervised-pool worker at bootstrap.  Each callable must be
             module-level (it pickles with the policy) and return a
@@ -130,6 +126,12 @@ class RunPolicy:
     sim_backend: str = "auto"
     max_matrix_bytes: int | None = None
     prewarm: tuple = ()
+
+    def __post_init__(self) -> None:
+        if self.sim_backend != "auto" or self.max_matrix_bytes is not None:
+            from ..sim.metrics import reset_ignored_knobs
+
+            reset_ignored_knobs(self)
 
     def row_allowance_s(self) -> float | None:
         """Worst-case in-process wall clock for one supervised row.

@@ -69,17 +69,13 @@ def lock_for_table1(
     n_keys: int = 8,
     rng: int = 0,
     budget: Budget | None = None,
-    backend: str = "auto",
-    max_matrix_bytes: int | None = None,
 ):
     """Apply WLL, growing the key-gate count until HD hits the target or
     saturates.  Returns ``(locked, corruption_report, n_key_gates)``.
 
     ``budget`` (if given) is polled for its wall-clock deadline once per
     doubling step — each step simulates ``n_patterns * n_keys`` patterns,
-    the natural checkpoint of this loop.  ``backend`` and
-    ``max_matrix_bytes`` are forwarded to
-    :func:`~repro.sim.measure_corruption`.
+    the natural checkpoint of this loop.
     """
     n_gates = max(1, key_width // control_inputs)
     best = None
@@ -100,8 +96,6 @@ def lock_for_table1(
             n_patterns=n_patterns,
             n_keys=n_keys,
             seed=rng,
-            backend=backend,
-            max_matrix_bytes=max_matrix_bytes,
         )
         best = (locked, report, n_gates)
         if report.hd_percent >= hd_target:
@@ -122,8 +116,6 @@ def _table1_compute(
     n_patterns: int,
     n_keys: int,
     seed: int,
-    backend: str = "auto",
-    max_matrix_bytes: int | None = None,
     budget: Budget | None = None,
 ) -> Table1Row:
     """One Table I row (module-level so it pickles to pool workers)."""
@@ -138,8 +130,6 @@ def _table1_compute(
         n_keys=n_keys,
         rng=seed,
         budget=budget,
-        backend=backend,
-        max_matrix_bytes=max_matrix_bytes,
     )
     lfsr_cfg = LFSRConfig(size=key_width)
     overhead = measure_overhead(locked.original, locked.locked, lfsr_cfg)
@@ -177,8 +167,6 @@ def _table1_corpus_compute(
     n_patterns: int,
     n_keys: int,
     seed: int,
-    backend: str = "auto",
-    max_matrix_bytes: int | None = None,
     budget: Budget | None = None,
 ) -> Table1Row:
     """One Table I row on a genuine corpus netlist.
@@ -197,8 +185,6 @@ def _table1_corpus_compute(
         n_keys=n_keys,
         rng=seed,
         budget=budget,
-        backend=backend,
-        max_matrix_bytes=max_matrix_bytes,
     )
     lfsr_cfg = LFSRConfig(size=key_width)
     overhead = measure_overhead(locked.original, locked.locked, lfsr_cfg)
@@ -276,17 +262,11 @@ def run_table1(
     the per-circuit content digests so an updated corpus file is never
     served a stale resume row.
     """
-    backend = policy.sim_backend if policy is not None else "auto"
-    max_matrix_bytes = (
-        policy.max_matrix_bytes if policy is not None else None
-    )
     fingerprint: dict = {
         "scale": scale,
         "n_patterns": n_patterns,
         "n_keys": n_keys,
         "seed": seed,
-        "sim_backend": backend,
-        "max_matrix_bytes": max_matrix_bytes,
     }
     if corpus is not None:
         from ..corpus.loader import corpus_digests
@@ -311,10 +291,6 @@ def run_table1(
         policy,
         fingerprint=fingerprint,
     )
-    common_kwargs = {
-        "backend": backend,
-        "max_matrix_bytes": max_matrix_bytes,
-    }
     tasks = [
         RowTask(
             key=name,
@@ -327,7 +303,6 @@ def run_table1(
                 if corpus is not None
                 else (name, scale, n_patterns, n_keys, seed)
             ),
-            kwargs=dict(common_kwargs),
             encode=asdict,
             decode=lambda d: Table1Row(**d),
             preflight=(

@@ -88,9 +88,16 @@ class ServeConfig:
     tenant_budget_s: float | None = None
     trace_path: str | Path | None = None
     cache_dir: str | Path | None = None
+    #: deprecated v1 no-ops: a non-default value warns and is reset
     sim_backend: str = "auto"
     max_matrix_bytes: int | None = None
     row_deadline_s: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.sim_backend != "auto" or self.max_matrix_bytes is not None:
+            from ..sim.metrics import reset_ignored_knobs
+
+            reset_ignored_knobs(self)
 
     def resolved_socket(self) -> Path:
         if self.socket_path is not None:
@@ -232,8 +239,6 @@ class ServiceDaemon:
             "jobs": cfg.jobs,
             "trace_path": str(cfg.trace_path) if cfg.trace_path else None,
             "cache_dir": str(cfg.cache_dir) if cfg.cache_dir else None,
-            "sim_backend": cfg.sim_backend,
-            "max_matrix_bytes": cfg.max_matrix_bytes,
             "row_deadline_s": cfg.row_deadline_s,
         }
 

@@ -412,7 +412,7 @@ def execute_job(spec: JobSpec, policy: Any = None) -> JobResult:
 
     ``policy`` is the :class:`~repro.experiments.runner.RunPolicy`
     governing row execution (checkpoints/resume, worker fleet, cache,
-    trace, sim backend); None runs with harness defaults.  The run is
+    trace); None runs with harness defaults.  The run is
     wrapped in a ``job.run`` telemetry span.  Raises
     :class:`UnknownCampaign` / :class:`ParamError` for a bad spec and
     lets :class:`~repro.runtime.CampaignInterrupted` propagate — an

@@ -283,7 +283,7 @@ class JobQueue:
         Round-robins over tenants with queued work (oldest job first
         within a tenant); the chosen tenant goes to the back of the
         rotation.  Jobs of exhausted tenants fail immediately with a
-        structured budget error instead of occupying a worker.
+        structured budget error instead of holding a worker.
         """
         while True:
             by_tenant: dict[str, list[JobStatus]] = {}

@@ -35,16 +35,7 @@ from .metrics import (
     functional_match_fraction,
     hamming_distance_words,
     measure_corruption,
-    resolve_max_matrix_bytes,
     sample_wrong_keys,
-)
-from .backends import (
-    BackendUnavailable,
-    available_backends,
-    get_backend,
-    list_backends,
-    register_backend,
-    resolve_backend,
 )
 
 __all__ = [
@@ -76,11 +67,4 @@ __all__ = [
     "functional_match_fraction",
     "hamming_distance_words",
     "measure_corruption",
-    "resolve_max_matrix_bytes",
-    "BackendUnavailable",
-    "available_backends",
-    "get_backend",
-    "list_backends",
-    "register_backend",
-    "resolve_backend",
 ]

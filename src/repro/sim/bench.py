@@ -1,18 +1,13 @@
-"""``repro bench`` — execution-backend benchmark for the sim layer.
+"""``repro bench`` — corruption-simulation benchmark for the sim layer.
 
 Times the Table I corruption workload (WLL-locked circuit, many wrong
-keys, a pseudorandom pattern block) on the scalar oracle and on each
-always-available execution lane (the grouped ``numpy`` reference and the
-planned ``fused`` CPU backend), and writes a machine-readable
-``BENCH_sim.json``.  Correctness comes first: every lane's
-:class:`CorruptionReport` is compared field for field against the scalar
-oracle, and any disagreement makes the benchmark *fail* — timing never
-does (a loaded CI box must not flake the build, so the smoke job asserts
-agreement only).
-
-An optional lane (``--backend numba``/``cupy``) is benchmarked when its
-runtime is importable and *skipped* — not failed — when it is not, so
-the CI backend matrix can run the same command everywhere.
+keys, a pseudorandom pattern block) on the scalar oracle, the grouped
+``numpy`` reference evaluator and the planned ``fused`` lane, and
+writes a machine-readable ``BENCH_sim.json``.  Correctness comes first:
+every lane's :class:`CorruptionReport` is compared field for field
+against the scalar oracle, and any disagreement makes the benchmark
+*fail* — timing never does (a loaded CI box must not flake the build,
+so the smoke job asserts agreement only).
 
 A SAT-attack block times the legacy one-solve-per-DIP regime against the
 incremental solver (activation literal + batched DIP probing) on a fixed
@@ -42,8 +37,7 @@ import numpy as np
 from .. import telemetry
 from ..bench.registry import PAPER_CIRCUITS, build_paper_circuit, scaled_key_size
 from ..locking import WLLConfig, lock_weighted
-from .backends import BackendUnavailable, resolve_backend
-from .metrics import DEFAULT_MAX_MATRIX_BYTES, measure_corruption
+from .metrics import DEFAULT_MAX_MATRIX_BYTES, _measure
 from .optape import clear_engine_cache, compile_engine
 
 #: default benchmark workload: the ITC'99 trio from Table I at a scale
@@ -57,7 +51,7 @@ SMOKE_SCALE = 0.02
 SMOKE_KEYS = 9
 SMOKE_PATTERNS = 777  # deliberately not a multiple of 64 (tail masking)
 
-#: always-benchmarked execution lanes (beyond the scalar oracle)
+#: benchmarked engine lanes (beyond the scalar oracle)
 STANDARD_LANES = ("numpy", "fused")
 
 
@@ -99,16 +93,14 @@ def bench_circuit(
     n_patterns: int,
     repeats: int,
     seed: int = 0,
-    extra_backend: str | None = None,
     profile_dir: str | Path | None = None,
 ) -> dict[str, Any]:
     """Benchmark one circuit; returns its result row (JSON-able dict).
 
     Lanes timed: the scalar oracle, the grouped ``numpy`` reference
     (reported as ``optape_s`` for baseline continuity) and the planned
-    ``fused`` backend; ``extra_backend`` adds one more lane (caller is
-    responsible for availability).  ``profile_dir`` additionally records
-    one profiled pass per lane into ``bench_<circuit>.pstats``.
+    ``fused`` lane.  ``profile_dir`` additionally records one profiled
+    pass per lane into ``bench_<circuit>.pstats``.
     """
     spec = PAPER_CIRCUITS[name]
     netlist = build_paper_circuit(name, scale=scale)
@@ -125,37 +117,33 @@ def bench_circuit(
     clear_engine_cache()
     engine = compile_engine(locked.locked)
 
-    def run(backend: str):
-        return measure_corruption(
+    def run(lane: str):
+        return _measure(
             locked.locked,
             locked.key_inputs,
             locked.correct_key,
-            n_patterns=n_patterns,
-            n_keys=n_keys,
-            seed=seed,
-            backend=backend,
+            n_patterns,
+            n_keys,
+            seed,
+            lane,
         )
-
-    lanes = list(STANDARD_LANES)
-    if extra_backend is not None:
-        lanes.append(extra_backend)
 
     # warm every path once (compile cache, plan cache, numpy ufunc and
     # allocator setup), then time
     report_scalar = run("scalar")
-    reports = {lane: run(lane) for lane in lanes}
+    reports = {lane: run(lane) for lane in STANDARD_LANES}
     t_scalar, _ = _best_of(lambda: run("scalar"), repeats, label=f"{name}:scalar")
     times = {
         lane: _best_of(
             lambda lane=lane: run(lane), repeats, label=f"{name}:{lane}"
         )[0]
-        for lane in lanes
+        for lane in STANDARD_LANES
     }
 
     if profile_dir is not None:
         profile = cProfile.Profile()
         profile.enable()
-        for lane in lanes:
+        for lane in STANDARD_LANES:
             run(lane)
         profile.disable()
         _write_profile(profile, Path(profile_dir), f"bench_{name}")
@@ -182,12 +170,6 @@ def bench_circuit(
         "match": all(r == report_scalar for r in reports.values()),
         "hd_percent": round(reports["fused"].hd_percent, 4),
     }
-    if extra_backend is not None:
-        t_extra = times[extra_backend]
-        row[f"{extra_backend}_s"] = round(t_extra, 6)
-        row[f"{extra_backend}_speedup"] = (
-            round(t_scalar / t_extra, 2) if t_extra > 0 else None
-        )
     return row
 
 
@@ -282,14 +264,13 @@ def run_bench(
     repeats: int = 5,
     seed: int = 0,
     smoke: bool = False,
-    extra_backend: str | None = None,
     profile_dir: str | Path | None = None,
 ) -> dict[str, Any]:
     """Run the benchmark suite; returns the full report dict.
 
     ``smoke=True`` replaces the workload with a fixed tiny one
     (including a non-multiple-of-64 pattern count) whose only assertion
-    is backend agreement.
+    is lane agreement.
     """
     if smoke:
         circuits = list(circuits or SMOKE_CIRCUITS)
@@ -306,7 +287,6 @@ def run_bench(
             n_patterns,
             repeats,
             seed=seed,
-            extra_backend=extra_backend,
             profile_dir=profile_dir,
         )
         for name in circuits
@@ -315,9 +295,6 @@ def run_bench(
     total_scalar = sum(r["scalar_s"] for r in rows)
     total_optape = sum(r["optape_s"] for r in rows)
     total_fused = sum(r["fused_s"] for r in rows)
-    lanes = list(STANDARD_LANES) + (
-        [extra_backend] if extra_backend is not None else []
-    )
     return {
         "workload": {
             "circuits": circuits,
@@ -328,7 +305,7 @@ def run_bench(
             "seed": seed,
             "smoke": smoke,
             "max_matrix_bytes": DEFAULT_MAX_MATRIX_BYTES,
-            "lanes": lanes,
+            "lanes": list(STANDARD_LANES),
         },
         "environment": {
             "python": platform.python_version(),
@@ -360,29 +337,10 @@ def run_bench_cli(
     repeats: int = 5,
     out: str = "BENCH_sim.json",
     smoke: bool = False,
-    backend: str | None = None,
     profile_dir: str | None = None,
 ) -> int:
     """CLI driver: print the table, write ``out``, exit non-zero only on
-    a lane/scalar disagreement (never on timing).
-
-    ``backend`` requests one extra lane beyond the standard numpy+fused
-    pair; when its runtime is missing (no numba wheel, no CUDA device)
-    the lane is *skipped* with a notice and exit stays 0, so the CI
-    backend matrix can run unconditionally.
-    """
-    extra = backend
-    if extra in (None, "numpy", "fused"):
-        extra = None  # standard lanes are always measured
-    if extra is not None:
-        try:
-            resolve_backend(extra)
-        except BackendUnavailable as exc:
-            print(f"skip: extra lane {extra!r} unavailable ({exc})")
-            extra = None
-        except ValueError as exc:
-            print(f"error: {exc}")
-            return 2
+    a lane/scalar disagreement (never on timing)."""
     report = run_bench(
         circuits=circuits,
         scale=scale,
@@ -390,7 +348,6 @@ def run_bench_cli(
         n_patterns=n_patterns,
         repeats=repeats,
         smoke=smoke,
-        extra_backend=extra,
         profile_dir=profile_dir,
     )
     w = report["workload"]
@@ -399,19 +356,15 @@ def run_bench_cli(
         f"{w['n_keys']} keys x {w['n_patterns']} patterns "
         f"(min of {w['repeats']}; lanes: {','.join(w['lanes'])})"
     )
-    extra_hdr = f" {extra + '_s':>10}" if extra is not None else ""
     print(
         f"{'circuit':>8} {'nets':>6} {'scalar':>10} {'optape':>10} "
-        f"{'fused':>10}{extra_hdr} {'speedup':>8} {'fused_x':>8} {'match':>6}"
+        f"{'fused':>10} {'speedup':>8} {'fused_x':>8} {'match':>6}"
     )
     for r in report["circuits"]:
-        extra_col = (
-            f" {r[f'{extra}_s'] * 1e3:>8.1f}ms" if extra is not None else ""
-        )
         print(
             f"{r['circuit']:>8} {r['n_nets']:>6} "
             f"{r['scalar_s'] * 1e3:>8.1f}ms {r['optape_s'] * 1e3:>8.1f}ms "
-            f"{r['fused_s'] * 1e3:>8.1f}ms{extra_col} "
+            f"{r['fused_s'] * 1e3:>8.1f}ms "
             f"{r['speedup']:>7.1f}x {r['fused_speedup']:>7.1f}x "
             f"{'ok' if r['match'] else 'FAIL':>6}"
         )
@@ -419,7 +372,6 @@ def run_bench_cli(
     print(
         f"{'total':>8} {'':>6} {agg['scalar_s'] * 1e3:>8.1f}ms "
         f"{agg['optape_s'] * 1e3:>8.1f}ms {agg['fused_s'] * 1e3:>8.1f}ms "
-        f"{'' if extra is None else '           '}"
         f"{agg['speedup']:>7.1f}x {agg['fused_speedup']:>7.1f}x "
         f"{'ok' if agg['all_match'] else 'FAIL':>6}"
     )

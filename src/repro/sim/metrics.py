@@ -8,9 +8,9 @@ keys.  50% is optimal [3]; Table I reports per-circuit HD for OraP + WLL.
 
 from __future__ import annotations
 
-import os
+import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -27,45 +27,48 @@ from .patterns import random_words
 
 #: result-cache salt for HD measurements — bump whenever the sampling or
 #: reduction semantics of :func:`measure_corruption` change, so stale
-#: entries written by the old engine auto-invalidate.  v2: cache keys
-#: grew a resolved-backend field (backend choice must never alias
-#: entries) and the batched reduction folds the golden lane into the
-#: first chunk.
-CACHE_VERSION = 2
+#: entries written by the old engine auto-invalidate.  v3: the key
+#: records the scalar-vs-batched strategy instead of an execution-lane
+#: name (there is one lane).
+CACHE_VERSION = 3
 
-#: default cap on the batched value matrix (``n_nets * lanes * n_words
-#: * 8`` bytes); wider workloads evaluate their wrong keys in lane
-#: chunks.  32 MiB keeps the working set L3-resident: measured on the
-#: Table I workload, a 1 GiB budget (no chunking) drops from ~12x to
-#: 2-4x over the scalar loop once the matrix spills to DRAM.  Override
-#: per call (``max_matrix_bytes=``), per policy
-#: (:class:`repro.experiments.runner.RunPolicy`), or per process
-#: (``REPRO_MAX_MATRIX_BYTES``) on machines with different caches.
+#: cap on the batched value matrix (``n_nets * lanes * n_words * 8``
+#: bytes); wider workloads evaluate their wrong keys in lane chunks.
+#: 32 MiB keeps the working set L3-resident: measured on the Table I
+#: workload, a 1 GiB budget (no chunking) drops from ~12x to 2-4x over
+#: the scalar loop once the matrix spills to DRAM.
 DEFAULT_MAX_MATRIX_BYTES = 32 << 20
 
-#: environment override for the chunking cap (bytes)
-MAX_MATRIX_BYTES_ENV = "REPRO_MAX_MATRIX_BYTES"
-
-#: execution-lane names accepted by ``measure_corruption(backend=...)``
-#: in addition to the strategy names (see :mod:`repro.sim.backends`)
-_LANE_BACKENDS = ("numpy", "fused", "numba", "cupy")
+#: execution-lane spellings of ``measure_corruption(backend=...)`` from
+#: before the fused lane became the only one; each now means "batched"
+_DEPRECATED_LANES = ("numpy", "fused", "numba", "cupy")
 
 
-def resolve_max_matrix_bytes(value: int | None = None) -> int:
-    """Resolve the chunking cap: explicit value, else the
-    ``REPRO_MAX_MATRIX_BYTES`` environment override, else the default."""
-    if value is not None:
-        return max(1, int(value))
-    raw = os.environ.get(MAX_MATRIX_BYTES_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError(
-                f"{MAX_MATRIX_BYTES_ENV} must be an integer byte count, "
-                f"got {raw!r}"
-            ) from None
-    return DEFAULT_MAX_MATRIX_BYTES
+def warn_ignored(spelling: str, stacklevel: int = 3) -> None:
+    """Warn that a deprecated v1 simulation knob is now a no-op.
+
+    Every execution lane and chunk cap was bit-identical by contract,
+    so ignoring the value cannot change a result.  The spelling is
+    removed after one release of this warning.
+    """
+    warnings.warn(
+        f"{spelling} is deprecated and ignored: simulation always runs "
+        "on the fused lane under a fixed chunk cap",
+        DeprecationWarning,
+        stacklevel=stacklevel,
+    )
+
+
+def reset_ignored_knobs(config: Any) -> None:
+    """Warn about a config's non-default ``sim_backend`` /
+    ``max_matrix_bytes`` fields and reset them to their defaults, so a
+    ``dataclasses.replace`` copy warns no second time.  Called from the
+    ``__post_init__`` of :class:`~repro.experiments.runner.RunPolicy`
+    and :class:`~repro.service.daemon.ServeConfig`."""
+    for name, default in (("sim_backend", "auto"), ("max_matrix_bytes", None)):
+        if getattr(config, name) != default:
+            warn_ignored(f"{type(config).__name__}.{name}", stacklevel=5)
+            setattr(config, name, default)
 
 
 @dataclass(frozen=True)
@@ -136,56 +139,73 @@ def measure_corruption(
     and once per sampled wrong key; differences over all outputs are the HD.
 
     Args:
-        backend: ``"auto"`` (default) lets the library choose — the
-            batched multi-key-lane reduction on whatever execution lane
-            :mod:`repro.sim.backends` resolves ``"auto"`` to (currently
-            the fused CPU lane).  ``"batched"`` is a synonym;
+        backend: ``"auto"`` (default) or its synonym ``"batched"`` runs
+            the multi-key-lane reduction on the compiled op-tape engine;
             ``"scalar"`` is the original one-simulation-per-key
             :class:`BitSimulator` loop, kept as the cross-check oracle.
-            An explicit lane name (``"numpy"``, ``"fused"``,
-            ``"numba"``, ``"cupy"``) forces the batched reduction onto
-            that lane — unavailable lanes raise
-            :class:`~repro.sim.backends.BackendUnavailable`.  (The
-            pre-v1 spelling ``"optape"`` completed its deprecation
-            cycle and was removed; it now raises :class:`ValueError`.)
-            All backends sample identical keys and return identical
-            reports.
-        max_matrix_bytes: cap on the batched backend's value matrix
-            (``n_nets * lanes * n_words * 8`` bytes); key lanes are
-            evaluated in balanced chunks that fit under it.  ``None``
-            (default) resolves through
-            :func:`resolve_max_matrix_bytes` — the
-            ``REPRO_MAX_MATRIX_BYTES`` environment override, else the
-            32 MiB :data:`DEFAULT_MAX_MATRIX_BYTES` that keeps the
-            working set L3-resident.
+            Both sample identical keys and return identical reports.
+            The v1 lane spellings ``"numpy"``, ``"fused"``, ``"numba"``
+            and ``"cupy"`` are deprecated: they warn and mean
+            ``"batched"``.  Any other name raises :class:`ValueError`.
+        max_matrix_bytes: deprecated and ignored (warns).  Key lanes
+            are evaluated in balanced chunks under the fixed
+            :data:`DEFAULT_MAX_MATRIX_BYTES`.
 
     When the process-global result cache (:mod:`repro.cache`) is
     configured, measurements are served from and inserted into it.  The
     cache key covers the netlist *content* hash, the key-input order,
-    the correct key bits, ``n_patterns``/``n_keys``/``seed``, this
-    module's :data:`CACHE_VERSION`, **and the resolved backend** —
-    every lane is bit-identical by construction (the differential suite
-    enforces it), but salting the lane means a miscompiled accelerator
-    can never poison entries that other lanes would then serve.
+    the correct key bits, ``n_patterns``/``n_keys``/``seed``, the
+    scalar-vs-batched strategy and this module's :data:`CACHE_VERSION`.
     """
-    key_set = set(key_inputs)
-    data_inputs = [i for i in locked.inputs if i not in key_set]
-    if not data_inputs:
-        raise ValueError("no non-key inputs to drive")
-    strategy, lane = _resolve_corruption_backend(backend)
+    if backend in _DEPRECATED_LANES:
+        warn_ignored(f"measure_corruption(backend={backend!r})")
+        backend = "batched"
+    if backend not in ("auto", "batched", "scalar"):
+        raise ValueError(
+            f"unknown backend {backend!r}; expected 'auto', 'batched' "
+            "or 'scalar'"
+        )
+    if max_matrix_bytes is not None:
+        warn_ignored("measure_corruption(max_matrix_bytes=...)")
+    strategy = "scalar" if backend == "scalar" else "batched"
     store, ck = _corruption_cache_key(
-        locked, key_inputs, correct_key, n_patterns, n_keys, seed,
-        strategy if strategy == "scalar" else lane,
+        locked, key_inputs, correct_key, n_patterns, n_keys, seed, strategy
     )
     if store is not None and ck is not None:
         payload = store.get(ck)
         report = _report_from_payload(payload)
         if report is not None:
             return report
+    report = _measure(
+        locked, key_inputs, correct_key, n_patterns, n_keys, seed,
+        "scalar" if strategy == "scalar" else "fused",
+    )
+    if store is not None and ck is not None:
+        store.put(ck, _report_to_payload(report))
+    return report
+
+
+def _measure(
+    locked: Netlist,
+    key_inputs: Sequence[str],
+    correct_key: Mapping[str, int],
+    n_patterns: int,
+    n_keys: int,
+    seed: int,
+    lane: str,
+) -> CorruptionReport:
+    """One uncached HD measurement.  ``lane`` is ``"scalar"`` (the
+    :class:`BitSimulator` oracle) or an engine ``backend=`` name —
+    ``"fused"``, or the ``"numpy"`` reference that ``repro bench``
+    times next to it."""
+    key_set = set(key_inputs)
+    data_inputs = [i for i in locked.inputs if i not in key_set]
+    if not data_inputs:
+        raise ValueError("no non-key inputs to drive")
     data_words = random_words(len(data_inputs), n_patterns, seed=seed)
     wrong_vecs = sample_wrong_keys(key_inputs, correct_key, n_keys, seed=seed)
     correct_vec = tuple(int(bool(correct_key[k])) for k in key_inputs)
-    if strategy == "scalar":
+    if lane == "scalar":
         per_key, frac = _corruption_scalar(
             locked, key_inputs, correct_vec, wrong_vecs, data_inputs,
             data_words, n_patterns,
@@ -193,42 +213,15 @@ def measure_corruption(
     else:
         per_key, frac = _corruption_batched(
             locked, key_inputs, correct_vec, wrong_vecs, data_inputs,
-            data_words, n_patterns, resolve_max_matrix_bytes(max_matrix_bytes),
-            lane,
+            data_words, n_patterns, lane,
         )
-    report = CorruptionReport(
+    return CorruptionReport(
         hd_percent=float(np.mean(per_key)) if per_key else 0.0,
         per_key_hd=tuple(per_key),
         corrupted_pattern_fraction=frac,
         n_patterns=n_patterns,
         n_keys=n_keys,
     )
-    if store is not None and ck is not None:
-        store.put(ck, _report_to_payload(report))
-    return report
-
-
-def _resolve_corruption_backend(backend: str) -> tuple[str, str]:
-    """Map a ``backend`` argument to ``(strategy, lane)``.
-
-    ``strategy`` is ``"scalar"`` or ``"batched"``; ``lane`` is the
-    *resolved* execution-lane name for the batched strategy (``"auto"``
-    is resolved here so cache keys carry a concrete lane).
-    """
-    if backend == "scalar":
-        return "scalar", "scalar"
-    if backend in ("auto", "batched"):
-        lane_name = "auto"
-    elif backend in _LANE_BACKENDS:
-        lane_name = backend
-    else:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected 'auto', 'batched', "
-            f"'scalar' or an execution lane {_LANE_BACKENDS}"
-        )
-    from .backends import resolve_backend
-
-    return "batched", resolve_backend(lane_name).name
 
 
 def _corruption_cache_key(
@@ -238,7 +231,7 @@ def _corruption_cache_key(
     n_patterns: int,
     n_keys: int,
     seed: int,
-    resolved_backend: str,
+    strategy: str,
 ):
     """(store, key) for one HD measurement — (None, None) when caching
     is disabled or the inputs have no stable content address."""
@@ -257,7 +250,7 @@ def _corruption_cache_key(
             n_patterns=int(n_patterns),
             n_keys=int(n_keys),
             seed=int(seed),
-            backend=str(resolved_backend),
+            strategy=strategy,
         )
     except (result_cache.Uncacheable, KeyError):
         return None, None
@@ -300,8 +293,7 @@ def _corruption_batched(
     data_inputs: list[str],
     data_words: np.ndarray,
     n_patterns: int,
-    max_matrix_bytes: int,
-    lane: str = "auto",
+    lane: str = "fused",
 ) -> tuple[list[float], float]:
     """Multi-key-lane HD reduction on the compiled op-tape engine.
 
@@ -315,7 +307,7 @@ def _corruption_batched(
     nw = data_words.shape[1]
     all_vecs = np.array([correct_vec, *wrong_vecs], dtype=np.uint8)
     total = all_vecs.shape[0]
-    lane_cap = max(1, max_matrix_bytes // max(1, engine.n_nets * nw * 8))
+    lane_cap = max(1, DEFAULT_MAX_MATRIX_BYTES // max(1, engine.n_nets * nw * 8))
     n_chunks = -(-total // lane_cap)
     bounds = np.linspace(0, total, n_chunks + 1).astype(int)
     mask = tail_mask(n_patterns)

@@ -15,7 +15,7 @@ number of Python-level operations per pass drops from *#gates* to
 Three engineering choices keep the hot loop memory-lean:
 
 * **Group-contiguous row order** — the value matrix is laid out so every
-  group's output nets occupy one contiguous row slice.  Each group's
+  group's output nets fill one contiguous row slice.  Each group's
   reduction writes *directly into the matrix* (``out=`` views) instead of
   gather-compute-scatter, eliminating one full copy per group.  Row
   indices therefore differ from :class:`BitSimulator`'s topological
@@ -35,6 +35,9 @@ Three engineering choices keep the hot loop memory-lean:
   *content hash*, so repeated experiment rows, the lock-site ranking and
   the fault simulator reuse the tape instead of recompiling.
 
+:meth:`OpTapeEngine.run_outputs` and :meth:`OpTapeEngine.run_keyed`
+execute the tape on the fused lane (:mod:`repro.sim.fused`); the grouped
+evaluator here stays as its reference (``backend="numpy"``).
 :class:`BitSimulator` stays around as the slow, obviously-correct
 cross-check oracle; the equivalence suite asserts bit-identical values
 net by net on the bundled corpus.
@@ -52,6 +55,7 @@ import numpy as np
 
 from .. import telemetry
 from ..netlist import GateType, Netlist
+from . import fused
 from .bitsim import popcount_lanes, tail_mask
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -278,20 +282,17 @@ class OpTapeEngine:
     def run_outputs(
         self,
         input_words: Mapping[str, np.ndarray] | np.ndarray,
-        backend: str = "auto",
+        backend: str = "fused",
     ) -> np.ndarray:
         """Like :meth:`run` but returns only ``(n_outputs, n_cols)`` in
         ``netlist.outputs`` order.
 
-        ``backend`` selects the execution lane (see
-        :mod:`repro.sim.backends`); ``"auto"`` resolves to the fastest
-        available lane, ``"numpy"`` forces the grouped reference
-        evaluator.  Every lane is bit-identical.
+        ``backend`` is ``"fused"`` (the default, :mod:`repro.sim.fused`)
+        or ``"numpy"``, the grouped reference evaluator the differential
+        suite compares the fused lane against.  Both are bit-identical.
         """
-        if backend != "numpy":
-            from .backends import resolve_backend
-
-            return resolve_backend(backend).run_outputs(self, input_words)
+        if _lane(backend) == "fused":
+            return fused.run_outputs(self, input_words)
         return self.outputs_from_matrix(self.run(input_words))
 
     def count_output_flips(
@@ -414,7 +415,7 @@ class OpTapeEngine:
         data_words: np.ndarray,
         key_inputs: Sequence[str],
         key_bits: np.ndarray,
-        backend: str = "auto",
+        backend: str = "fused",
     ) -> np.ndarray:
         """Evaluate the same pattern block under many keys in one pass.
 
@@ -431,11 +432,8 @@ class OpTapeEngine:
             key_inputs: key primary inputs, matching the columns of
                 ``key_bits``.
             key_bits: ``(n_keys, len(key_inputs))`` 0/1 array.
-
-        Args (continued):
-            backend: execution lane (see :mod:`repro.sim.backends`);
-                ``"auto"`` resolves to the fastest available lane,
-                ``"numpy"`` forces the grouped reference evaluator.
+            backend: ``"fused"`` (default) or the ``"numpy"``
+                reference evaluator, as in :meth:`run_outputs`.
 
         Returns:
             ``(n_keys, n_outputs, n_words)`` packed outputs, lane-major.
@@ -455,10 +453,8 @@ class OpTapeEngine:
         missing = [i for i in self.inputs if i not in driven]
         if missing:
             raise ValueError(f"missing patterns for inputs {missing!r}")
-        if backend != "numpy":
-            from .backends import resolve_backend
-
-            return resolve_backend(backend).run_keyed(
+        if _lane(backend) == "fused":
+            return fused.run_keyed(
                 self, data_inputs, data_words, key_inputs, key_bits
             )
         n_keys = key_bits.shape[0]
@@ -478,6 +474,15 @@ class OpTapeEngine:
             self._eval_tape(values)
         out = values[self._output_idx]  # (n_outputs, n_keys * nw)
         return out.reshape(len(self._output_idx), n_keys, nw).transpose(1, 0, 2)
+
+
+def _lane(backend: str) -> str:
+    """Validate an engine ``backend=`` name."""
+    if backend not in ("fused", "numpy"):
+        raise ValueError(
+            f"unknown sim backend {backend!r}; expected 'fused' or 'numpy'"
+        )
+    return backend
 
 
 def _eval_group(group: OpGroup, values: np.ndarray) -> None:

@@ -59,7 +59,7 @@ KNOWN_COUNTERS = frozenset(
         "optape.cache.hit",
         "optape.cache.miss",
         "optape.words",
-        # fused-backend plan cache (repro.sim.backends.fused) and
+        # fused-lane plan cache (repro.sim.fused) and
         # supervised-pool compile-cache pre-warm (experiments.runner)
         "optape.plan.build",
         "optape.plan.hit",
@@ -91,6 +91,7 @@ KNOWN_COUNTERS = frozenset(
         "job.requeued",
         # anomaly counters: silent fallbacks made visible
         "atpg.verdict.disagree",
+        "atpg.sat.aborted",
     }
 )
 

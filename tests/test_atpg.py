@@ -240,6 +240,32 @@ class TestEngine:
         assert rep.n_aborted > 0 and rep.n_redundant == 0
         assert disagree == rep.n_aborted
 
+    @pytest.mark.parametrize("deterministic", ["sat", "podem+sat"])
+    def test_sat_give_up_counted_as_aborted(self, deterministic):
+        """A fault SAT-ATPG abandons at its conflict budget is booked as
+        aborted and counted as ``atpg.sat.aborted``."""
+        from repro import telemetry
+        from repro.telemetry import MemorySink
+
+        nl = generate_netlist(
+            GeneratorConfig(
+                n_inputs=12, n_outputs=10, n_gates=110, depth=6, seed=7, name="t2"
+            )
+        )
+        telemetry.configure(MemorySink())
+        try:
+            rep = run_atpg(
+                nl,
+                n_random_patterns=0,
+                deterministic=deterministic,
+                sat_conflict_budget=0,
+            )
+            aborted = telemetry.counter_totals().get("atpg.sat.aborted", 0)
+        finally:
+            telemetry.shutdown()
+        assert rep.n_aborted > 0
+        assert aborted == rep.n_aborted
+
     def test_key_inputs_act_as_test_inputs(self):
         """The Table II effect: a locked circuit with free key inputs has
         fault coverage at least as high as the original."""

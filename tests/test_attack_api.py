@@ -151,21 +151,6 @@ class TestConfigUnification:
             SensitizationConfig(max_rounds=2)
         assert not hasattr(SensitizationConfig(max_iterations=2), "max_rounds")
 
-    def test_deprecated_kwargs_machinery_still_guards_v1(self):
-        # the *mechanism* stays for future renames of the frozen surface
-        from repro.attacks.config import AttackConfig, deprecated_kwargs
-
-        @deprecated_kwargs(old_name="max_iterations")
-        @dataclasses.dataclass
-        class FutureConfig(AttackConfig):
-            pass
-
-        with pytest.warns(DeprecationWarning, match="old_name"):
-            cfg = FutureConfig(old_name=3)
-        assert cfg.max_iterations == 3
-        with pytest.raises(TypeError, match="old_name"):
-            FutureConfig(old_name=1, max_iterations=2)
-
 
 class TestCorruptionBackendKeyword:
     def _measure(self, wll, backend, **kw):

@@ -1,17 +1,16 @@
-"""Execution-backend layer: registry contract, lane equivalence, solver
-persistence and the incremental SAT attack.
+"""Execution lanes: fused-vs-reference equivalence, the deprecated lane
+knobs, solver persistence and the incremental SAT attack.
 
 The differential suites assert *byte-identical* packed output words
-between every available lane and the bit-true :class:`BitSimulator`
-oracle — across acyclic and cyclic circuits, non-multiple-of-64 pattern
-tails and degenerate key widths — because the fused planner rewrites the
-tape aggressively (polarity absorption, De Morgan dual forms, live-range
-row reuse) and "close enough" is not a thing for bit vectors.
+between the fused lane, the grouped numpy reference and the bit-true
+:class:`BitSimulator` oracle — across acyclic and cyclic circuits,
+non-multiple-of-64 pattern tails and degenerate key widths — because the
+fused planner rewrites the tape aggressively (polarity absorption, De
+Morgan dual forms, live-range row reuse) and "close enough" is not a
+thing for bit vectors.
 """
 
-import os
-import subprocess
-import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,16 +19,7 @@ from repro.bench import GeneratorConfig, generate_netlist
 from repro.locking import lock_cyclic, lock_random
 from repro.netlist import Netlist
 from repro.sat import Solver
-from repro.sim import (
-    BackendUnavailable,
-    BitSimulator,
-    available_backends,
-    compile_engine,
-    get_backend,
-    list_backends,
-    pack_patterns,
-    resolve_backend,
-)
+from repro.sim import BitSimulator, compile_engine, pack_patterns
 from repro.sim.patterns import random_words
 
 
@@ -65,40 +55,8 @@ def _reference_outputs(netlist, input_words, n_patterns):
     return pack_patterns(np.array(rows, dtype=np.uint8))
 
 
-class TestRegistry:
-    def test_standard_lanes_registered(self):
-        names = list_backends()
-        assert {"numpy", "fused", "numba", "cupy"} <= set(names)
-
-    def test_always_available_lanes(self):
-        assert "numpy" in available_backends()
-        assert "fused" in available_backends()
-
-    def test_unknown_backend_is_value_error(self):
-        with pytest.raises(ValueError, match="unknown sim backend"):
-            get_backend("nonsense")
-        with pytest.raises(ValueError, match="unknown sim backend"):
-            resolve_backend("nonsense")
-
-    def test_auto_resolves_to_available_lane(self):
-        lane = resolve_backend("auto")
-        assert lane.name in available_backends()
-
-    @pytest.mark.parametrize("lane", ["numba", "cupy"])
-    def test_optional_lane_unavailable_is_clean(self, lane):
-        backend = get_backend(lane)
-        if backend.available():  # pragma: no cover - accelerator machines
-            pytest.skip(f"{lane} actually present")
-        with pytest.raises(BackendUnavailable):
-            resolve_backend(lane)
-
-
-def _available_lanes():
-    return [n for n in available_backends() if n != "numpy"]
-
-
 class TestDifferential:
-    """Every available lane == the scalar oracle, byte for byte."""
+    """The fused lane == the numpy reference == the scalar oracle."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("n_patterns", [64, 777])
@@ -113,10 +71,9 @@ class TestDifferential:
             mask = np.uint64((1 << (n_patterns % 64)) - 1)
         assert np.array_equal(ref[:, :-1], expected[:, :-1])
         assert np.array_equal(ref[:, -1] & mask, expected[:, -1] & mask)
-        for lane in _available_lanes():
-            got = engine.run_outputs(words, backend=lane)
-            assert np.array_equal(got[:, :-1], ref[:, :-1]), lane
-            assert np.array_equal(got[:, -1] & mask, ref[:, -1] & mask), lane
+        got = engine.run_outputs(words, backend="fused")
+        assert np.array_equal(got[:, :-1], ref[:, :-1])
+        assert np.array_equal(got[:, -1] & mask, ref[:, -1] & mask)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_cyclic_regions(self, seed):
@@ -125,9 +82,8 @@ class TestDifferential:
         engine = compile_engine(cyclic, cache=False)
         words = random_words(len(cyclic.inputs), 256, seed=seed + 1)
         ref = engine.run_outputs(words, backend="numpy")
-        for lane in _available_lanes():
-            got = engine.run_outputs(words, backend=lane)
-            assert np.array_equal(got, ref), lane
+        got = engine.run_outputs(words, backend="fused")
+        assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("key_width", [0, 1, 67])
     def test_run_keyed_key_widths(self, key_width):
@@ -149,18 +105,17 @@ class TestDifferential:
         ref = engine.run_keyed(
             data_inputs, data_words, key_inputs, key_bits, backend="numpy"
         )
-        for lane in _available_lanes():
-            got = engine.run_keyed(
-                data_inputs, data_words, key_inputs, key_bits, backend=lane
-            )
-            assert got.dtype == ref.dtype and got.shape == ref.shape
-            assert np.array_equal(got, ref), lane
+        got = engine.run_keyed(
+            data_inputs, data_words, key_inputs, key_bits, backend="fused"
+        )
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got, ref)
 
 
 class TestFusedInternals:
     def test_plan_cache_counters(self):
         from repro import telemetry
-        from repro.sim.backends.fused import _plan_for
+        from repro.sim.fused import _plan_for
         from repro.telemetry import MemorySink
 
         netlist = _circuit(21)
@@ -185,39 +140,6 @@ class TestFusedInternals:
             assert hits == 1
         finally:
             telemetry.shutdown()
-
-    def test_threaded_key_lanes_match(self):
-        code = (
-            "import numpy as np\n"
-            "from repro.bench import GeneratorConfig, generate_netlist\n"
-            "from repro.locking import lock_random\n"
-            "from repro.sim import compile_engine\n"
-            "from repro.sim.patterns import random_words\n"
-            "n = generate_netlist(GeneratorConfig(n_inputs=6, n_outputs=5,"
-            " n_gates=70, depth=4, seed=3, name='t'))\n"
-            "lc = lock_random(n, 8, rng=1)\n"
-            "ki = lc.key_inputs\n"
-            "di = [i for i in lc.locked.inputs if i not in set(ki)]\n"
-            "e = compile_engine(lc.locked, cache=False)\n"
-            "dw = random_words(len(di), 192, seed=5)\n"
-            "kb = np.random.default_rng(9).integers(0, 2, size=(8, 8),"
-            " dtype=np.uint8)\n"
-            "ref = e.run_keyed(di, dw, ki, kb, backend='numpy')\n"
-            "got = e.run_keyed(di, dw, ki, kb, backend='fused')\n"
-            "assert np.array_equal(got, ref)\n"
-            "print('MATCH')\n"
-        )
-        env = dict(os.environ, REPRO_FUSED_THREADS="3")
-        env["PYTHONPATH"] = "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "MATCH" in proc.stdout
 
 
 class TestSolverPersistence:
@@ -350,20 +272,8 @@ class TestMetricsKnobs:
         base = _circuit(8, n_gates=70, n_inputs=7, n_outputs=6)
         return base, lock_random(base, 6, rng=2)
 
-    def test_max_matrix_bytes_env_override(self, monkeypatch):
-        from repro.sim import resolve_max_matrix_bytes
-        from repro.sim.metrics import DEFAULT_MAX_MATRIX_BYTES
-
-        assert resolve_max_matrix_bytes() == DEFAULT_MAX_MATRIX_BYTES
-        monkeypatch.setenv("REPRO_MAX_MATRIX_BYTES", "65536")
-        assert resolve_max_matrix_bytes() == 65536
-        assert resolve_max_matrix_bytes(123456) == 123456
-        monkeypatch.setenv("REPRO_MAX_MATRIX_BYTES", "not-an-int")
-        with pytest.raises(ValueError):
-            resolve_max_matrix_bytes()
-
-    def test_tiny_chunk_cap_matches_scalar(self):
-        from repro.sim import measure_corruption
+    def test_tiny_chunk_cap_matches_scalar(self, monkeypatch):
+        from repro.sim import measure_corruption, metrics
 
         _, lc = self._locked()
         scalar = measure_corruption(
@@ -375,6 +285,8 @@ class TestMetricsKnobs:
             seed=1,
             backend="scalar",
         )
+        # every chunk degenerates to one lane
+        monkeypatch.setattr(metrics, "DEFAULT_MAX_MATRIX_BYTES", 1)
         tiny = measure_corruption(
             lc.locked,
             lc.key_inputs,
@@ -382,33 +294,8 @@ class TestMetricsKnobs:
             n_patterns=777,
             n_keys=5,
             seed=1,
-            backend="fused",
-            max_matrix_bytes=1,  # every chunk degenerates to one lane
         )
         assert tiny == scalar
-
-    def test_backend_salts_cache_key(self):
-        from repro.sim.metrics import _corruption_cache_key
-
-        _, lc = self._locked()
-
-        def key_for(lane):
-            store_key = _corruption_cache_key(
-                lc.locked,
-                lc.key_inputs,
-                lc.correct_key,
-                1024,
-                4,
-                0,
-                lane,
-            )
-            return store_key
-
-        k_fused = key_for("fused")
-        k_numpy = key_for("numpy")
-        if k_fused == (None, None):
-            pytest.skip("result cache disabled in this environment")
-        assert k_fused != k_numpy
 
     def test_optape_backend_name_removed(self):
         from repro.sim import measure_corruption
@@ -427,6 +314,19 @@ class TestMetricsKnobs:
 
 
 class TestEngineDispatchValidation:
+    @pytest.mark.parametrize("backend", ["auto", "numba", "nonsense"])
+    def test_unknown_engine_backend_is_value_error(self, backend):
+        netlist = _circuit(19, n_inputs=5)
+        engine = compile_engine(netlist, cache=False)
+        words = random_words(len(netlist.inputs), 64, seed=0)
+        with pytest.raises(ValueError, match="unknown sim backend"):
+            engine.run_outputs(words, backend=backend)
+        with pytest.raises(ValueError, match="unknown sim backend"):
+            engine.run_keyed(
+                list(netlist.inputs), words, [], np.zeros((1, 0), np.uint8),
+                backend=backend,
+            )
+
     def test_run_keyed_validates_before_dispatch(self):
         netlist = _circuit(19, n_inputs=5)
         engine = compile_engine(netlist, cache=False)
@@ -450,3 +350,70 @@ class TestEngineDispatchValidation:
         gate_name = next(iter(copied.outputs))
         copied.rename_net(gate_name, gate_name + "_renamed")
         assert netlist_fingerprint(copied) != fp1
+
+
+def _measure(**kwargs):
+    from repro.sim import measure_corruption
+
+    base = _circuit(8, n_gates=70, n_inputs=7, n_outputs=6)
+    lc = lock_random(base, 6, rng=2)
+    return measure_corruption(
+        lc.locked, lc.key_inputs, lc.correct_key, n_patterns=300, n_keys=5,
+        seed=3, **kwargs,
+    )
+
+
+def _table1(**policy_kwargs):
+    from repro.experiments import RunPolicy, run_table1
+
+    policy = RunPolicy(**policy_kwargs) if policy_kwargs else None
+    return run_table1(
+        scale=0.005, circuits=["s38417"], n_patterns=256, n_keys=4,
+        policy=policy,
+    )
+
+
+def _serve_config(tmp_path, **kwargs):
+    from repro.service import ServeConfig
+
+    return ServeConfig(state_dir=tmp_path, **kwargs)
+
+
+class TestDeprecatedNoOps:
+    """Every v1 lane/chunk spelling warns exactly once and changes
+    nothing: all lanes and chunk caps were bit-identical by contract."""
+
+    CASES = [
+        ("measure_corruption", {"backend": "numpy"}),
+        ("measure_corruption", {"backend": "fused"}),
+        ("measure_corruption", {"backend": "numba"}),
+        ("measure_corruption", {"backend": "cupy"}),
+        ("measure_corruption", {"max_matrix_bytes": 1}),
+        ("run_table1", {"sim_backend": "numba"}),
+        ("run_table1", {"max_matrix_bytes": 1}),
+        ("ServeConfig", {"sim_backend": "cupy"}),
+        ("ServeConfig", {"max_matrix_bytes": 1 << 20}),
+    ]
+
+    @pytest.mark.parametrize(
+        "surface,kwargs",
+        CASES,
+        ids=[f"{s}-{k}={v}" for s, kw in CASES for k, v in kw.items()],
+    )
+    def test_warns_once_and_matches_default(self, surface, kwargs, tmp_path):
+        run = {
+            "measure_corruption": _measure,
+            "run_table1": _table1,
+            "ServeConfig": lambda **kw: _serve_config(tmp_path, **kw),
+        }[surface]
+        default = run()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = run(**kwargs)
+        deprecations = [
+            w for w in caught if issubclass(w.category, DeprecationWarning)
+        ]
+        assert len(deprecations) == 1, [str(w.message) for w in deprecations]
+        assert "deprecated and ignored" in str(deprecations[0].message)
+        assert deprecations[0].filename == __file__  # blames the caller
+        assert got == default

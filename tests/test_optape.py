@@ -36,6 +36,7 @@ from repro.sim import (
     sample_wrong_keys,
     unpack_patterns,
 )
+from repro.sim import metrics
 from repro.sim.bitsim import _popcount_words_table
 
 
@@ -199,7 +200,7 @@ class TestBatchedCorruption:
         )
         assert r_scalar == r_optape
 
-    def test_lane_chunking_matches_unchunked(self):
+    def test_lane_chunking_matches_unchunked(self, monkeypatch):
         nl = generate_netlist(
             GeneratorConfig(
                 n_inputs=8, n_outputs=6, n_gates=55, depth=5, seed=9, name="c"
@@ -211,9 +212,9 @@ class TestBatchedCorruption:
             lc.locked, list(lc.key_inputs), lc.correct_key, **kwargs
         )
         # 1-byte budget forces one lane per chunk
+        monkeypatch.setattr(metrics, "DEFAULT_MAX_MATRIX_BYTES", 1)
         narrow = measure_corruption(
-            lc.locked, list(lc.key_inputs), lc.correct_key,
-            max_matrix_bytes=1, **kwargs,
+            lc.locked, list(lc.key_inputs), lc.correct_key, **kwargs
         )
         assert wide == narrow
 

@@ -525,7 +525,7 @@ class TestUnifiedRuntimeFlags:
         "table1", "table2", "attacks", "trojans", "protocol", "ablations",
         "arms-race", "scaling", "hd-sweep", "all", "serve",
     ]
-    UNIFIED = ["jobs", "trace", "sim_backend", "max_matrix_bytes", "cache", "cache_dir"]
+    UNIFIED = ["jobs", "trace", "cache", "cache_dir"]
 
     @pytest.mark.parametrize("cmd", CAMPAIGNS)
     def test_every_campaign_parser_accepts_the_unified_set(self, cmd):
@@ -534,15 +534,12 @@ class TestUnifiedRuntimeFlags:
 
         args = build_parser().parse_args(
             [
-                cmd, "--jobs", "2", "--trace", "t.jsonl", "--sim-backend",
-                "fused", "--max-matrix-bytes", "1048576", "--no-cache",
+                cmd, "--jobs", "2", "--trace", "t.jsonl", "--no-cache",
                 "--cache-dir", "x",
             ]
         )
         assert args.jobs == 2
         assert args.trace == "t.jsonl"
-        assert args.sim_backend == "fused"
-        assert args.max_matrix_bytes == 1048576
         assert args.cache is False
         assert args.cache_dir == "x"
 
