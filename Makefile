@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install dev lint test verify-fast verify-robust bench bench-sim bench-sim-smoke bench-telemetry bench-supervisor bench-service bench-corpus bench-gate trace-smoke cache-smoke chaos-smoke serve-smoke corpus-smoke experiments examples clean
+.PHONY: install dev lint test verify-fast verify-robust bench bench-sim bench-sim-smoke bench-telemetry bench-supervisor bench-service bench-corpus bench-gate campaign-smoke chaos-smoke serve-smoke experiments examples clean
 
 install:
 	pip install -e .
@@ -72,33 +72,6 @@ bench-gate:
 		raise SystemExit(run_overhead_cli(out='.bench-fresh/BENCH_telemetry.json'))"
 	PYTHONPATH=src $(PY) scripts/bench_compare.py --fresh-dir .bench-fresh
 
-# warm-cache smoke: run the same tiny campaign twice against a shared
-# result cache; the second (warm) run must serve rows from the cache —
-# a schema-valid trace with a nonzero cache.hit total and a store that
-# passes `repro cache verify` — and print byte-identical tables.  The
-# cache dir is deliberately NOT wiped: CI restores .repro-cache-smoke
-# across runs (actions/cache), so even the "cold" run re-executes
-# incrementally; stale entries self-invalidate via CACHE_VERSION salts.
-cache-smoke:
-	rm -f TRACE_cache_cold.jsonl TRACE_cache_warm.jsonl
-	PYTHONPATH=src $(PY) -m repro table1 --scale 0.004 \
-		--circuits s38417,b20 --patterns 256 --jobs 4 \
-		--cache --cache-dir .repro-cache-smoke \
-		--trace TRACE_cache_cold.jsonl > TABLE_cache_cold.txt
-	PYTHONPATH=src $(PY) -m repro table1 --scale 0.004 \
-		--circuits s38417,b20 --patterns 256 --jobs 4 \
-		--cache --cache-dir .repro-cache-smoke \
-		--trace TRACE_cache_warm.jsonl > TABLE_cache_warm.txt
-	cmp TABLE_cache_cold.txt TABLE_cache_warm.txt
-	PYTHONPATH=src $(PY) -m repro trace validate TRACE_cache_warm.jsonl
-	PYTHONPATH=src $(PY) -m repro trace report TRACE_cache_warm.jsonl
-	PYTHONPATH=src $(PY) -m repro cache verify --cache-dir .repro-cache-smoke
-	PYTHONPATH=src $(PY) -c "import sys; \
-		from repro.telemetry import summarize_trace; \
-		hits = summarize_trace('TRACE_cache_warm.jsonl').counters.get('cache.hit', 0); \
-		print(f'warm-run cache.hit total: {hits}'); \
-		sys.exit(0 if hits > 0 else 1)"
-
 # chaos harness: a --jobs 4 campaign with injected worker kills, a
 # hung worker (dead heartbeat), a poison row (killed on every attempt)
 # and a disk-full fault on the result cache must COMPLETE with tables
@@ -143,49 +116,62 @@ serve-smoke:
 bench-corpus:
 	PYTHONPATH=src $(PY) -m repro.corpus.bench --out BENCH_corpus.json
 
-# real-corpus ingestion smoke, fully offline (mirrors the corpus-smoke
-# CI job): materialize the vendored ISCAS/ITC families into a scratch
-# store, verify every checksum, run Table I on a genuine family twice
-# (second run --resume must be byte-identical), prove every malformed
-# netlist in tests/data/corpus_bad/ yields structured diagnostics, then
-# regenerate BENCH_corpus.json into .bench-fresh-corpus/ and gate it.
-# The store dir is NOT wiped: CI restores .repro-corpus-smoke keyed on
-# the manifest checksum, and stale layouts self-wipe via the VERSION
-# stamp.
-corpus-smoke:
-	rm -rf .ckpt-corpus-smoke
-	REPRO_CORPUS_OFFLINE=1 PYTHONPATH=src $(PY) -m repro corpus fetch \
-		--offline --corpus-dir .repro-corpus-smoke
-	REPRO_CORPUS_OFFLINE=1 PYTHONPATH=src $(PY) -m repro corpus verify \
-		--corpus-dir .repro-corpus-smoke
-	REPRO_CORPUS_OFFLINE=1 PYTHONPATH=src $(PY) -m repro corpus list \
-		--corpus-dir .repro-corpus-smoke
-	REPRO_CORPUS_OFFLINE=1 REPRO_CORPUS_DIR=.repro-corpus-smoke \
-		PYTHONPATH=src $(PY) -m repro table1 --corpus iscas85-mini \
-		--jobs 2 --patterns 256 --checkpoint-dir .ckpt-corpus-smoke \
-		> TABLE_corpus_a.txt
-	REPRO_CORPUS_OFFLINE=1 REPRO_CORPUS_DIR=.repro-corpus-smoke \
-		PYTHONPATH=src $(PY) -m repro table1 --corpus iscas85-mini \
-		--jobs 2 --patterns 256 --checkpoint-dir .ckpt-corpus-smoke \
-		--resume > TABLE_corpus_b.txt
-	cmp TABLE_corpus_a.txt TABLE_corpus_b.txt
+# one small campaign through every campaign layer, fully offline (the
+# campaign-smoke CI job).  The vendored ISCAS/ITC fixtures are fetched
+# into a corpus store and checksum-verified; Table I on the genuine
+# iscas85-mini family then runs with the same flags:
+#   cold   --jobs 2, traced, checkpointed, into a result cache wiped
+#          first, so every row computes in the workers (its trace must
+#          show cache.hit == 0);
+#   warm   against that cache: byte-identical, and its trace must show
+#          a nonzero cache.hit total;
+#   resume from the checkpoints alone: byte-identical;
+#   incremental against .repro-cache-smoke, which CI restores across
+#          runs (actions/cache): byte-identical.
+# Both traces must be schema-valid and both caches must verify.  Every
+# malformed netlist in tests/data/corpus_bad/ must then yield structured
+# diagnostics, and a fresh BENCH_corpus.json is gated.  The corpus
+# store and .repro-cache-smoke are NOT wiped: stale entries
+# self-invalidate via the VERSION stamp, per-read checksums and
+# CACHE_VERSION salts.
+SMOKE_ENV = REPRO_CORPUS_OFFLINE=1 REPRO_CORPUS_DIR=.repro-corpus-smoke \
+	PYTHONPATH=src
+SMOKE_TABLE1 = $(SMOKE_ENV) $(PY) -m repro table1 --corpus iscas85-mini \
+	--patterns 256 --checkpoint-dir .ckpt-campaign-smoke
+
+campaign-smoke:
+	rm -rf .ckpt-campaign-smoke .repro-cache-campaign \
+		TRACE_campaign_cold.jsonl TRACE_campaign_warm.jsonl
+	$(SMOKE_ENV) $(PY) -m repro corpus fetch --offline
+	$(SMOKE_ENV) $(PY) -m repro corpus verify
+	$(SMOKE_ENV) $(PY) -m repro corpus list
+	$(SMOKE_TABLE1) --jobs 2 --cache --cache-dir .repro-cache-campaign \
+		--trace TRACE_campaign_cold.jsonl > TABLE_campaign_cold.txt
+	$(SMOKE_TABLE1) --jobs 2 --cache --cache-dir .repro-cache-campaign \
+		--trace TRACE_campaign_warm.jsonl > TABLE_campaign_warm.txt
+	cmp TABLE_campaign_cold.txt TABLE_campaign_warm.txt
+	$(SMOKE_TABLE1) --resume > TABLE_campaign_resume.txt
+	cmp TABLE_campaign_cold.txt TABLE_campaign_resume.txt
+	$(SMOKE_TABLE1) --jobs 2 --cache --cache-dir .repro-cache-smoke \
+		> TABLE_campaign_incremental.txt
+	cmp TABLE_campaign_cold.txt TABLE_campaign_incremental.txt
+	PYTHONPATH=src $(PY) -m repro trace validate TRACE_campaign_cold.jsonl
+	PYTHONPATH=src $(PY) -m repro trace validate TRACE_campaign_warm.jsonl
+	PYTHONPATH=src $(PY) -m repro trace report TRACE_campaign_warm.jsonl
+	PYTHONPATH=src $(PY) -m repro cache verify --cache-dir .repro-cache-campaign
+	PYTHONPATH=src $(PY) -m repro cache verify --cache-dir .repro-cache-smoke
+	PYTHONPATH=src $(PY) -c "import sys; \
+		from repro.telemetry import summarize_trace; \
+		hits = [summarize_trace(f'TRACE_campaign_{run}.jsonl') \
+			.counters.get('cache.hit', 0) for run in ('cold', 'warm')]; \
+		print(f'cache.hit total: cold {hits[0]}, warm {hits[1]}'); \
+		sys.exit(0 if hits[0] == 0 and hits[1] > 0 else 1)"
 	PYTHONPATH=src $(PY) scripts/corpus_robustness.py
 	rm -rf .bench-fresh-corpus && mkdir -p .bench-fresh-corpus
 	PYTHONPATH=src $(PY) -m repro.corpus.bench \
 		--out .bench-fresh-corpus/BENCH_corpus.json
 	PYTHONPATH=src $(PY) scripts/bench_compare.py \
 		--fresh-dir .bench-fresh-corpus --only corpus
-
-# end-to-end trace fan-in: a tiny 4-way parallel campaign streamed to
-# one JSONL file, then every record schema-validated (an unknown span
-# name fails the build) and summarized
-trace-smoke:
-	rm -f TRACE_smoke.jsonl
-	PYTHONPATH=src $(PY) -m repro table1 --scale 0.004 \
-		--circuits s38417,b20 --patterns 256 --jobs 4 \
-		--trace TRACE_smoke.jsonl
-	PYTHONPATH=src $(PY) -m repro trace validate TRACE_smoke.jsonl
-	PYTHONPATH=src $(PY) -m repro trace report TRACE_smoke.jsonl
 
 # regenerate every paper artifact at default scale
 experiments:

@@ -628,6 +628,7 @@ def main(argv: list[str] | None = None) -> int:
             worker_retries=getattr(a, "worker_retries", 1),
         )
 
+    from .experiments.source import CircuitSelectionError
     from .runtime import CampaignInterrupted
 
     try:
@@ -637,6 +638,9 @@ def main(argv: list[str] | None = None) -> int:
         # position instead of a concurrent.futures stack trace
         print(f"\nrepro: {interrupted}", file=sys.stderr)
         return 130
+    except CircuitSelectionError as bad:
+        print(f"repro: {bad}", file=sys.stderr)
+        return 2
 
 
 def _run_campaign_spec(campaign: str, params: dict, policy) -> int:

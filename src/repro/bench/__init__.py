@@ -21,11 +21,7 @@ from .registry import (
     PAPER_CIRCUITS,
     PAPER_ORDER,
     PaperCircuit,
-    build_corpus_circuit,
-    build_corpus_sequential,
     build_paper_circuit,
-    corpus_circuit_names,
-    corpus_key_size,
     scaled_key_size,
 )
 
@@ -45,10 +41,6 @@ __all__ = [
     "PAPER_CIRCUITS",
     "PAPER_ORDER",
     "PaperCircuit",
-    "build_corpus_circuit",
-    "build_corpus_sequential",
     "build_paper_circuit",
-    "corpus_circuit_names",
-    "corpus_key_size",
     "scaled_key_size",
 ]

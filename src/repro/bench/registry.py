@@ -131,54 +131,3 @@ def scaled_key_size(name: str, scale: float = 1.0) -> int:
     scaled = int(round(spec.lfsr_size * scale))
     floor = max(spec.control_inputs * 3, 12)
     return max(floor, min(spec.lfsr_size, scaled))
-
-
-# ------------------------------------------------------------------ #
-# real-corpus circuits (repro.corpus)
-#
-# Corpus circuits flow through this registry so campaign code has one
-# resolution point for both synthetic stand-ins and genuine netlists.
-# All imports are lazy: repro.corpus pulls in repro.netlist (and
-# telemetry) eagerly, which this module must not.
-
-
-def corpus_circuit_names(corpus: str) -> list[str]:
-    """Circuit names of one corpus family, catalog order."""
-    from ..corpus.manifest import FAMILIES
-
-    if corpus not in FAMILIES:
-        raise KeyError(
-            f"unknown corpus family {corpus!r}; known: {sorted(FAMILIES)}"
-        )
-    return [e.name for e in FAMILIES[corpus]]
-
-
-def build_corpus_circuit(name: str, corpus: str | None = None):
-    """A corpus circuit as a full-scan combinational :class:`Netlist`.
-
-    The store copy is checksum-verified on read; DFF-bearing circuits
-    come back as their full-scan core (flop Q nets = pseudo-PIs, D nets
-    = pseudo-POs), which is what every locking/ATPG harness consumes.
-    Raises the first parse diagnostic for an unreadable file.
-    """
-    from ..corpus.loader import load_corpus_circuit
-
-    handle = load_corpus_circuit(name)
-    return handle.require_circuit().core
-
-
-def build_corpus_sequential(name: str, corpus: str | None = None):
-    """A corpus circuit as a :class:`SequentialCircuit` (flops intact)."""
-    from ..corpus.loader import load_corpus_circuit
-
-    return load_corpus_circuit(name).require_circuit()
-
-
-def corpus_key_size(netlist) -> int:
-    """Key width for locking a corpus circuit.
-
-    The paper keys scale with circuit size; for genuine netlists we use
-    one key bit per primary input, clamped to [8, 32] so tiny fixtures
-    stay lockable and big circuits stay attackable in CI time.
-    """
-    return max(8, min(32, len(netlist.inputs)))

@@ -1,7 +1,7 @@
 """``repro cache {stats,clear,verify}`` — result-cache maintenance.
 
 * ``stats`` — occupancy, per-kind entry counts, size bound (``--format
-  json`` for machine consumption; CI's warm-cache gate parses it);
+  json`` for machine consumption);
 * ``clear`` — drop every entry and the index log;
 * ``verify`` — audit the store: parse every entry, re-check its digest
   filing and payload checksum, and reconcile the append-only index

@@ -104,13 +104,6 @@ def load_corpus_circuit(
     return load_circuit(s.path_of(name), name=name)
 
 
-def corpus_digests(
-    names: "list[str]", store: "CorpusStore | None" = None
-) -> dict[str, str]:
-    """Per-circuit content digests — campaign fingerprint material."""
-    return {n: load_corpus_circuit(n, store).digest for n in names}
-
-
 def preflight_report(handle: CircuitHandle):
     """Lint report for one handle, without re-parsing the file.
 

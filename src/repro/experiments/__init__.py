@@ -2,7 +2,7 @@
 ablation sweeps called out in DESIGN.md."""
 
 from .chaos import DEFAULT_CHAOS_SPEC, run_chaos_bench, run_chaos_cli
-from .common import DEFAULT_SCALE, PaperComparison, format_table
+from .common import DEFAULT_SCALE, format_table
 from .runner import (
     DEFAULT_CHECKPOINT_ROOT,
     CampaignInterrupted,
@@ -44,7 +44,6 @@ __all__ = [
     "RunPolicy",
     "run_chaos_bench",
     "run_chaos_cli",
-    "PaperComparison",
     "format_table",
     "Table1Row",
     "lock_for_table1",

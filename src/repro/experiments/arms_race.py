@@ -30,6 +30,7 @@ from ..attacks import (
 )
 from ..bench import GeneratorConfig, generate_netlist
 from ..locking import (
+    LockingError,
     WLLConfig,
     lock_antisat,
     lock_fault_analysis,
@@ -40,6 +41,7 @@ from ..locking import (
 )
 from ..sim import functional_match_fraction
 from .common import format_table
+from .source import CircuitSelectionError, CircuitSource
 
 
 @dataclass
@@ -71,31 +73,40 @@ def run_arms_race(
 
     ``corpus`` swaps the synthetic host for a genuine corpus netlist
     (``circuit`` names one; default: the first of the family), loaded as
-    its full-scan combinational core through the verified store.
+    its full-scan combinational core through the verified store.  A bad
+    selection, or a host too small for a scheme, raises
+    :class:`~repro.experiments.source.CircuitSelectionError`.
     """
-    if corpus is not None:
-        from ..bench import build_corpus_circuit, corpus_circuit_names
-
-        name = circuit or corpus_circuit_names(corpus)[0]
-        host = build_corpus_circuit(name, corpus)
-    else:
-        host = generate_netlist(
+    if corpus is None:
+        return _replay(generate_netlist(
             GeneratorConfig(
                 n_inputs=14, n_outputs=10, n_gates=110, depth=7, seed=seed,
                 name="arms",
             )
-        )
+        ))
+    name, host = CircuitSource(corpus=corpus).host(circuit)
+    try:
+        return _replay(host)
+    except LockingError as exc:
+        raise CircuitSelectionError(
+            f"arms-race host {name!r} is too small: {exc}"
+        ) from exc
+
+
+def _replay(host) -> list[ArmsRaceRow]:
     rows: list[ArmsRaceRow] = []
 
-    # input-comparator schemes (SARLock/Anti-SAT/TTLock) cannot be wider
-    # than the host's input count; small corpus hosts clamp them down
+    # key widths cannot exceed what the host offers: the input-comparator
+    # schemes (SARLock/Anti-SAT/TTLock) its input count, the key-gate
+    # schemes (RLL/FLL) its gate count; small corpus hosts clamp down
     n_in = len(host.inputs)
     sar_w = min(7, n_in)
     anti_w = min(8, n_in)
     tt_w = min(8, n_in)
+    gate_w = min(8, host.num_gates())
 
     # --- RLL ---
-    rll = lock_random(host, key_width=8, rng=2)
+    rll = lock_random(host, key_width=gate_w, rng=2)
     r = run_attack("sensitization", rll, IdealOracle(rll.original))
     rows.append(
         ArmsRaceRow("RLL", "sensitization", True, r.completed,
@@ -108,7 +119,7 @@ def run_arms_race(
     )
 
     # --- FLL ---
-    fll = lock_fault_analysis(host, key_width=8, rng=2)
+    fll = lock_fault_analysis(host, key_width=gate_w, rng=2)
     r = run_attack("sat", fll, IdealOracle(fll.original))
     rows.append(
         ArmsRaceRow("FLL", "sat", True, r.completed,

@@ -35,6 +35,7 @@ from ..orap import OraPConfig, protect
 from ..runtime.budget import Budget
 from .common import format_table
 from .runner import ExperimentRunner, RunPolicy
+from .source import CircuitSource
 
 
 @dataclass
@@ -66,40 +67,11 @@ def default_design(seed: int = 7, variant: str = "basic"):
             n_flops=10,
         )
     )
-    return protect(
-        design,
-        orap=OraPConfig(variant=variant),
-        wll=WLLConfig(key_width=12, control_width=3, n_key_gates=6),
-        rng=seed,
-    )
+    return _protect(design, seed, variant)
 
 
-def corpus_design(
-    corpus: str,
-    circuit: str | None = None,
-    seed: int = 7,
-    variant: str = "basic",
-):
-    """An OraP-protected design hosted on a genuine corpus circuit.
-
-    The host must be sequential (OraP protects the scan interface);
-    ``circuit=None`` picks the first flop-bearing circuit of the family.
-    """
-    from ..bench import build_corpus_sequential, corpus_circuit_names
-    from ..corpus.loader import load_corpus_circuit
-
-    names = [circuit] if circuit else corpus_circuit_names(corpus)
-    host = None
-    for name in names:
-        candidate = build_corpus_sequential(name)
-        if candidate.flops:
-            host = candidate
-            break
-    if host is None:
-        raise ValueError(
-            f"corpus family {corpus!r} selection {names} has no sequential "
-            f"circuit; OraP needs a scan chain to protect"
-        )
+def _protect(host, seed: int, variant: str):
+    """OraP plus the matrix's WLL lock on a sequential host."""
     return protect(
         host,
         orap=OraPConfig(variant=variant),
@@ -130,15 +102,20 @@ def run_attack_matrix(
             checkpoint/resume).
         corpus / circuit: host the protected design on a genuine
             :mod:`repro.corpus` circuit instead of the synthetic
-            stand-in (the fingerprint then pins the corpus selection).
+            stand-in (``circuit=None``: the family's first sequential
+            circuit); the fingerprint then pins the host's content
+            digest.  A bad selection raises
+            :class:`~repro.experiments.source.CircuitSelectionError`.
     """
     policy = policy or RunPolicy()
     if attack_deadline_s is not None:
         policy = dataclasses.replace(policy, row_deadline_s=attack_deadline_s)
+    source = CircuitSource(corpus=corpus)
+    hosts: list[str] = []
     if design is None and corpus is not None:
-        design = corpus_design(
-            corpus, circuit=circuit, seed=seed, variant=variant
-        )
+        host_name, host = source.host(circuit, sequential=True)
+        hosts.append(host_name)
+        design = _protect(host, seed, variant)
     d = design if design is not None else default_design(seed=seed, variant=variant)
     locked = d.locked
 
@@ -152,14 +129,15 @@ def run_attack_matrix(
     runner = ExperimentRunner(
         "attack_matrix",
         policy,
-        fingerprint={
-            "variant": variant,
-            "seed": seed,
-            "max_iterations": max_iterations,
-            "deadline_s": policy.row_deadline_s,
-            "corpus": corpus,
-            "circuit": circuit,
-        },
+        fingerprint=source.fingerprint(
+            hosts,
+            variant=variant,
+            seed=seed,
+            max_iterations=max_iterations,
+            deadline_s=policy.row_deadline_s,
+            corpus=corpus,
+            circuit=circuit,
+        ),
     )
     cells: list[MatrixCell] = []
 

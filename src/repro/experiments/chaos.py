@@ -32,15 +32,16 @@ import shutil
 import tempfile
 import time
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
 from .. import telemetry
 from ..runtime import faultinject
 from ..runtime.checkpoint import CheckpointStore
-from .runner import ExperimentRunner, RowTask, RunPolicy
-from .table1 import Table1Row, _table1_compute, _table1_preflight, print_table1
+from . import table1
+from .runner import ExperimentRunner, RunPolicy
+from .source import CircuitSource
+from .table1 import Table1Row, print_table1
 
 #: the default injection mix: one recoverable kill, one recoverable
 #: hang (dead heartbeat), one poison row (killed on every attempt), and
@@ -55,32 +56,6 @@ CHAOS_SCALE = 0.02
 CHAOS_PATTERNS = 256
 CHAOS_KEYS = 4
 CHAOS_SEED = 0
-
-
-def _table1_tasks(
-    circuits: list[str], scale: float, n_patterns: int, n_keys: int, seed: int
-) -> list[RowTask]:
-    return [
-        RowTask(
-            key=name,
-            compute=_table1_compute,
-            args=(name, scale, n_patterns, n_keys, seed),
-            encode=asdict,
-            decode=lambda d: Table1Row(**d),
-            preflight=_table1_preflight,
-            preflight_args=(name, scale),
-        )
-        for name in circuits
-    ]
-
-
-def _fingerprint(scale: float, n_patterns: int, n_keys: int, seed: int) -> dict:
-    return {
-        "scale": scale,
-        "n_patterns": n_patterns,
-        "n_keys": n_keys,
-        "seed": seed,
-    }
 
 
 def _render(rows: list[Table1Row], quiet: bool = False) -> str:
@@ -122,7 +97,9 @@ def run_chaos_cli(
     )
     root.mkdir(parents=True, exist_ok=True)
     trace_path = root / "chaos-trace.jsonl"
-    fingerprint = _fingerprint(scale, n_patterns, CHAOS_KEYS, CHAOS_SEED)
+    fingerprint, tasks = table1._tasks(
+        CircuitSource(scale), circuits, n_patterns, CHAOS_KEYS, CHAOS_SEED
+    )
     problems: list[str] = []
     try:
         # ---- phase 1: serial, uninjected ground truth ----------------- #
@@ -131,9 +108,7 @@ def run_chaos_cli(
         print(f"[chaos] phase 1/3: serial uninjected baseline "
               f"({','.join(circuits)} @ x{scale:g})")
         baseline = ExperimentRunner("table1", RunPolicy(), fingerprint)
-        base_outcomes = baseline.run_rows(
-            _table1_tasks(circuits, scale, n_patterns, CHAOS_KEYS, CHAOS_SEED)
-        )
+        base_outcomes = baseline.run_rows(tasks)
         base_rows = {
             c: o.value for c, o in zip(circuits, base_outcomes)
             if o.value is not None
@@ -153,9 +128,7 @@ def run_chaos_cli(
             heartbeat_interval_s=0.25,
         )
         runner = ExperimentRunner("table1", policy, fingerprint)
-        outcomes = runner.run_rows(
-            _table1_tasks(circuits, scale, n_patterns, CHAOS_KEYS, CHAOS_SEED)
-        )
+        outcomes = runner.run_rows(tasks)
         quarantined = {
             c for c, o in zip(circuits, outcomes)
             if o.diagnostics.get("quarantine") is not None
@@ -216,11 +189,7 @@ def run_chaos_cli(
         resumed = ExperimentRunner("table1", resume_policy, fingerprint)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            resumed_outcomes = resumed.run_rows(
-                _table1_tasks(
-                    circuits, scale, n_patterns, CHAOS_KEYS, CHAOS_SEED
-                )
-            )
+            resumed_outcomes = resumed.run_rows(tasks)
         telemetry.flush_counters()
         if not any("corrupt checkpoint" in str(w.message) for w in caught):
             problems.append(
@@ -295,15 +264,15 @@ def run_chaos_cli(
 
 def _timed_campaign(supervised: bool, jobs: int, circuits: list[str],
                     scale: float, n_patterns: int) -> float:
-    policy = RunPolicy(jobs=jobs, supervised=supervised)
+    fingerprint, tasks = table1._tasks(
+        CircuitSource(scale), circuits, n_patterns, CHAOS_KEYS, CHAOS_SEED
+    )
     runner = ExperimentRunner(
-        "chaos-bench", policy,
-        _fingerprint(scale, n_patterns, CHAOS_KEYS, CHAOS_SEED),
+        "chaos-bench", RunPolicy(jobs=jobs, supervised=supervised),
+        fingerprint,
     )
     t0 = time.perf_counter()
-    runner.run_rows(
-        _table1_tasks(circuits, scale, n_patterns, CHAOS_KEYS, CHAOS_SEED)
-    )
+    runner.run_rows(tasks)
     return time.perf_counter() - t0
 
 

@@ -1,4 +1,4 @@
-"""Shared experiment-harness utilities: scales, formatting, row types.
+"""Shared experiment-harness utilities: the default scale and formatting.
 
 Experiments run the paper's circuits through the synthetic stand-ins at a
 configurable ``scale`` (fraction of the published gate counts).  The
@@ -11,11 +11,11 @@ reduced scale — EXPERIMENTS.md records the observed deltas.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 #: default scale for experiment harnesses (fraction of published size)
 DEFAULT_SCALE = float(os.environ.get("REPRO_SCALE", "0.02"))
+
 
 def format_table(
     headers: Sequence[str],
@@ -44,20 +44,3 @@ def _fmt(cell: object) -> str:
     if isinstance(cell, bool):
         return "yes" if cell else "no"
     return str(cell)
-
-
-@dataclass(frozen=True)
-class PaperComparison:
-    """A measured value next to the paper's published one."""
-
-    measured: float
-    paper: float
-
-    @property
-    def delta(self) -> float:
-        """Measured minus published value."""
-        return self.measured - self.paper
-
-    def cells(self) -> tuple[str, str]:
-        """Formatted (measured, paper) cell pair."""
-        return (f"{self.measured:.2f}", f"{self.paper:.2f}")

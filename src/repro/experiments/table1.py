@@ -22,16 +22,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 
-from ..bench import (
-    PAPER_CIRCUITS,
-    PAPER_ORDER,
-    build_corpus_circuit,
-    build_paper_circuit,
-    corpus_circuit_names,
-    corpus_key_size,
-    scaled_key_size,
-)
-from ..lint import lint_netlist
+from ..bench import build_paper_circuit
 from ..locking import WLLConfig, lock_weighted
 from ..orap import LFSRConfig
 from ..runtime.budget import Budget
@@ -39,6 +30,7 @@ from ..sim import measure_corruption
 from ..synth import measure_overhead
 from .common import DEFAULT_SCALE, format_table
 from .runner import ExperimentRunner, RowTask, RunPolicy
+from .source import CircuitSource
 
 
 @dataclass
@@ -110,134 +102,89 @@ def lock_for_table1(
     return best
 
 
-def _table1_compute(
+def _compute(
     name: str,
-    scale: float,
+    source: CircuitSource,
     n_patterns: int,
     n_keys: int,
     seed: int,
     budget: Budget | None = None,
 ) -> Table1Row:
     """One Table I row (module-level so it pickles to pool workers)."""
-    spec = PAPER_CIRCUITS[name]
-    netlist = build_paper_circuit(name, scale=scale)
-    key_width = scaled_key_size(name, scale)
+    # this module's own builder: perfbench/layers.py wraps it per module
+    c = source.circuit(name, build_paper_circuit)
     locked, report, n_key_gates = lock_for_table1(
-        netlist,
-        key_width,
-        spec.control_inputs,
+        c.netlist,
+        c.key_width,
+        c.control_inputs,
         n_patterns=n_patterns,
         n_keys=n_keys,
         rng=seed,
         budget=budget,
     )
-    lfsr_cfg = LFSRConfig(size=key_width)
+    lfsr_cfg = LFSRConfig(size=c.key_width)
     overhead = measure_overhead(locked.original, locked.locked, lfsr_cfg)
     return Table1Row(
         circuit=name,
-        n_gates=netlist.num_gates(count_inverters=False),
-        n_outputs=len(netlist.outputs),
-        lfsr_size=key_width,
-        control_inputs=spec.control_inputs,
+        n_gates=c.netlist.num_gates(count_inverters=False),
+        n_outputs=len(c.netlist.outputs),
+        lfsr_size=c.key_width,
+        control_inputs=c.control_inputs,
         n_key_gates=n_key_gates,
         hd_percent=report.hd_percent,
         area_overhead_percent=overhead.area_overhead_percent,
         delay_overhead_percent=overhead.delay_overhead_percent,
-        paper_hd=spec.hd_percent,
-        paper_area=spec.area_overhead_percent,
-        paper_delay=spec.delay_overhead_percent,
+        paper_hd=c.paper.hd_percent,
+        paper_area=c.paper.area_overhead_percent,
+        paper_delay=c.paper.delay_overhead_percent,
     )
 
 
-def _table1_preflight(name: str, scale: float):
-    return lint_netlist(
-        build_paper_circuit(name, scale=scale),
-        source=f"{name}@x{scale:g}",
-    )
+def _preflight(name: str, source: CircuitSource):
+    return source.preflight(name, build_paper_circuit)
 
 
-#: control-gate fan-in used for corpus circuits (the paper's default; it
-#: uses 5 only for the giant b18/b19, which stay out of CI reach)
-_CORPUS_CONTROL_INPUTS = 3
-
-
-def _table1_corpus_compute(
-    name: str,
-    corpus: str,
-    n_patterns: int,
-    n_keys: int,
-    seed: int,
-    budget: Budget | None = None,
-) -> Table1Row:
-    """One Table I row on a genuine corpus netlist.
-
-    The circuit comes from the corpus store (checksum-verified,
-    parse-once via :mod:`repro.corpus.loader`); there are no published
-    reference numbers for these rows, so the ``paper_*`` columns are 0.
-    """
-    netlist = build_corpus_circuit(name, corpus)
-    key_width = corpus_key_size(netlist)
-    locked, report, n_key_gates = lock_for_table1(
-        netlist,
-        key_width,
-        _CORPUS_CONTROL_INPUTS,
-        n_patterns=n_patterns,
-        n_keys=n_keys,
-        rng=seed,
-        budget=budget,
-    )
-    lfsr_cfg = LFSRConfig(size=key_width)
-    overhead = measure_overhead(locked.original, locked.locked, lfsr_cfg)
-    return Table1Row(
-        circuit=name,
-        n_gates=netlist.num_gates(count_inverters=False),
-        n_outputs=len(netlist.outputs),
-        lfsr_size=key_width,
-        control_inputs=_CORPUS_CONTROL_INPUTS,
-        n_key_gates=n_key_gates,
-        hd_percent=report.hd_percent,
-        area_overhead_percent=overhead.area_overhead_percent,
-        delay_overhead_percent=overhead.delay_overhead_percent,
-        paper_hd=0.0,
-        paper_area=0.0,
-        paper_delay=0.0,
-    )
-
-
-def _table1_corpus_preflight(name: str, corpus: str):
-    """Pre-flight lint from the parse-once handle (no file re-parse)."""
-    from ..corpus.loader import load_corpus_circuit, preflight_report
-
-    return preflight_report(load_corpus_circuit(name))
-
-
-def _table1_corpus_prewarm(name: str, corpus: str, seed: int):
-    """Pre-warm factory for corpus rows: the first locked netlist each
-    row measures, compiled into the worker's op-tape cache at bootstrap."""
-    netlist = build_corpus_circuit(name, corpus)
-    key_width = corpus_key_size(netlist)
-    cfg = WLLConfig(
-        key_width=key_width,
-        control_width=_CORPUS_CONTROL_INPUTS,
-        n_key_gates=max(1, key_width // _CORPUS_CONTROL_INPUTS),
-    )
-    return lock_weighted(netlist, cfg, rng=seed).locked
-
-
-def _table1_prewarm(name: str, scale: float, seed: int):
+def _prewarm(name: str, source: CircuitSource, seed: int):
     """Pre-warm factory (module-level so it pickles with the policy):
     the locked netlist a row's *first* ``lock_for_table1`` step measures,
     so supervised workers compile it once at bootstrap instead of inside
     the row's budget."""
-    spec = PAPER_CIRCUITS[name]
-    netlist = build_paper_circuit(name, scale=scale)
-    key_width = scaled_key_size(name, scale)
-    cfg = WLLConfig(
-        key_width=key_width,
-        control_width=spec.control_inputs,
-        n_key_gates=max(1, key_width // spec.control_inputs),
+    c = source.circuit(name, build_paper_circuit)
+    return lock_weighted(c.netlist, c.first_wll(), rng=seed).locked
+
+
+def _tasks(
+    source: CircuitSource,
+    circuits: list[str] | None,
+    n_patterns: int,
+    n_keys: int,
+    seed: int,
+) -> tuple[dict, list[RowTask]]:
+    """The campaign fingerprint and one row task per selected circuit.
+
+    Raises :class:`CircuitSelectionError` for a bad selection.
+    """
+    names = source.names(circuits)
+    fingerprint = source.fingerprint(
+        names,
+        scale=source.scale,
+        n_patterns=n_patterns,
+        n_keys=n_keys,
+        seed=seed,
     )
-    return lock_weighted(netlist, cfg, rng=seed).locked
+    tasks = [
+        RowTask(
+            key=name,
+            compute=_compute,
+            args=(name, source, n_patterns, n_keys, seed),
+            encode=asdict,
+            decode=lambda d: Table1Row(**d),
+            preflight=_preflight,
+            preflight_args=(name, source),
+        )
+        for name in names
+    ]
+    return fingerprint, tasks
 
 
 def run_table1(
@@ -260,61 +207,20 @@ def run_table1(
     family (e.g. ``iscas85-mini``): circuits load from the verified
     store, ``scale`` is ignored, and the campaign fingerprint carries
     the per-circuit content digests so an updated corpus file is never
-    served a stale resume row.
+    served a stale resume row.  A circuit outside the source raises
+    :class:`~repro.experiments.source.CircuitSelectionError` before any
+    row runs.
     """
-    fingerprint: dict = {
-        "scale": scale,
-        "n_patterns": n_patterns,
-        "n_keys": n_keys,
-        "seed": seed,
-    }
-    if corpus is not None:
-        from ..corpus.loader import corpus_digests
-
-        names = list(circuits or corpus_circuit_names(corpus))
-        fingerprint["corpus"] = corpus
-        fingerprint["corpus_digests"] = corpus_digests(names)
-        prewarm_of = lambda name: (_table1_corpus_prewarm,  # noqa: E731
-                                   (name, corpus, seed))
-    else:
-        names = list(circuits or PAPER_ORDER)
-        prewarm_of = lambda name: (_table1_prewarm,  # noqa: E731
-                                   (name, scale, seed))
+    source = CircuitSource(scale, corpus)
+    fingerprint, tasks = _tasks(source, circuits, n_patterns, n_keys, seed)
     if policy is not None and policy.jobs > 1 and not policy.prewarm:
         # supervised workers compile each row's first locked netlist at
         # bootstrap (optape.compile.shared) instead of inside row budgets
         policy = replace(
-            policy, prewarm=tuple(prewarm_of(name) for name in names)
+            policy,
+            prewarm=tuple((_prewarm, (t.key, source, seed)) for t in tasks),
         )
-    runner = ExperimentRunner(
-        "table1",
-        policy,
-        fingerprint=fingerprint,
-    )
-    tasks = [
-        RowTask(
-            key=name,
-            compute=(
-                _table1_corpus_compute if corpus is not None
-                else _table1_compute
-            ),
-            args=(
-                (name, corpus, n_patterns, n_keys, seed)
-                if corpus is not None
-                else (name, scale, n_patterns, n_keys, seed)
-            ),
-            encode=asdict,
-            decode=lambda d: Table1Row(**d),
-            preflight=(
-                _table1_corpus_preflight if corpus is not None
-                else _table1_preflight
-            ),
-            preflight_args=(
-                (name, corpus) if corpus is not None else (name, scale)
-            ),
-        )
-        for name in names
-    ]
+    runner = ExperimentRunner("table1", policy, fingerprint=fingerprint)
     outcomes = runner.run_rows(tasks)
     return [o.value for o in outcomes if o.value is not None]
 

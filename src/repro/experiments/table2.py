@@ -16,20 +16,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from ..atpg import run_atpg
-from ..bench import (
-    PAPER_CIRCUITS,
-    PAPER_ORDER,
-    build_corpus_circuit,
-    build_paper_circuit,
-    corpus_circuit_names,
-    corpus_key_size,
-    scaled_key_size,
-)
-from ..lint import lint_netlist
-from ..locking import WLLConfig, lock_weighted
+from ..bench import build_paper_circuit
+from ..locking import lock_weighted
 from ..runtime.budget import Budget
 from .common import DEFAULT_SCALE, format_table
 from .runner import ExperimentRunner, RowTask, RunPolicy
+from .source import CircuitSource
 
 
 @dataclass
@@ -47,6 +39,72 @@ class Table2Row:
     paper_red_abrt_protected: int
 
 
+def _compute(
+    name: str,
+    source: CircuitSource,
+    n_random_patterns: int,
+    seed: int,
+    budget: Budget | None = None,
+) -> Table2Row:
+    """One Table II row (module-level so it pickles to pool workers)."""
+    # this module's own builder: perfbench/layers.py wraps it per module
+    c = source.circuit(name, build_paper_circuit)
+    locked = lock_weighted(c.netlist, c.first_wll(), rng=seed)
+    rep_orig = run_atpg(
+        c.netlist, n_random_patterns=n_random_patterns, seed=seed,
+        budget=budget,
+    )
+    rep_prot = run_atpg(
+        locked.locked, n_random_patterns=n_random_patterns, seed=seed,
+        budget=budget,
+    )
+    return Table2Row(
+        circuit=name,
+        fc_original=rep_orig.fault_coverage_percent,
+        red_abrt_original=rep_orig.redundant_plus_aborted,
+        fc_protected=rep_prot.fault_coverage_percent,
+        red_abrt_protected=rep_prot.redundant_plus_aborted,
+        paper_fc_original=c.paper.fc_original,
+        paper_red_abrt_original=c.paper.red_abrt_original,
+        paper_fc_protected=c.paper.fc_protected,
+        paper_red_abrt_protected=c.paper.red_abrt_protected,
+    )
+
+
+def _preflight(name: str, source: CircuitSource):
+    return source.preflight(name, build_paper_circuit)
+
+
+def _tasks(
+    source: CircuitSource,
+    circuits: list[str] | None,
+    n_random_patterns: int,
+    seed: int,
+) -> tuple[dict, list[RowTask]]:
+    """The campaign fingerprint and one row task per selected circuit.
+
+    Raises :class:`CircuitSelectionError` for a bad selection.
+    """
+    names = source.names(circuits)
+    fingerprint = source.fingerprint(
+        names, scale=source.scale, n_random_patterns=n_random_patterns,
+        seed=seed,
+    )
+    tasks = [
+        RowTask(
+            key=name,
+            compute=_compute,
+            args=(name, source, n_random_patterns, seed),
+            encode=asdict,
+            decode=lambda d: Table2Row(**d),
+            preflight=_preflight,
+            preflight_args=(name, source),
+        )
+        for name in names
+    ]
+    return fingerprint, tasks
+
+
 def run_table2(
     scale: float = DEFAULT_SCALE,
     circuits: list[str] | None = None,
@@ -62,159 +120,16 @@ def run_table2(
     pattern charges, PODEM backtracks, SAT-arbiter conflicts).
     ``corpus`` selects a :mod:`repro.corpus` family instead of the
     scaled stand-ins (``scale`` is then ignored; the fingerprint pins
-    the per-circuit content digests).
+    the per-circuit content digests).  A circuit outside the source
+    raises :class:`~repro.experiments.source.CircuitSelectionError`
+    before any row runs.
     """
-    fingerprint: dict = {
-        "scale": scale,
-        "n_random_patterns": n_random_patterns,
-        "seed": seed,
-    }
-    if corpus is not None:
-        from ..corpus.loader import corpus_digests
-
-        names = list(circuits or corpus_circuit_names(corpus))
-        fingerprint["corpus"] = corpus
-        fingerprint["corpus_digests"] = corpus_digests(names)
-    else:
-        names = list(circuits or PAPER_ORDER)
-    runner = ExperimentRunner(
-        "table2",
-        policy,
-        fingerprint=fingerprint,
+    fingerprint, tasks = _tasks(
+        CircuitSource(scale, corpus), circuits, n_random_patterns, seed
     )
-    tasks = [
-        RowTask(
-            key=name,
-            compute=(
-                _table2_corpus_compute if corpus is not None
-                else _table2_compute
-            ),
-            args=(
-                (name, corpus, n_random_patterns, seed)
-                if corpus is not None
-                else (name, scale, n_random_patterns, seed)
-            ),
-            encode=asdict,
-            decode=lambda d: Table2Row(**d),
-            preflight=(
-                _table2_corpus_preflight if corpus is not None
-                else _table2_preflight
-            ),
-            preflight_args=(
-                (name, corpus) if corpus is not None else (name, scale)
-            ),
-        )
-        for name in names
-    ]
+    runner = ExperimentRunner("table2", policy, fingerprint=fingerprint)
     outcomes = runner.run_rows(tasks)
     return [o.value for o in outcomes if o.value is not None]
-
-
-def _table2_compute(
-    name: str,
-    scale: float,
-    n_random_patterns: int,
-    seed: int,
-    budget: Budget | None = None,
-) -> Table2Row:
-    """One Table II row (module-level so it pickles to pool workers)."""
-    spec = PAPER_CIRCUITS[name]
-    netlist = build_paper_circuit(name, scale=scale)
-    key_width = scaled_key_size(name, scale)
-    locked = lock_weighted(
-        netlist,
-        WLLConfig(
-            key_width=key_width,
-            control_width=spec.control_inputs,
-            n_key_gates=max(1, key_width // spec.control_inputs),
-        ),
-        rng=seed,
-    )
-    rep_orig = run_atpg(
-        netlist,
-        n_random_patterns=n_random_patterns,
-        seed=seed,
-        budget=budget,
-    )
-    rep_prot = run_atpg(
-        locked.locked,
-        n_random_patterns=n_random_patterns,
-        seed=seed,
-        budget=budget,
-    )
-    return Table2Row(
-        circuit=name,
-        fc_original=rep_orig.fault_coverage_percent,
-        red_abrt_original=rep_orig.redundant_plus_aborted,
-        fc_protected=rep_prot.fault_coverage_percent,
-        red_abrt_protected=rep_prot.redundant_plus_aborted,
-        paper_fc_original=spec.fc_original,
-        paper_red_abrt_original=spec.red_abrt_original,
-        paper_fc_protected=spec.fc_protected,
-        paper_red_abrt_protected=spec.red_abrt_protected,
-    )
-
-
-def _table2_preflight(name: str, scale: float):
-    return lint_netlist(
-        build_paper_circuit(name, scale=scale),
-        source=f"{name}@x{scale:g}",
-    )
-
-
-#: control-gate fan-in for corpus circuits (paper default; see table1)
-_CORPUS_CONTROL_INPUTS = 3
-
-
-def _table2_corpus_compute(
-    name: str,
-    corpus: str,
-    n_random_patterns: int,
-    seed: int,
-    budget: Budget | None = None,
-) -> Table2Row:
-    """One Table II row on a genuine corpus netlist (no paper columns)."""
-    netlist = build_corpus_circuit(name, corpus)
-    key_width = corpus_key_size(netlist)
-    locked = lock_weighted(
-        netlist,
-        WLLConfig(
-            key_width=key_width,
-            control_width=_CORPUS_CONTROL_INPUTS,
-            n_key_gates=max(1, key_width // _CORPUS_CONTROL_INPUTS),
-        ),
-        rng=seed,
-    )
-    rep_orig = run_atpg(
-        netlist,
-        n_random_patterns=n_random_patterns,
-        seed=seed,
-        budget=budget,
-    )
-    rep_prot = run_atpg(
-        locked.locked,
-        n_random_patterns=n_random_patterns,
-        seed=seed,
-        budget=budget,
-    )
-    return Table2Row(
-        circuit=name,
-        fc_original=rep_orig.fault_coverage_percent,
-        red_abrt_original=rep_orig.redundant_plus_aborted,
-        fc_protected=rep_prot.fault_coverage_percent,
-        red_abrt_protected=rep_prot.redundant_plus_aborted,
-        paper_fc_original=0.0,
-        paper_red_abrt_original=0,
-        paper_fc_protected=0.0,
-        paper_red_abrt_protected=0,
-    )
-
-
-def _table2_corpus_preflight(name: str, corpus: str):
-    """Pre-flight lint from the parse-once handle (no file re-parse)."""
-    from ..corpus.loader import load_corpus_circuit, preflight_report
-
-    return preflight_report(load_corpus_circuit(name))
 
 
 def print_table2(rows: list[Table2Row]) -> str:

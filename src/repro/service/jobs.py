@@ -254,18 +254,13 @@ def _render_sleep(rows: list[Any]) -> str:
 
 
 def _table_rows_total(params: dict[str, Any]) -> int | None:
-    from ..bench import PAPER_ORDER
+    from ..experiments.source import CircuitSelectionError, CircuitSource
 
-    if params["circuits"]:
-        return len(params["circuits"])
-    if params.get("corpus"):
-        from ..corpus import entries_for
-
-        try:
-            return len(entries_for([params["corpus"]], offline=False))
-        except KeyError:
-            return None
-    return len(PAPER_ORDER)
+    source = CircuitSource(corpus=params["corpus"])
+    try:
+        return len(source.names(params["circuits"]))
+    except CircuitSelectionError:
+        return None
 
 
 def _captured(printer: Callable[[list[Any]], str], rows: list[Any]) -> str:

@@ -1,7 +1,7 @@
 """Trace-record schema: the span/counter catalog plus record validation.
 
 Every record in a ``*.jsonl`` trace must validate against this module —
-the ``trace-smoke`` CI step runs :func:`validate_trace` over a real
+the ``campaign-smoke`` CI job runs :func:`validate_trace` over a real
 campaign trace and fails on the first violation, so the catalog below is
 load-bearing: an instrumentation site emitting a name missing from
 :data:`KNOWN_SPANS` / :data:`KNOWN_COUNTERS` breaks the build, which is

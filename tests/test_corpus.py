@@ -1,18 +1,18 @@
 """Corpus manager: manifest catalog, content-addressed store, loader memo.
 
 Everything here runs fully offline against the vendored fixtures — the
-same guarantee the corpus-smoke CI lane enforces.
+same guarantee the campaign-smoke CI lane enforces.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.corpus.loader import (
     clear_memo,
-    corpus_digests,
     load_circuit,
     load_corpus_circuit,
     preflight_report,
@@ -149,13 +149,17 @@ class TestLoader:
         assert third is not first
 
     def test_load_corpus_circuit_and_digests(self, tmp_path, monkeypatch):
+        from repro.experiments.source import CircuitSource
+
         monkeypatch.setenv("REPRO_CORPUS_DIR", str(tmp_path / "corpus"))
         clear_memo()
         handle = load_corpus_circuit("s27")
         assert handle.ok
         assert handle.stats["flops"] == 3
-        digests = corpus_digests(["s27", "c17"])
-        assert digests["s27"] == handle.digest
+        fingerprint = CircuitSource(corpus="iscas89-mini").fingerprint(
+            ["s27"], seed=0
+        )
+        assert fingerprint["corpus_digests"] == {"s27": handle.digest}
 
     def test_preflight_report_flows_parse_errors_as_io001(self, tmp_path):
         clear_memo()
@@ -182,22 +186,151 @@ class TestLoader:
 
 
 class TestRegistryBridge:
-    def test_corpus_circuit_names(self):
-        from repro.bench import corpus_circuit_names
+    """The :class:`CircuitSource` resolver over a corpus family."""
 
-        assert corpus_circuit_names("iscas85-mini") == ["c17", "c432_mini"]
-        with pytest.raises(KeyError):
-            corpus_circuit_names("nope")
+    def test_corpus_circuit_names(self):
+        from repro.experiments.source import (
+            CircuitSelectionError,
+            CircuitSource,
+        )
+
+        source = CircuitSource(corpus="iscas85-mini")
+        assert source.names() == ["c17", "c432_mini"]
+        with pytest.raises(CircuitSelectionError, match="unknown corpus"):
+            CircuitSource(corpus="nope").names()
 
     def test_build_corpus_circuit_full_scan(self, tmp_path, monkeypatch):
-        from repro.bench import build_corpus_circuit, corpus_key_size
+        from repro.bench import build_paper_circuit
+        from repro.experiments.source import CircuitSource
 
         monkeypatch.setenv("REPRO_CORPUS_DIR", str(tmp_path / "corpus"))
         clear_memo()
-        core = build_corpus_circuit("s27")
+        c = CircuitSource(corpus="iscas89-mini").circuit(
+            "s27", build_paper_circuit
+        )
         # full-scan view: 4 PIs + 3 flop Q pseudo-PIs
-        assert len(core.inputs) == 7
-        assert corpus_key_size(core) == 8
+        assert len(c.netlist.inputs) == 7
+        assert c.key_width == 8
+        assert c.control_inputs == 3
+        assert c.paper.hd_percent == 0.0
+
+    def test_paper_fingerprint_is_params_only(self):
+        from repro.experiments.source import CircuitSource
+
+        params = {"scale": 0.02, "seed": 0}
+        assert CircuitSource(0.02).fingerprint(["b20"], **params) == params
+
+
+@pytest.fixture
+def fresh_store(tmp_path, monkeypatch):
+    """An empty corpus store of the test's own (vendored entries heal in
+    on first read) and an empty parse memo."""
+    monkeypatch.setenv("REPRO_CORPUS_DIR", str(tmp_path / "corpus"))
+    clear_memo()
+
+
+@pytest.mark.usefixtures("fresh_store")
+class TestBadSelection:
+    """A selection no row can run fails up front, and cleanly at the CLI."""
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(corpus="iscas85-mini", circuits=["s27"]),
+             "unknown circuit.*s27.*iscas85-mini"),
+            (dict(circuits=["nosuch"]), "unknown circuit.*nosuch"),
+            (dict(corpus="nosuch"), "unknown corpus family 'nosuch'"),
+            (dict(corpus="iscas85", circuits=["c432"]), "not fetched"),
+        ],
+        ids=["other-family", "unknown-circuit", "unknown-family",
+             "not-fetched"],
+    )
+    def test_run_table1_raises(self, kwargs, message):
+        from repro.experiments import run_table1
+        from repro.experiments.source import CircuitSelectionError
+
+        with pytest.raises(CircuitSelectionError, match=message):
+            run_table1(**kwargs)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--corpus", "iscas85-mini", "--circuits", "s27"],
+            ["table1", "--circuits", "nosuch"],
+            ["table2", "--corpus", "nosuch"],
+            ["table1", "--corpus", "iscas85", "--circuits", "c432"],
+        ],
+        ids=["other-family", "unknown-circuit", "unknown-family",
+             "not-fetched"],
+    )
+    def test_cli_reports_cleanly(self, argv, capsys):
+        from repro.__main__ import main
+
+        assert main([*argv, "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.usefixtures("fresh_store")
+class TestSingleHostHarnesses:
+    def test_arms_race_on_c17_is_a_clean_error(self, capsys):
+        from repro.__main__ import main
+        from repro.experiments import run_arms_race
+        from repro.experiments.source import CircuitSelectionError
+
+        # RLL/FLL clamp to c17's six gates; cyclic locking is the first
+        # scheme that still cannot fit, and says so without a traceback
+        from repro.locking import LockingError
+
+        with pytest.raises(
+            CircuitSelectionError, match="'c17'.*feedback"
+        ) as info:
+            run_arms_race(corpus="iscas85-mini")
+        assert isinstance(info.value.__cause__, LockingError)
+        assert main(["arms-race", "--corpus", "iscas85-mini"]) == 2
+        assert capsys.readouterr().err.startswith("repro: arms-race host")
+
+    def test_attack_matrix_resume_pins_corpus_digest(
+        self, tmp_path, monkeypatch
+    ):
+        import dataclasses
+
+        import repro.corpus.loader as loader
+        from repro.experiments import RunPolicy, attack_matrix
+
+        calls = []
+        real_run_attack = attack_matrix.run_attack
+
+        def counting(name, *args, **kwargs):
+            calls.append(name)
+            return real_run_attack(name, *args, **kwargs)
+
+        monkeypatch.setattr(attack_matrix, "run_attack", counting)
+        policy = RunPolicy(checkpoint_dir=tmp_path / "ckpt", resume=True)
+        first = attack_matrix.run_attack_matrix(
+            corpus="iscas89-mini", policy=policy
+        )
+        n_cells = len(calls)
+        assert n_cells == len(first)
+
+        calls.clear()
+        attack_matrix.run_attack_matrix(corpus="iscas89-mini", policy=policy)
+        assert calls == []  # same content: every cell is reused
+
+        real_load = loader.load_corpus_circuit
+        monkeypatch.setattr(
+            loader, "load_corpus_circuit",
+            lambda name, store=None: dataclasses.replace(
+                real_load(name, store), digest="0" * 32
+            ),
+        )
+        again = attack_matrix.run_attack_matrix(
+            corpus="iscas89-mini", policy=policy
+        )
+        assert len(calls) == n_cells  # changed content: all recomputed
+        assert again == first
 
 
 class TestCampaignParams:
@@ -247,3 +380,52 @@ class TestCorpusCli:
         )
         assert code == 2
         assert "unknown corpus family" in capsys.readouterr().err
+
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "corpus_golden"
+
+
+def _golden_runs():
+    from repro.experiments import (
+        print_arms_race,
+        print_attack_matrix,
+        print_table1,
+        print_table2,
+        run_arms_race,
+        run_attack_matrix,
+        run_table1,
+        run_table2,
+    )
+
+    return {
+        "table1_iscas85-mini": lambda: print_table1(
+            run_table1(corpus="iscas85-mini")
+        ),
+        "table2_iscas89-mini": lambda: print_table2(
+            run_table2(corpus="iscas89-mini")
+        ),
+        "attacks_iscas89-mini": lambda: print_attack_matrix(
+            run_attack_matrix(corpus="iscas89-mini")
+        ),
+        "arms_race_iscas89-mini": lambda: print_arms_race(
+            run_arms_race(corpus="iscas89-mini")
+        ),
+    }
+
+
+class TestCorpusHarnessGolden:
+    """Every harness's corpus path, pinned to its rendered table.
+
+    The golden files are the harness output on the vendored ``*-mini``
+    fixtures; a change to any shared compute path that moves a corpus
+    row shows up here as a text diff.
+    """
+
+    @pytest.mark.parametrize(
+        "run", ["table1_iscas85-mini", "table2_iscas89-mini",
+                "attacks_iscas89-mini", "arms_race_iscas89-mini"],
+    )
+    def test_rendered_table_matches_golden(self, run, fresh_store, capsys):
+        text = _golden_runs()[run]()
+        capsys.readouterr()
+        assert text + "\n" == (GOLDEN_DIR / f"{run}.txt").read_text()
