@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install dev lint test verify-fast verify-robust bench bench-sim bench-sim-smoke bench-telemetry bench-supervisor bench-service bench-corpus bench-gate campaign-smoke chaos-smoke serve-smoke experiments examples clean
+.PHONY: install dev lint test verify-fast verify-robust bench bench-sim bench-sim-smoke bench-telemetry bench-service bench-corpus bench-gate campaign-smoke chaos-smoke serve-smoke experiments examples clean
 
 install:
 	pip install -e .
@@ -81,12 +81,6 @@ bench-gate:
 # from the merged trace (repro chaos run, src/repro/experiments/chaos.py)
 chaos-smoke:
 	PYTHONPATH=src $(PY) -m repro chaos run --jobs 4
-
-# supervised-vs-bare worker pool overhead on an uninjected parallel
-# campaign; refreshes the `supervisor` block of BENCH_runtime.json
-# (gated <3% by scripts/bench_compare.py)
-bench-supervisor:
-	PYTHONPATH=src $(PY) -m repro chaos bench
 
 # job-service overhead vs direct run_rows (interleaved rounds, fixed
 # seed; see src/repro/service/bench.py); refreshes BENCH_service.json

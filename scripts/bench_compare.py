@@ -10,19 +10,21 @@ regression:
   but the fresh report lacks is always a failure (a silently shrinking
   benchmark is the classic way perf gates rot);
 * **slowdown** — a higher-is-better metric (``speedup``,
-  ``fused_speedup``, ``satattack.conflict_ratio``,
-  ``satattack.dips_per_solve``) dropping more than ``--threshold``
-  percent (default 25) below baseline, or a lower-is-better overhead
-  metric growing past both its baseline + threshold *and* its embedded
-  acceptance bound;
+  ``fused_speedup``, ``satattack.dips_per_solve``) dropping more than
+  ``--threshold`` percent (default 25) below baseline, a deterministic
+  lower-is-better work counter (``satattack.incremental.conflicts``,
+  ``satattack.incremental.n_solves``) growing more than ``--threshold``
+  percent above baseline, or a lower-is-better overhead metric growing
+  past both its baseline + threshold *and* its embedded acceptance
+  bound;
 * **correctness** — ``match: false`` in a fresh sim report or
   ``pass: false`` in a fresh telemetry report fails regardless of
   timing.
 
 Only *within-run ratios* (engine-vs-scalar speedup, projected overhead
-percentage) are compared across machines — absolute wall-clock numbers
-from a different box are not comparable and are reported informationally
-only.
+percentage) and machine-independent work counters are compared across
+machines — absolute wall-clock numbers from a different box are not
+comparable and are reported informationally only.
 
 ``BENCH_runtime.json`` records a one-off before/after instrumentation
 measurement that cannot be cheaply regenerated; when no fresh copy is
@@ -90,6 +92,22 @@ class Gate:
                 f"{self.threshold_pct:g}% below baseline {baseline:.2f}"
             )
 
+    def check_lower_better(
+        self, label: str, baseline: float, fresh: float
+    ) -> None:
+        """Fail when ``fresh`` is >threshold% above ``baseline``."""
+        ceiling = baseline * (1.0 + self.threshold_pct / 100.0)
+        verdict = "ok" if fresh <= ceiling else "REGRESSION"
+        self.lines.append(
+            f"  {label:<42} baseline {baseline:>10.2f}  "
+            f"fresh {fresh:>10.2f}  ({verdict})"
+        )
+        if fresh > ceiling:
+            self.failures.append(
+                f"{label}: {fresh:.2f} is more than "
+                f"{self.threshold_pct:g}% above baseline {baseline:.2f}"
+            )
+
 
 def compare_sim(gate: Gate, baseline: dict, fresh: dict | None) -> None:
     gate.lines.append("BENCH_sim.json (compiled engine vs scalar)")
@@ -141,11 +159,11 @@ def compare_sim(gate: Gate, baseline: dict, fresh: dict | None) -> None:
 
 
 def _compare_satattack(gate: Gate, baseline: dict, fresh: dict) -> None:
-    """Gate the SAT-attack solver-efficiency block of BENCH_sim.json.
+    """Gate the SAT-attack solver-work block of BENCH_sim.json.
 
-    Both regimes are deterministic, so ``conflict_ratio`` and
-    ``dips_per_solve`` are machine-independent and gated like within-run
-    speedups; wall-clock seconds stay informational.
+    The instance and the solver are deterministic, so the conflict and
+    solve counts and ``dips_per_solve`` are machine-independent and
+    gated like within-run ratios; wall-clock seconds stay informational.
     """
     base_sat = baseline.get("satattack")
     fresh_sat = fresh.get("satattack")
@@ -156,15 +174,25 @@ def _compare_satattack(gate: Gate, baseline: dict, fresh: dict) -> None:
         gate.fail("sim: fresh 'satattack' block missing")
         return
     if fresh_sat.get("match") is not True:
-        gate.fail("sim: satattack: a regime failed to recover a correct key")
-    for field in ("conflict_ratio", "dips_per_solve"):
-        base_v = base_sat.get(field)
-        fresh_v = fresh_sat.get(field)
+        gate.fail("sim: satattack: recovered key does not unlock the circuit")
+    base_inc = base_sat.get("incremental") or {}
+    fresh_inc = fresh_sat.get("incremental") or {}
+    for field in ("conflicts", "n_solves"):
+        base_v = base_inc.get(field)
+        fresh_v = fresh_inc.get(field)
         if base_v is None or fresh_v is None:
-            gate.fail(f"sim: satattack: {field!r} metric missing")
+            gate.fail(f"sim: satattack: 'incremental.{field}' metric missing")
             continue
+        gate.check_lower_better(
+            f"sim.satattack.incremental.{field}", float(base_v), float(fresh_v)
+        )
+    base_v = base_sat.get("dips_per_solve")
+    fresh_v = fresh_sat.get("dips_per_solve")
+    if base_v is None or fresh_v is None:
+        gate.fail("sim: satattack: 'dips_per_solve' metric missing")
+    else:
         gate.check_higher_better(
-            f"sim.satattack.{field}", float(base_v), float(fresh_v)
+            "sim.satattack.dips_per_solve", float(base_v), float(fresh_v)
         )
 
 
@@ -223,33 +251,6 @@ def compare_runtime(gate: Gate, baseline: dict, fresh: dict | None) -> None:
                 f"runtime: {key} overhead {value}% exceeds the "
                 f"{bound}% acceptance bound"
             )
-
-    # supervised worker-fleet overhead (repro chaos bench): the
-    # supervisor block carries its own acceptance bound (<3%) and is
-    # required — a report without it predates the supervised pool
-    sup = source.get("supervisor")
-    if not isinstance(sup, dict):
-        gate.fail(f"runtime: {which}: 'supervisor' overhead block missing")
-        return
-    sup_overhead = sup.get("overhead_percent")
-    sup_bound = sup.get("acceptance_bound_percent")
-    if not isinstance(sup_overhead, (int, float)) or sup_bound is None:
-        gate.fail(
-            f"runtime: {which}: supervisor overhead/acceptance "
-            "metrics missing"
-        )
-        return
-    verdict = "ok" if float(sup_overhead) <= float(sup_bound) else "REGRESSION"
-    gate.lines.append(
-        f"  runtime.supervisor_pool_overhead         {which}: "
-        f"{float(sup_overhead):>6.1f}% (bound {float(sup_bound):g}%, "
-        f"{verdict})"
-    )
-    if float(sup_overhead) > float(sup_bound):
-        gate.failures.append(
-            f"runtime: supervised-pool overhead {sup_overhead}% exceeds "
-            f"the {sup_bound}% acceptance bound"
-        )
 
 
 def compare_service(gate: Gate, baseline: dict, fresh: dict | None) -> None:

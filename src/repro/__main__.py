@@ -411,15 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pch = sub.add_parser(
         "chaos",
-        help="process-level chaos harness: injected crash/hang campaign "
-        "(run) or supervisor overhead bench (bench)",
+        help="process-level chaos harness: injected crash/hang campaign",
     )
     pch.add_argument(
         "action",
-        choices=["run", "bench"],
+        choices=["run"],
         help="run: campaign with injected worker kills/hangs/disk faults, "
-        "asserting completion + byte-identical tables + quarantine; "
-        "bench: supervised-vs-bare pool overhead into BENCH_runtime.json",
+        "asserting completion + byte-identical tables + quarantine",
     )
     pch.add_argument("--jobs", type=int, default=4, metavar="N")
     pch.add_argument(
@@ -439,11 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--keep", action="store_true",
         help="keep the working directory for post-mortem inspection",
     )
-    pch.add_argument("--repeats", type=int, default=3, help="bench repeats")
-    pch.add_argument(
-        "--out", type=str, default="BENCH_runtime.json",
-        help="bench output JSON path",
-    )
 
     return parser
 
@@ -457,24 +450,13 @@ def main(argv: list[str] | None = None) -> int:
             CHAOS_PATTERNS,
             CHAOS_SCALE,
             DEFAULT_CHAOS_SPEC,
-            run_chaos_bench,
             run_chaos_cli,
         )
 
-        chaos_circuits = args.circuits.split(",") if args.circuits else None
-        if args.action == "bench":
-            return run_chaos_bench(
-                jobs=args.jobs,
-                repeats=args.repeats,
-                circuits=chaos_circuits,
-                scale=args.scale or CHAOS_SCALE,
-                n_patterns=args.patterns or CHAOS_PATTERNS,
-                out=args.out,
-            )
         return run_chaos_cli(
             jobs=args.jobs,
             spec=args.spec or DEFAULT_CHAOS_SPEC,
-            circuits=chaos_circuits,
+            circuits=args.circuits.split(",") if args.circuits else None,
             scale=args.scale or CHAOS_SCALE,
             n_patterns=args.patterns or CHAOS_PATTERNS,
             workdir=args.workdir,

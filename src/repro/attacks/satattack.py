@@ -14,29 +14,24 @@ data inputs that fold away, so each iteration adds only a small key-cone —
 the trick that keeps instances tractable, as in the original attack tool's
 use of ABC-style preprocessing.
 
-Two solving regimes:
-
-* ``incremental=True`` (default) keeps ONE solver alive for the whole
-  attack.  The miter's difference literal is guarded by an activation
-  variable (``[-act, diff]``), so the DIP search runs under
-  ``assumptions=[act]`` and the final key extraction under
-  ``assumptions=[-act]`` on the *same* solver — learned clauses, VSIDS
-  activities and saved phases all carry across iterations instead of
-  being re-derived from scratch.  Each SAT answer also yields two
-  concrete keys (the ``K1``/``K2`` models); the attack bit-parallel
-  simulates both keys over ``dip_probe_patterns`` random patterns via
-  :meth:`~repro.sim.optape.OpTapeEngine.run_keyed` and turns every
-  differing column into an extra witnessed DIP — up to ``dip_batch``
-  oracle queries per solve, which cuts the number of (expensive) solver
-  calls well below the number of DIPs.  Batching is *adaptive*: an
-  extra DIP is only informative when its oracle answer contradicts a
-  model key that this solve's constraints had not already contradicted;
-  a batch that yields no such DIP halves the batch allowance
-  (point-function schemes like SARLock, where every probe re-kills the
-  same witness, fall back to the one-DIP-per-solve loop within a few
-  iterations instead of burning the DIP budget on redundant queries).
-* ``incremental=False`` reproduces the one-solve-per-DIP loop with a
-  fresh extraction solver, kept as the reference/legacy path.
+One solver lives for the whole attack.  The miter's difference literal
+is guarded by an activation variable (``[-act, diff]``), so the DIP
+search runs under ``assumptions=[act]`` and the final key extraction
+under ``assumptions=[-act]`` on the *same* solver — learned clauses,
+VSIDS activities and saved phases all carry across iterations instead
+of being re-derived from scratch.  Each SAT answer also yields two
+concrete keys (the ``K1``/``K2`` models); the attack bit-parallel
+simulates both keys over ``dip_probe_patterns`` random patterns via
+:meth:`~repro.sim.optape.OpTapeEngine.run_keyed` and turns every
+differing column into an extra witnessed DIP — up to ``dip_batch``
+oracle queries per solve, which cuts the number of (expensive) solver
+calls well below the number of DIPs.  Batching is *adaptive*: an extra
+DIP is only informative when its oracle answer contradicts a model key
+that this solve's constraints had not already contradicted; a batch
+that yields no such DIP halves the batch allowance (point-function
+schemes like SARLock, where every probe re-kills the same witness, fall
+back to the one-DIP-per-solve loop within a few iterations instead of
+burning the DIP budget on redundant queries).
 
 When no DIP exists, every key satisfying the accumulated constraints is
 functionally correct *with respect to the oracle's answers* — if the
@@ -72,14 +67,11 @@ class SATAttackConfig(AttackConfig):
         max_iterations: DIP budget before giving up (None = unlimited);
             counts every oracle-constrained DIP, including batched ones.
         conflict_budget: per-solve CDCL conflict cap (None = unlimited).
-        incremental: keep one solver across the whole attack (activation
-            literal + assumption-based warm restarts) instead of the
-            legacy one-solve-per-DIP loop with a fresh extraction solver.
-        dip_batch: maximum oracle-constrained DIPs per solver call on the
-            incremental path (the solver's own DIP plus simulated
-            witnesses); ``<= 1`` disables batching.  The live allowance
-            adapts downward (halving) whenever a batch produces only
-            redundant DIPs, and resets after a productive batch.
+        dip_batch: maximum oracle-constrained DIPs per solver call (the
+            solver's own DIP plus simulated witnesses); ``<= 1`` disables
+            batching.  The live allowance adapts downward (halving)
+            whenever a batch produces only redundant DIPs, and resets
+            after a productive batch.
         dip_probe_patterns: random input patterns simulated per batch
             probe to hunt for extra DIPs distinguishing the two model
             keys; ``0`` disables probing.
@@ -97,7 +89,6 @@ class SATAttackConfig(AttackConfig):
 
     max_iterations: int | None = 256
     conflict_budget: int | None = None
-    incremental: bool = True
     dip_batch: int = 8
     dip_probe_patterns: int = 256
     dip_probe_keys: int = 8
@@ -154,9 +145,8 @@ def sat_attack(
 
     Returns:
         AttackResult with ``recovered_key`` set when the DIP loop reached
-        UNSAT (``completed=True``).  ``notes`` carries ``conflicts``,
-        ``n_solves`` and ``dips_per_solve`` for solver-efficiency
-        comparisons between the incremental and legacy regimes.
+        UNSAT (``completed=True``).  ``notes`` carries the solver-work
+        counters ``conflicts``, ``n_solves`` and ``dips_per_solve``.
     """
     config = config or SATAttackConfig()
     key_set = set(key_inputs)
@@ -179,21 +169,14 @@ def sat_attack(
         for wi, k_out in ((0, out1), (1, out2))
     }
 
-    act: int | None = None
-    if config.incremental:
-        # soft miter: [-act, diff] is the difference constraint only when
-        # act is assumed, so the same solver answers the key-extraction
-        # query under [-act] with all learned clauses intact
-        act = solver.new_var()
-        solver.add_clause([-act, enc.sat_literal(diff)])
-        dip_assumps: list[int] = [act]
-    else:
-        solver.add_clause([enc.sat_literal(diff)])
-        dip_assumps = []
+    # soft miter: [-act, diff] is the difference constraint only when act
+    # is assumed, so the same solver answers the key-extraction query
+    # under [-act] with all learned clauses intact
+    act = solver.new_var()
+    solver.add_clause([-act, enc.sat_literal(diff)])
 
     batching = (
-        config.incremental
-        and bool(key_inputs)
+        bool(key_inputs)
         and bool(data_inputs)
         and config.dip_batch > 1
         and config.dip_probe_patterns > 0
@@ -219,7 +202,6 @@ def sat_attack(
     def notes(**extra: object) -> dict:
         return {
             "io_log_len": len(io_log),
-            "incremental": config.incremental,
             "conflicts": solver.stats_conflicts,
             "n_solves": n_solves,
             "dips_per_solve": round(len(io_log) / max(1, n_solves), 4),
@@ -266,7 +248,7 @@ def sat_attack(
             with telemetry.span("attack.sat.iteration", dip=len(io_log)):
                 try:
                     res = solver.solve(
-                        assumptions=dip_assumps,
+                        assumptions=[act],
                         conflict_budget=config.conflict_budget,
                         budget=budget,
                     )
@@ -383,22 +365,16 @@ def sat_attack(
                         # one-DIP-per-solve loop within a few solves
                         allowed_extra //= 2
 
-        if config.incremental:
-            assert act is not None
-            res = solver.solve(assumptions=[-act], budget=budget)
-            n_solves += 1
-            if res.sat:
-                assert res.model is not None
-                key = {
-                    name: int(res.model[enc.pi_var(lit)])
-                    for name, lit in k1_lits.items()
-                }
-            else:
-                key = None  # contradictory history (e.g. a flaky oracle)
+        res = solver.solve(assumptions=[-act], budget=budget)
+        n_solves += 1
+        if res.sat:
+            assert res.model is not None
+            key = {
+                name: int(res.model[enc.pi_var(lit)])
+                for name, lit in k1_lits.items()
+            }
         else:
-            key = extract_consistent_key(
-                locked, key_inputs, io_log, budget=budget
-            )
+            key = None  # contradictory history (e.g. a flaky oracle)
     except ResourceExhausted as exc:
         return exhausted_result(
             "sat", exc, iterations=len(io_log), oracle_queries=queries_used()

@@ -1,7 +1,7 @@
 """Experiment harnesses: one module per paper artifact (E1..E5) plus the
 ablation sweeps called out in DESIGN.md."""
 
-from .chaos import DEFAULT_CHAOS_SPEC, run_chaos_bench, run_chaos_cli
+from .chaos import DEFAULT_CHAOS_SPEC, run_chaos_cli
 from .common import DEFAULT_SCALE, format_table
 from .runner import (
     DEFAULT_CHECKPOINT_ROOT,
@@ -42,7 +42,6 @@ __all__ = [
     "ExperimentRunner",
     "RowTask",
     "RunPolicy",
-    "run_chaos_bench",
     "run_chaos_cli",
     "format_table",
     "Table1Row",

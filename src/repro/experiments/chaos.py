@@ -15,25 +15,17 @@ result cache — and then asserts that
 * a checkpoint torn *after* the run is skipped with a warning and
   recomputed on ``--resume`` (never a traceback), with the quarantine
   verdict reused rather than re-poisoning the fleet.
-
-``repro chaos bench`` measures the supervisor's overhead against the
-bare ``ProcessPoolExecutor`` path on an *uninjected* parallel campaign
-and refreshes the ``supervisor`` block of ``BENCH_runtime.json`` that
-``scripts/bench_compare.py`` gates (<3%).
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
-import json
 import os
 import shutil
 import tempfile
-import time
 import warnings
 from pathlib import Path
-from typing import Any
 
 from .. import telemetry
 from ..runtime import faultinject
@@ -255,73 +247,4 @@ def run_chaos_cli(
         return 1
     print("\n[chaos] chaos smoke passed: campaign survived injected "
           "crashes, hangs, a poison row, a full disk and a torn checkpoint")
-    return 0
-
-
-# --------------------------------------------------------------------- #
-# supervisor overhead bench
-
-
-def _timed_campaign(supervised: bool, jobs: int, circuits: list[str],
-                    scale: float, n_patterns: int) -> float:
-    fingerprint, tasks = table1._tasks(
-        CircuitSource(scale), circuits, n_patterns, CHAOS_KEYS, CHAOS_SEED
-    )
-    runner = ExperimentRunner(
-        "chaos-bench", RunPolicy(jobs=jobs, supervised=supervised),
-        fingerprint,
-    )
-    t0 = time.perf_counter()
-    runner.run_rows(tasks)
-    return time.perf_counter() - t0
-
-
-def run_chaos_bench(
-    jobs: int = 2,
-    repeats: int = 3,
-    circuits: list[str] | None = None,
-    scale: float = CHAOS_SCALE,
-    n_patterns: int = CHAOS_PATTERNS,
-    out: str = "BENCH_runtime.json",
-) -> int:
-    """Measure supervised-vs-bare pool overhead; refresh ``out``.
-
-    Both paths run the identical uninjected parallel campaign;
-    min-of-``repeats`` wall clock is compared and written into the
-    ``supervisor`` block gated by ``scripts/bench_compare.py``.
-    """
-    circuits = circuits or list(DEFAULT_CHAOS_CIRCUITS)
-    bare = min(
-        _timed_campaign(False, jobs, circuits, scale, n_patterns)
-        for _ in range(repeats)
-    )
-    supervised = min(
-        _timed_campaign(True, jobs, circuits, scale, n_patterns)
-        for _ in range(repeats)
-    )
-    overhead = (supervised - bare) / bare * 100.0
-    print(f"bare pool       {bare:8.3f} s")
-    print(f"supervised pool {supervised:8.3f} s")
-    print(f"overhead        {overhead:8.2f} %")
-    path = Path(out)
-    payload: dict[str, Any] = {}
-    if path.exists():
-        payload = json.loads(path.read_text())
-    payload["supervisor"] = {
-        "description": (
-            "Uninjected parallel Table I campaign "
-            f"({','.join(circuits)} @ x{scale:g}, --jobs {jobs}, "
-            f"min of {repeats}): bare ProcessPoolExecutor vs the "
-            "supervised fleet (heartbeats + watchdogs + retry/quarantine "
-            "bookkeeping). Regenerate with `repro chaos bench`."
-        ),
-        "jobs": jobs,
-        "repeats": repeats,
-        "bare_pool_s": round(bare, 3),
-        "supervised_s": round(supervised, 3),
-        "overhead_percent": round(overhead, 2),
-        "acceptance_bound_percent": 3.0,
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote supervisor block to {path}")
     return 0

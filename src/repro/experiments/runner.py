@@ -23,7 +23,6 @@ before the current row produced anything.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
@@ -80,10 +79,10 @@ class RunPolicy:
             None (default) disables result caching.
         cache_max_bytes: LRU size bound for the result cache (None =
             the store's default).
-        supervised: run parallel campaigns on the crash/hang-containing
-            :class:`~repro.runtime.SupervisedPool` (the default) instead
-            of a bare ``ProcessPoolExecutor`` (kept for overhead
-            benchmarking; a worker crash there aborts the campaign).
+        supervised: deprecated v1 no-op.  Parallel campaigns always
+            run on the crash/hang-containing
+            :class:`~repro.runtime.SupervisedPool`; ``False`` warns once
+            and is reset to ``True``.
         worker_retries: process-level retries before a row that crashes
             or hangs its worker is quarantined.
         hang_grace_s: wall-clock margin past a row's full in-process
@@ -132,6 +131,15 @@ class RunPolicy:
             from ..sim.metrics import reset_ignored_knobs
 
             reset_ignored_knobs(self)
+        if not self.supervised:
+            from ..sim.metrics import warn_ignored
+
+            warn_ignored(
+                "RunPolicy.supervised=False",
+                stacklevel=4,
+                reason="parallel rows always run on the supervised pool",
+            )
+            self.supervised = True
 
     def row_allowance_s(self) -> float | None:
         """Worst-case in-process wall clock for one supervised row.
@@ -206,29 +214,26 @@ def _configure_policy_cache(policy: RunPolicy) -> "ResultCache | None":
     return result_cache.configure(policy.cache_dir, max_bytes=max_bytes)
 
 
-def _pool_worker(
+def _guarded_row(
+    policy: RunPolicy,
+    experiment: str,
+    key: str,
     compute: Callable[..., Any],
     args: tuple[Any, ...],
     kwargs: dict[str, Any],
-    policy: RunPolicy,
-    experiment: str = "",
-    key: str = "",
+    **span_attrs: Any,
 ) -> RunOutcome:
-    """Child-process entry: one guarded row under a fresh budget.
+    """One row under ``run_with_retry`` with fresh per-attempt budgets.
 
-    When the policy carries a ``trace_path`` the worker joins the shared
-    JSONL trace (idempotent across rows of the same batch) and wraps the
-    row in its own ``experiment.row`` span.  Counter totals are flushed
-    after every row — pool children exit via ``os._exit``, which skips
-    ``atexit``, so waiting for interpreter shutdown would lose them; the
-    report tool sums totals records per counter, so per-row flushing
-    changes record counts, not reported values.
+    The row body shared by in-process rows and supervised workers: an
+    ``experiment.row`` span around the guarded compute, then the
+    ``experiment.rows`` counter.  Counter totals are flushed after every
+    row because a crashed worker never reaches ``atexit``; the report
+    tool sums totals records per counter, so per-row flushing changes
+    record counts, not reported values.
     """
-    if policy.trace_path is not None:
-        telemetry.configure(path=policy.trace_path)
-    _configure_policy_cache(policy)
     with telemetry.span(
-        "experiment.row", experiment=experiment, key=key
+        "experiment.row", experiment=experiment, key=key, **span_attrs
     ) as sp:
         outcome = run_with_retry(
             compute,
@@ -287,31 +292,14 @@ def _supervised_row(
     payload: tuple[Callable[..., Any], tuple, dict],
     attempt: int,
 ) -> RunOutcome:
-    """Supervised-worker row entry: one guarded row under a fresh budget.
-
-    Same contract as :func:`_pool_worker`, shaped for
+    """Supervised-worker row entry: :func:`_guarded_row` shaped for
     :class:`~repro.runtime.SupervisedPool` (``attempt`` is the
-    process-level attempt — nonzero after a crash/hang re-dispatch).
-    Counters are flushed per row because crashed workers never reach
-    ``atexit``.
-    """
+    process-level attempt — nonzero after a crash/hang re-dispatch)."""
     policy, experiment = row_arg
     compute, args, kwargs = payload
-    with telemetry.span(
-        "experiment.row", experiment=experiment, key=key, attempt=attempt
-    ) as sp:
-        outcome = run_with_retry(
-            compute,
-            *args,
-            budget_factory=policy.budget_factory(),
-            retries=policy.retries,
-            backoff_s=policy.backoff_s,
-            **kwargs,
-        )
-        sp.set(status=outcome.status.value, attempts=outcome.attempts)
-    telemetry.counter_add("experiment.rows")
-    telemetry.flush_counters()
-    return outcome
+    return _guarded_row(
+        policy, experiment, key, compute, args, kwargs, attempt=attempt
+    )
 
 
 class ExperimentRunner:
@@ -375,41 +363,16 @@ class ExperimentRunner:
         diagnostics — a malformed circuit becomes a visible verdict, not
         a wrong number or a hung solver.
         """
-        if faultinject.enabled:
-            # deliberately outside the guarded region: an injected crash
-            # here kills the campaign like a power cut between rows
-            faultinject.fire("experiment.row")
-
-        if self.store is not None and self.policy.resume:
-            cached = self._load_cached(key, decode)
-            if cached is not None:
-                self.rows_reused += 1
-                return cached
-
-        hit = self._cache_lookup(key, encode, decode)
-        if hit is not None:
-            self.rows_cached += 1
-            return hit
-
-        if preflight is not None:
-            failed = self._run_preflight(key, preflight, preflight_args)
-            if failed is not None:
-                return failed
-
-        with telemetry.span(
-            "experiment.row", experiment=self.experiment, key=key
-        ) as sp:
-            outcome = run_with_retry(
-                compute,
-                *args,
-                budget_factory=self.policy.budget_factory(),
-                retries=self.policy.retries,
-                backoff_s=self.policy.backoff_s,
-                **(kwargs or {}),
-            )
-            sp.set(status=outcome.status.value, attempts=outcome.attempts)
-        telemetry.counter_add("experiment.rows")
-        self.rows_computed += 1
+        task = RowTask(
+            key, compute, args, kwargs or {}, encode=encode, decode=decode,
+            preflight=preflight, preflight_args=preflight_args,
+        )
+        served = self._gate(task)
+        if served is not None:
+            return served
+        outcome = _guarded_row(
+            self.policy, self.experiment, key, compute, args, task.kwargs
+        )
         self._save_outcome(key, outcome, encode)
         return outcome
 
@@ -420,10 +383,9 @@ class ExperimentRunner:
 
         With ``jobs`` (default ``policy.jobs``) above 1, rows whose
         results are not already checkpointed are dispatched to a
-        :class:`~repro.runtime.SupervisedPool` (or, with
-        ``policy.supervised=False``, a bare ``ProcessPoolExecutor``);
-        each worker re-runs the row under the same policy (fresh
-        per-attempt budgets, retry/backoff) via :func:`run_with_retry`.
+        :class:`~repro.runtime.SupervisedPool`; each worker re-runs the
+        row under the same policy (fresh per-attempt budgets,
+        retry/backoff) via :func:`run_with_retry`.
         Everything stateful — fault-injection sites, resume-cache
         lookups, lint preflights and checkpoint writes — stays in the
         parent, and outcomes are keyed by task index, so a parallel
@@ -463,33 +425,39 @@ class ExperimentRunner:
         results: list[RunOutcome | None] = [None] * len(tasks)
         remaining: list[tuple[int, RowTask]] = []
         for i, t in enumerate(tasks):
-            if faultinject.enabled:
-                faultinject.fire("experiment.row")
-            if self.store is not None and self.policy.resume:
-                cached = self._load_cached(t.key, t.decode)
-                if cached is not None:
-                    self.rows_reused += 1
-                    results[i] = cached
-                    continue
-            hit = self._cache_lookup(t.key, t.encode, t.decode)
-            if hit is not None:
-                self.rows_cached += 1
-                results[i] = hit
-                continue
-            if t.preflight is not None:
-                failed = self._run_preflight(
-                    t.key, t.preflight, t.preflight_args
-                )
-                if failed is not None:
-                    results[i] = failed
-                    continue
-            remaining.append((i, t))
+            results[i] = self._gate(t)
+            if results[i] is None:
+                remaining.append((i, t))
         if remaining:
-            if self.policy.supervised:
-                self._run_supervised(tasks, remaining, results, jobs)
-            else:
-                self._run_bare_pool(tasks, remaining, results, jobs)
+            self._run_supervised(tasks, remaining, results, jobs)
         return [r for r in results if r is not None]
+
+    def _gate(self, task: RowTask) -> RunOutcome | None:
+        """Serve one row without computing it, or None to compute it.
+
+        Fires the ``experiment.row`` fault-injection site (outside any
+        guarded region: an injected crash kills the campaign like a power
+        cut between rows), then tries, in order, the resume checkpoint,
+        the result cache and the lint preflight.  Sequential rows and the
+        parallel pre-dispatch both pass through here, so a row's verdict
+        never depends on ``jobs``.
+        """
+        if faultinject.enabled:
+            faultinject.fire("experiment.row")
+        if self.store is not None and self.policy.resume:
+            cached = self._load_cached(task.key, task.decode)
+            if cached is not None:
+                self.rows_reused += 1
+                return cached
+        hit = self._cache_lookup(task.key, task.encode, task.decode)
+        if hit is not None:
+            self.rows_cached += 1
+            return hit
+        if task.preflight is None:
+            return None
+        return self._run_preflight(
+            task.key, task.preflight, task.preflight_args
+        )
 
     def _run_supervised(
         self,
@@ -518,7 +486,6 @@ class ExperimentRunner:
         )
 
         def on_result(index: int, outcome: RunOutcome) -> None:
-            self.rows_computed += 1
             self._save_outcome(tasks[index].key, outcome, tasks[index].encode)
             results[index] = outcome
 
@@ -527,61 +494,6 @@ class ExperimentRunner:
              for i, t in remaining],
             on_result=on_result,
         )
-
-    def _run_bare_pool(
-        self,
-        tasks: list[RowTask],
-        remaining: list[tuple[int, RowTask]],
-        results: list[RunOutcome | None],
-        jobs: int,
-    ) -> None:
-        """Legacy unsupervised path (``policy.supervised=False``).
-
-        Kept as the overhead-benchmark baseline; a worker crash here
-        still aborts the whole campaign (``BrokenProcessPool``), but an
-        interrupt at least flushes finished rows and reports a resumable
-        position instead of a ``concurrent.futures`` stack trace.
-        """
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        futures: dict[int, Any] = {}
-        try:
-            for i, t in remaining:
-                futures[i] = pool.submit(
-                    _pool_worker,
-                    t.compute,
-                    t.args,
-                    t.kwargs,
-                    self.policy,
-                    self.experiment,
-                    t.key,
-                )
-            for i, fut in futures.items():
-                outcome = fut.result()
-                self.rows_computed += 1
-                self._save_outcome(tasks[i].key, outcome, tasks[i].encode)
-                results[i] = outcome
-        except KeyboardInterrupt:
-            # flush whatever already finished, kill the rest promptly,
-            # and surface a clean "resumable at row k/n" verdict
-            for i, fut in futures.items():
-                if results[i] is None and fut.done() and not fut.cancelled():
-                    try:
-                        outcome = fut.result(timeout=0)
-                    except Exception:
-                        continue
-                    self.rows_computed += 1
-                    self._save_outcome(
-                        tasks[i].key, outcome, tasks[i].encode
-                    )
-                    results[i] = outcome
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise CampaignInterrupted(
-                done=sum(1 for r in results if r is not None),
-                total=len(tasks),
-                experiment=self.experiment,
-            ) from None
-        else:
-            pool.shutdown(wait=True)
 
     def _row_cache_key(self, key: str) -> "CacheKey | None":
         """Content-addressed key of one row (None when underivable).
@@ -633,13 +545,15 @@ class ExperimentRunner:
         outcome: RunOutcome,
         encode: Callable[[Any], dict] | None,
     ) -> None:
-        """Persist one computed row: checkpoint always, cache when ``ok``.
+        """Count and persist one computed row: checkpoint always, cache
+        when ``ok``.
 
         Only ``ok`` rows enter the result cache — a timeout or budget
         verdict depends on the machine and the moment, so replaying it
         from a cache would freeze a transient into a fact.  (Checkpoints
         keep those verdicts; that is resume's job.)
         """
+        self.rows_computed += 1
         payload = None
         if self.store is not None:
             payload = outcome_to_payload(outcome, encode, self.fingerprint)

@@ -1,8 +1,8 @@
 """Supervised worker fleet: crash/hang containment for campaign rows.
 
-A bare :class:`~concurrent.futures.ProcessPoolExecutor` fails the way
-the paper's workload cannot afford: a worker that dies (segfault, OOM
-kill, ``os._exit`` deep in native code) raises ``BrokenProcessPool`` and
+A bare ``concurrent.futures`` process pool fails the way the paper's
+workload cannot afford: a worker that dies (segfault, OOM kill,
+``os._exit`` deep in native code) raises ``BrokenProcessPool`` and
 aborts every row in flight, and a worker hung in native code never
 returns because :class:`~repro.runtime.budget.Budget` deadlines are
 checked *cooperatively, in-process*.  :class:`SupervisedPool` replaces

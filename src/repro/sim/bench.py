@@ -9,11 +9,10 @@ against the scalar oracle, and any disagreement makes the benchmark
 *fail* — timing never does (a loaded CI box must not flake the build,
 so the smoke job asserts agreement only).
 
-A SAT-attack block times the legacy one-solve-per-DIP regime against the
-incremental solver (activation literal + batched DIP probing) on a fixed
-RLL instance and records the solver-efficiency ratios
-(``conflict_ratio``, ``dips_per_solve``) that
-``scripts/bench_compare.py`` gates.
+A SAT-attack block runs the attack (one persistent solver, activation
+literal + batched DIP probing) on a fixed RLL instance and records its
+deterministic solver-work counters (``conflicts``, ``n_solves``,
+``dips_per_solve``) that ``scripts/bench_compare.py`` gates.
 
 Timing discipline: every measurement is the minimum over ``repeats``
 runs — the minimum is the right estimator for a deterministic workload,
@@ -188,12 +187,13 @@ SATATTACK_BENCH = {
 
 
 def bench_satattack(seed: int = 0) -> dict[str, Any]:
-    """Time legacy vs incremental SAT attack on a fixed RLL instance.
+    """Time the SAT attack on a fixed RLL instance.
 
-    The instance and both solving regimes are fully deterministic, so
-    ``conflict_ratio`` (legacy/incremental conflicts, higher is better)
-    and ``dips_per_solve`` are stable across machines and can be gated —
-    unlike the wall-clock seconds, which are informational.
+    The instance and the solver are fully deterministic, so the
+    ``conflicts``/``n_solves`` counters and ``dips_per_solve`` are
+    stable across machines and can be gated — unlike the wall-clock
+    seconds, which are informational.  ``match`` means the recovered
+    key provably unlocks the circuit (``prove_unlocks``).
     """
     from ..attacks import SATAttackConfig, sat_attack
     from ..attacks.oracle import IdealOracle
@@ -214,45 +214,29 @@ def bench_satattack(seed: int = 0) -> dict[str, Any]:
     )
     lc = lock_random(base, p["key_width"], rng=p["lock_seed"])
 
-    def attack(incremental: bool) -> tuple[dict[str, Any], bool]:
-        t0 = time.perf_counter()
-        res = sat_attack(
-            lc.locked,
-            lc.key_inputs,
-            IdealOracle(base),
-            SATAttackConfig(
-                max_iterations=256, seed=seed, incremental=incremental
-            ),
-        )
-        elapsed = time.perf_counter() - t0
-        unlocks = res.recovered_key is not None and prove_unlocks(
-            base, lc.locked, res.recovered_key
-        )
-        return {
+    t0 = time.perf_counter()
+    res = sat_attack(
+        lc.locked,
+        lc.key_inputs,
+        IdealOracle(base),
+        SATAttackConfig(max_iterations=256, seed=seed),
+    )
+    elapsed = time.perf_counter() - t0
+    unlocks = res.recovered_key is not None and prove_unlocks(
+        base, lc.locked, res.recovered_key
+    )
+    return {
+        "instance": dict(p),
+        "incremental": {
             "time_s": round(elapsed, 6),
             "dips": res.iterations,
             "oracle_queries": res.oracle_queries,
             "conflicts": res.notes["conflicts"],
             "n_solves": res.notes["n_solves"],
             "dips_per_solve": res.notes["dips_per_solve"],
-        }, unlocks
-
-    legacy, legacy_ok = attack(incremental=False)
-    incremental, incremental_ok = attack(incremental=True)
-    # legacy "conflicts" undercounts (its fresh extraction solver is not
-    # included) while the incremental figure is total — conservative
-    conflict_ratio = (
-        round(legacy["conflicts"] / incremental["conflicts"], 4)
-        if incremental["conflicts"]
-        else None
-    )
-    return {
-        "instance": dict(p),
-        "legacy": legacy,
-        "incremental": incremental,
-        "conflict_ratio": conflict_ratio,
-        "dips_per_solve": incremental["dips_per_solve"],
-        "match": legacy_ok and incremental_ok,
+        },
+        "dips_per_solve": res.notes["dips_per_solve"],
+        "match": unlocks,
     }
 
 
@@ -377,10 +361,8 @@ def run_bench_cli(
     )
     sat = report["satattack"]
     print(
-        f"satattack: conflicts {sat['legacy']['conflicts']} -> "
-        f"{sat['incremental']['conflicts']} "
-        f"(ratio {sat['conflict_ratio']}), solves "
-        f"{sat['legacy']['n_solves']} -> {sat['incremental']['n_solves']}, "
+        f"satattack: conflicts {sat['incremental']['conflicts']}, "
+        f"solves {sat['incremental']['n_solves']}, "
         f"dips/solve {sat['dips_per_solve']}, "
         f"{'ok' if sat['match'] else 'FAIL'}"
     )

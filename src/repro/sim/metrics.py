@@ -44,16 +44,21 @@ DEFAULT_MAX_MATRIX_BYTES = 32 << 20
 _DEPRECATED_LANES = ("numpy", "fused", "numba", "cupy")
 
 
-def warn_ignored(spelling: str, stacklevel: int = 3) -> None:
-    """Warn that a deprecated v1 simulation knob is now a no-op.
+def warn_ignored(
+    spelling: str,
+    stacklevel: int = 3,
+    reason: str = "simulation always runs on the fused lane under a "
+    "fixed chunk cap",
+) -> None:
+    """Warn that a deprecated v1 knob is now a no-op.
 
-    Every execution lane and chunk cap was bit-identical by contract,
-    so ignoring the value cannot change a result.  The spelling is
-    removed after one release of this warning.
+    Every execution lane and chunk cap was bit-identical by contract
+    (as were the supervised and bare worker pools), so ignoring the
+    value cannot change a result.  The spelling is removed after one
+    release of this warning.
     """
     warnings.warn(
-        f"{spelling} is deprecated and ignored: simulation always runs "
-        "on the fused lane under a fixed chunk cap",
+        f"{spelling} is deprecated and ignored: {reason}",
         DeprecationWarning,
         stacklevel=stacklevel,
     )

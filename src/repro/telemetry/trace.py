@@ -384,9 +384,9 @@ def flush_counters() -> None:
     """Emit one record per counter/gauge with this process's totals.
 
     Campaign drivers call this (via :func:`shutdown`) once at the end;
-    pool workers flush after every row (their ``os._exit`` skips
-    ``atexit``), so a merged trace may carry several totals records per
-    (counter, pid) — consumers must sum them.
+    every campaign row flushes when it finishes (a pool worker's
+    ``os._exit`` skips ``atexit``), so a merged trace may carry several
+    totals records per (counter, pid) — consumers must sum them.
     """
     if not _enabled:
         return

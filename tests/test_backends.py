@@ -196,9 +196,9 @@ class TestSolverPersistence:
 class TestIncrementalSATAttack:
     @pytest.fixture(scope="class")
     def instance(self):
-        # the bench's fixed instance: hard enough that legacy needs
-        # several DIP iterations, so solver persistence + batching have
-        # room to show (tiny instances converge in 2 DIPs either way)
+        # the bench's fixed instance: hard enough to need several DIP
+        # iterations, so solver persistence + batching have room to show
+        # (tiny instances converge in 2 DIPs either way)
         base = _circuit(4, n_gates=120, n_inputs=10, n_outputs=10, depth=6)
         return base, lock_random(base, 16, rng=7)
 
@@ -207,28 +207,22 @@ class TestIncrementalSATAttack:
 
         return IdealOracle(base)
 
-    def test_incremental_matches_legacy_and_solves_less(self, instance):
+    def test_recovers_key_and_batching_saves_a_solve(self, instance):
         from repro.attacks import SATAttackConfig, sat_attack
         from repro.sat import prove_unlocks
 
         base, lc = instance
-        legacy = sat_attack(
-            lc.locked,
-            lc.key_inputs,
-            self._oracle(base),
-            SATAttackConfig(max_iterations=128, incremental=False),
-        )
-        inc = sat_attack(
+        res = sat_attack(
             lc.locked,
             lc.key_inputs,
             self._oracle(base),
             SATAttackConfig(max_iterations=128),
         )
-        assert legacy.completed and inc.completed
-        assert prove_unlocks(base, lc.locked, legacy.recovered_key)
-        assert prove_unlocks(base, lc.locked, inc.recovered_key)
-        assert inc.notes["n_solves"] <= legacy.notes["n_solves"]
-        assert inc.notes["dips_per_solve"] >= legacy.notes["dips_per_solve"]
+        assert res.completed
+        assert prove_unlocks(base, lc.locked, res.recovered_key)
+        # a one-DIP-per-solve loop needs iterations + 1 solves (one per
+        # DIP plus the final UNSAT); batching must save at least one
+        assert res.notes["n_solves"] <= res.iterations
 
     def test_batching_disabled_still_correct(self, instance):
         from repro.attacks import SATAttackConfig, sat_attack

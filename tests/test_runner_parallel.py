@@ -5,8 +5,9 @@ everything stateful (checkpoints, resume cache, preflights) must stay in
 the parent — these tests pin that contract.
 """
 
-import pytest
+import warnings
 
+from repro import cache as result_cache
 from repro.experiments import ExperimentRunner, RowTask, RunPolicy
 from repro.lint import lint_netlist
 from repro.netlist import GateType, Netlist
@@ -130,3 +131,78 @@ class TestParallelPreflight:
         assert outcomes[0].status is RunStatus.OK
         assert outcomes[1].status is RunStatus.ERROR
         assert "lint preflight failed" in outcomes[1].error
+
+
+class TestUnifiedGate:
+    """Sequential rows and the parallel pre-dispatch share one gate, so
+    every kind of served row gets the same verdict whatever ``jobs``."""
+
+    def _campaign(self, root, jobs):
+        fp = {"v": 1}
+        resumed = RowTask(key="resumed", compute=_square, args=(5,))
+        cached = RowTask(key="cached", compute=_square, args=(6,))
+        # seed a checkpoint for one row and a result-cache entry for
+        # another (no checkpoint store there, so resume cannot serve it)
+        ExperimentRunner(
+            "gate", RunPolicy(checkpoint_dir=root / "ckpt"), fp
+        ).run_rows([resumed])
+        ExperimentRunner(
+            "gate", RunPolicy(cache_dir=root / "cache"), fp
+        ).run_rows([cached])
+        policy = RunPolicy(
+            checkpoint_dir=root / "ckpt",
+            resume=True,
+            cache_dir=root / "cache",
+            jobs=jobs,
+        )
+        runner = ExperimentRunner("gate", policy, fp)
+        outcomes = runner.run_rows(
+            [
+                resumed,
+                cached,
+                RowTask(key="bad", compute=_square, args=(7,),
+                        preflight=_bad_preflight),
+                RowTask(key="good", compute=_square, args=(8,),
+                        preflight=_good_preflight),
+                RowTask(key="plain", compute=_fail_odd, args=(9,)),
+            ]
+        )
+        counts = (runner.rows_reused, runner.rows_cached, runner.rows_computed)
+        return [(o.status, o.value) for o in outcomes], counts
+
+    def test_jobs_1_and_2_agree_on_every_served_row(self, tmp_path):
+        try:
+            serial = self._campaign(tmp_path / "j1", jobs=1)
+            parallel = self._campaign(tmp_path / "j2", jobs=2)
+        finally:
+            result_cache.disable()
+        assert serial == parallel
+        rows, counts = serial
+        assert [status for status, _ in rows] == [
+            RunStatus.OK,
+            RunStatus.OK,
+            RunStatus.ERROR,
+            RunStatus.OK,
+            RunStatus.ERROR,
+        ]
+        assert rows[0][1] == {"value": 25} and rows[1][1] == {"value": 36}
+        assert counts == (1, 1, 3)
+
+
+class TestSupervisedNoOp:
+    def test_unsupervised_policy_warns_and_runs_supervised(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            policy = RunPolicy(supervised=False, jobs=2)
+        deprecations = [
+            w for w in caught if issubclass(w.category, DeprecationWarning)
+        ]
+        assert len(deprecations) == 1
+        assert "deprecated and ignored" in str(deprecations[0].message)
+        assert deprecations[0].filename == __file__  # blames the caller
+        assert policy.supervised is True
+        parallel = ExperimentRunner("nosup", policy).run_rows(_tasks())
+        serial = ExperimentRunner("sup").run_rows(_tasks(), jobs=1)
+        assert [(o.status, o.value) for o in parallel] == [
+            (o.status, o.value) for o in serial
+        ]
