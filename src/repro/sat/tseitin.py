@@ -3,7 +3,9 @@
 :class:`CircuitEncoder` maintains a shared :class:`~repro.sat.cnf.CNF` and a
 per-instance variable map, so several circuit copies (the two keyed copies
 of a SAT-attack miter, unrolled oracle constraints, ...) can share input
-variables while keeping distinct internal variables.
+variables while keeping distinct internal variables.  Its per-gate
+clauses come from :func:`encode_gate`, the one gate-to-CNF table, which
+partial encodings (the fanout-cone miter of SAT-ATPG) call directly.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ class CircuitEncoder:
         return v
 
     def _encode(self) -> None:
-        cnf = self.cnf
         # two-pass encoding: allocate every net's variable first, then add
         # the per-gate constraints.  Constraints are local, so no
         # topological order is required — cyclically locked netlists
@@ -65,52 +66,65 @@ class CircuitEncoder:
                 self._fresh(name)
         for name in order:
             gate = self.netlist.gate(name)
-            out = self.var_of[name]
-            t = gate.gtype
-            if t is GateType.INPUT:
-                continue  # free variable
-            if t is GateType.CONST0:
-                cnf.add_clause([-out])
-                continue
-            if t is GateType.CONST1:
-                cnf.add_clause([out])
-                continue
-            fins = [self.var_of[f] for f in gate.fanin]
-            if t is GateType.BUF:
-                _encode_equal(cnf, out, fins[0])
-            elif t is GateType.NOT:
-                _encode_equal(cnf, out, -fins[0])
-            elif t in (GateType.AND, GateType.NAND):
-                y = out if t is GateType.AND else -out
-                _encode_and(cnf, y, fins)
-            elif t in (GateType.OR, GateType.NOR):
-                y = out if t is GateType.OR else -out
-                _encode_and(cnf, -y, [-f for f in fins])
-            elif t in (GateType.XOR, GateType.XNOR):
-                self._encode_xor_chain(out, fins, invert=t is GateType.XNOR)
-            elif t is GateType.MUX:
-                s, d0, d1 = fins
-                # out = s ? d1 : d0
-                cnf.add_clause([s, -d0, out])
-                cnf.add_clause([s, d0, -out])
-                cnf.add_clause([-s, -d1, out])
-                cnf.add_clause([-s, d1, -out])
-            else:  # pragma: no cover - exhaustive above
-                raise AssertionError(t)
+            encode_gate(
+                self.cnf,
+                gate.gtype,
+                self.var_of[name],
+                [self.var_of[f] for f in gate.fanin],
+            )
 
-    def _encode_xor_chain(self, out: int, fins: Sequence[int], invert: bool) -> None:
-        """n-ary XOR via a chain of 2-input XOR constraints."""
-        cnf = self.cnf
-        acc = fins[0]
-        for f in fins[1:-1] if len(fins) > 1 else []:
-            nxt = cnf.new_var()
-            _encode_xor2(cnf, nxt, acc, f)
-            acc = nxt
-        if len(fins) == 1:
-            _encode_equal(cnf, out, -acc if invert else acc)
-        else:
-            last = fins[-1]
-            _encode_xor2(cnf, -out if invert else out, acc, last)
+
+def encode_gate(cnf: CNF, gtype: GateType, out: int, fins: Sequence[int]) -> None:
+    """Add the Tseitin clauses of ``out <-> gtype(fins)`` to ``cnf``.
+
+    ``out`` and ``fins`` are DIMACS literals, so a negative fan-in literal
+    encodes an inverted pin.  ``INPUT`` adds nothing: its variable stays
+    free.
+    """
+    t = gtype
+    if t is GateType.INPUT:
+        return
+    if t is GateType.CONST0:
+        cnf.add_clause([-out])
+    elif t is GateType.CONST1:
+        cnf.add_clause([out])
+    elif t is GateType.BUF:
+        _encode_equal(cnf, out, fins[0])
+    elif t is GateType.NOT:
+        _encode_equal(cnf, out, -fins[0])
+    elif t in (GateType.AND, GateType.NAND):
+        y = out if t is GateType.AND else -out
+        _encode_and(cnf, y, fins)
+    elif t in (GateType.OR, GateType.NOR):
+        y = out if t is GateType.OR else -out
+        _encode_and(cnf, -y, [-f for f in fins])
+    elif t in (GateType.XOR, GateType.XNOR):
+        _encode_xor_chain(cnf, out, fins, invert=t is GateType.XNOR)
+    elif t is GateType.MUX:
+        s, d0, d1 = fins
+        # out = s ? d1 : d0
+        cnf.add_clause([s, -d0, out])
+        cnf.add_clause([s, d0, -out])
+        cnf.add_clause([-s, -d1, out])
+        cnf.add_clause([-s, d1, -out])
+    else:  # pragma: no cover - exhaustive above
+        raise AssertionError(t)
+
+
+def _encode_xor_chain(
+    cnf: CNF, out: int, fins: Sequence[int], invert: bool
+) -> None:
+    """n-ary XOR via a chain of 2-input XOR constraints."""
+    acc = fins[0]
+    for f in fins[1:-1] if len(fins) > 1 else []:
+        nxt = cnf.new_var()
+        _encode_xor2(cnf, nxt, acc, f)
+        acc = nxt
+    if len(fins) == 1:
+        _encode_equal(cnf, out, -acc if invert else acc)
+    else:
+        last = fins[-1]
+        _encode_xor2(cnf, -out if invert else out, acc, last)
 
 
 def _encode_equal(cnf: CNF, a: int, b: int) -> None:

@@ -24,6 +24,8 @@ KNOWN_SPANS = frozenset(
     {
         # sat layer
         "sat.solve",
+        # ATPG layer: one span per SAT-ATPG fault (repro.atpg.sattest)
+        "atpg.sat",
         # attack layer — one span per algorithm iteration
         "attack.run",
         "attack.sat.iteration",

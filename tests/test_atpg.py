@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.atpg import (
@@ -147,6 +148,40 @@ class TestSATGenerate:
         r = sat_generate(redundant_circuit, Fault("t", None, 0))
         assert r.outcome is TestOutcome.REDUNDANT
 
+    def test_fanout_cone_pattern_zeroes_other_inputs(self):
+        """Inputs outside the fault's cone are set to 0 in the test."""
+        nl = c17()
+        fault = Fault("G22", None, 0)  # G22's cone excludes G7
+        r = sat_generate(nl, fault)
+        assert r.outcome is TestOutcome.DETECTED
+        assert set(r.pattern) == set(nl.inputs) and r.pattern["G7"] == 0
+        assert FaultSimulator(nl).detects_pattern(fault, r.pattern)
+
+    @pytest.mark.parametrize(
+        "conflict_budget,outcome", [(3000, "redundant"), (0, "aborted")]
+    )
+    def test_span(self, parity_miter, conflict_budget, outcome):
+        """Each call emits one ``atpg.sat`` span, parent of its solve."""
+        from repro import telemetry
+        from repro.telemetry import MemorySink, validate_record
+
+        sink = MemorySink()
+        telemetry.configure(sink)
+        try:
+            sat_generate(parity_miter, Fault("y", None, 1), conflict_budget)
+        finally:
+            telemetry.shutdown()
+        spans = sink.of_kind("span")
+        for rec in sink.records:
+            validate_record(rec)
+        (atpg,) = [r for r in spans if r["name"] == "atpg.sat"]
+        (solve,) = [r for r in spans if r["name"] == "sat.solve"]
+        assert solve["parent_id"] == atpg["span_id"]
+        attrs = atpg["attrs"]
+        assert attrs["fault"] == "y/sa1" and attrs["faulty_nets"] == 1
+        assert attrs["outcome"] == outcome
+        assert attrs["conflicts"] >= 1  # the parity miter needs search
+
     def test_inject_fault_output(self):
         nl = c17()
         faulty = inject_fault(nl, Fault("G22", None, 1))
@@ -171,6 +206,79 @@ class TestSATGenerate:
         )
         want = nl.evaluate_outputs({"G1": 1, "G2": 0, "G3": 1, "G6": 0, "G7": 0})
         assert out_all0 == want
+
+
+def _mixed_circuit() -> Netlist:
+    """XNOR/MUX gates, an output that also feeds a gate, a primary input
+    listed as an output, an absorbed (redundant) AND, and a net whose
+    faults reach two outputs but only the later one observes them."""
+    nl = Netlist("mixed")
+    for name in ("a", "b", "c", "d", "s"):
+        nl.add_input(name)
+    nl.add_gate("x", GateType.XNOR, ["a", "b", "c"])
+    nl.add_gate("m", GateType.MUX, ["s", "x", "c"])
+    nl.add_gate("o1", GateType.AND, ["m", "d"])
+    nl.add_gate("o2", GateType.NOR, ["o1", "x"])
+    nl.add_gate("u", GateType.AND, ["a", "b"])
+    nl.add_gate("v", GateType.OR, ["a", "u"])
+    nl.add_gate("o3", GateType.XOR, ["v", "s"])
+    nl.add_gate("na", GateType.NOT, ["a"])
+    nl.add_gate("k", GateType.AND, ["a", "na"])  # constant 0
+    nl.add_gate("g", GateType.NOT, ["c"])
+    nl.add_gate("o0", GateType.AND, ["g", "k"])  # masks g
+    nl.add_gate("o5", GateType.XOR, ["g", "d"])  # observes g
+    nl.set_outputs(["o0", "o1", "o2", "o3", "d", "o5"])
+    return nl
+
+
+class TestSATExhaustive:
+    """SAT-ATPG verdicts against fault simulation of every input vector."""
+
+    @pytest.mark.parametrize(
+        "maker",
+        [
+            c17,
+            lambda: ripple_adder(3),
+            lambda: generate_netlist(
+                GeneratorConfig(
+                    n_inputs=12, n_outputs=10, n_gates=110, depth=6, seed=7,
+                    name="t2",
+                )
+            ),
+            _mixed_circuit,
+        ],
+        ids=["c17", "ripple_adder3", "generated12", "mixed"],
+    )
+    def test_verdicts_exact(self, maker):
+        self._check(maker())
+
+    def test_verdicts_exact_redundant(self, redundant_circuit):
+        self._check(redundant_circuit)
+
+    def test_verdicts_exact_parity_miter(self, parity_miter):
+        self._check(parity_miter)
+
+    @staticmethod
+    def _check(nl):
+        from repro.sim import pack_patterns
+
+        assert len(nl.inputs) <= 12
+        bits = np.array(
+            list(itertools.product([0, 1], repeat=len(nl.inputs))), dtype=np.uint8
+        )
+        words = pack_patterns(bits)
+        in_words = {name: words[i] for i, name in enumerate(nl.inputs)}
+        faults = collapse_faults(nl)
+        fsim = FaultSimulator(nl)
+        detectable = fsim.run(faults, in_words, len(bits))
+        for fault in faults:
+            r = sat_generate(nl, fault)
+            assert r.outcome is not TestOutcome.ABORTED, fault.describe()
+            if r.outcome is TestOutcome.DETECTED:
+                assert fsim.detects_pattern(fault, r.pattern), fault.describe()
+            assert (r.outcome is TestOutcome.REDUNDANT) == (
+                fault not in detectable
+            ), fault.describe()
 
 
 class TestEngine:
@@ -241,21 +349,18 @@ class TestEngine:
         assert disagree == rep.n_aborted
 
     @pytest.mark.parametrize("deterministic", ["sat", "podem+sat"])
-    def test_sat_give_up_counted_as_aborted(self, deterministic):
+    def test_sat_give_up_counted_as_aborted(self, deterministic, parity_miter):
         """A fault SAT-ATPG abandons at its conflict budget is booked as
-        aborted and counted as ``atpg.sat.aborted``."""
+        aborted and counted as ``atpg.sat.aborted``.  ``y/sa1`` of the
+        parity miter is redundant and needs search, so a zero-conflict
+        budget gives up on it."""
         from repro import telemetry
         from repro.telemetry import MemorySink
 
-        nl = generate_netlist(
-            GeneratorConfig(
-                n_inputs=12, n_outputs=10, n_gates=110, depth=6, seed=7, name="t2"
-            )
-        )
         telemetry.configure(MemorySink())
         try:
             rep = run_atpg(
-                nl,
+                parity_miter,
                 n_random_patterns=0,
                 deterministic=deterministic,
                 sat_conflict_budget=0,

@@ -5,7 +5,14 @@ import pytest
 
 from repro.attacks import exhausted_result
 from repro.attacks.oracle import OracleBudgetExceeded
-from repro.atpg import PODEM, FaultSimulator, TestOutcome, full_fault_list, sat_generate
+from repro.atpg import (
+    PODEM,
+    Fault,
+    FaultSimulator,
+    TestOutcome,
+    full_fault_list,
+    sat_generate,
+)
 from repro.bench import c17
 from repro.runtime import (
     Budget,
@@ -306,9 +313,9 @@ class TestATPGBudget:
             sim.run(faults, words, 64, budget=budget)
         assert budget.patterns >= 3 * 64
 
-    def test_sat_generate_local_abort_vs_shared_budget(self):
-        nl = c17()
-        fault = full_fault_list(nl)[0]
+    def test_sat_generate_local_abort_vs_shared_budget(self, parity_miter):
+        nl = parity_miter
+        fault = Fault("y", None, 1)  # redundant, and proving it takes search
         # local per-call cap: swallowed into ABORTED
         res = sat_generate(nl, fault, conflict_budget=1)
         assert res.outcome is TestOutcome.ABORTED
