@@ -82,8 +82,9 @@ bench-gate:
 chaos-smoke:
 	PYTHONPATH=src $(PY) -m repro chaos run --jobs 4
 
-# job-service overhead vs direct run_rows (interleaved rounds, fixed
-# seed; see src/repro/service/bench.py); refreshes BENCH_service.json
+# deprecated job service: this target and serve-smoke go with it in
+# 1.2.0.  Job-service overhead vs direct run_rows (interleaved rounds,
+# fixed seed; see src/repro/service/bench.py); refreshes BENCH_service.json
 bench-service:
 	PYTHONPATH=src $(PY) -m repro.service.bench --out BENCH_service.json
 
@@ -116,7 +117,8 @@ bench-corpus:
 # iscas85-mini family then runs with the same flags:
 #   cold   --jobs 2, traced, checkpointed, into a result cache wiped
 #          first, so every row computes in the workers (its trace must
-#          show cache.hit == 0);
+#          show cache.hit == 0); run under -W error::DeprecationWarning,
+#          so a campaign path that reaches a deprecated spelling fails;
 #   warm   against that cache: byte-identical, and its trace must show
 #          a nonzero cache.hit total;
 #   resume from the checkpoints alone: byte-identical;
@@ -130,8 +132,9 @@ bench-corpus:
 # CACHE_VERSION salts.
 SMOKE_ENV = REPRO_CORPUS_OFFLINE=1 REPRO_CORPUS_DIR=.repro-corpus-smoke \
 	PYTHONPATH=src
-SMOKE_TABLE1 = $(SMOKE_ENV) $(PY) -m repro table1 --corpus iscas85-mini \
+SMOKE_TABLE1_ARGS = -m repro table1 --corpus iscas85-mini \
 	--patterns 256 --checkpoint-dir .ckpt-campaign-smoke
+SMOKE_TABLE1 = $(SMOKE_ENV) $(PY) $(SMOKE_TABLE1_ARGS)
 
 campaign-smoke:
 	rm -rf .ckpt-campaign-smoke .repro-cache-campaign \
@@ -139,7 +142,8 @@ campaign-smoke:
 	$(SMOKE_ENV) $(PY) -m repro corpus fetch --offline
 	$(SMOKE_ENV) $(PY) -m repro corpus verify
 	$(SMOKE_ENV) $(PY) -m repro corpus list
-	$(SMOKE_TABLE1) --jobs 2 --cache --cache-dir .repro-cache-campaign \
+	$(SMOKE_ENV) $(PY) -W error::DeprecationWarning $(SMOKE_TABLE1_ARGS) \
+		--jobs 2 --cache --cache-dir .repro-cache-campaign \
 		--trace TRACE_campaign_cold.jsonl > TABLE_campaign_cold.txt
 	$(SMOKE_TABLE1) --jobs 2 --cache --cache-dir .repro-cache-campaign \
 		--trace TRACE_campaign_warm.jsonl > TABLE_campaign_warm.txt

@@ -37,7 +37,7 @@ Quickstart::
     assert not chip.is_unlocked()
 """
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 #: API stability: v1.  Everything in this table is the *frozen* public
 #: surface — importable directly from ``repro`` — and follows the
@@ -45,9 +45,9 @@ __version__ = "1.0.0"
 #: without a full release of :class:`DeprecationWarning` first, through a
 #: shim written for that case (the pre-v1 ``max_flips``/``max_rounds``/
 #: ``backend="optape"`` spellings completed that cycle and are gone; the
-#: simulation-lane knobs are in it now).  Names are resolved lazily (PEP
-#: 562) so ``import repro`` stays cheap for programs that only need one
-#: subsystem.
+#: simulation-lane knobs and the eight job-service names are in it now,
+#: until 1.2.0).  Names are resolved lazily (PEP 562) so ``import repro``
+#: stays cheap for programs that only need one subsystem.
 _V1_EXPORTS: dict[str, str] = {
     # unified attack API (docs/ATTACK_API.md)
     "run_attack": "repro.attacks.api",
@@ -73,7 +73,8 @@ _V1_EXPORTS: dict[str, str] = {
     "print_table1": "repro.experiments",
     "print_table2": "repro.experiments",
     "print_attack_matrix": "repro.experiments",
-    # campaign job service (docs/SERVICE.md)
+    # campaign job service (docs/SERVICE.md): deprecated in 1.1.0,
+    # removed in 1.2.0; resolving one warns
     "JobSpec": "repro.service",
     "JobStatus": "repro.service",
     "execute_job": "repro.service",
@@ -114,7 +115,11 @@ def __getattr__(name: str):
     import importlib
 
     value = getattr(importlib.import_module(target), name)
-    globals()[name] = value  # cache: resolve each name once
+    if target == "repro.service":
+        from .service.api import warn_deprecated
+
+        warn_deprecated(name)
+    globals()[name] = value  # cache: resolve (and warn about) each name once
     return value
 
 

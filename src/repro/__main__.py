@@ -13,12 +13,10 @@ Usage::
     python -m repro table1 --corpus iscas85-mini
     python -m repro trace report out.jsonl
     python -m repro cache stats
-    python -m repro serve --state-dir .repro-serve
-    python -m repro job submit table1 --param scale=0.004
     python -m repro all
 
-Every campaign subcommand (and ``repro serve``) carries one identical
-runtime flag set via :func:`add_runtime_flags` — ``--jobs``, ``--trace``,
+Every campaign subcommand carries one identical runtime flag set via
+:func:`add_runtime_flags` — ``--jobs``, ``--trace``,
 ``--cache``/``--no-cache``/``--cache-dir`` mean the same thing
 everywhere.  ``--trace`` streams telemetry spans/counters (merged across
 worker processes) into a JSONL trace, inspected with ``repro trace
@@ -26,10 +24,11 @@ report`` / ``repro trace validate``; ``--cache`` serves unchanged rows
 from the content-addressed result cache (``repro cache
 stats|clear|verify``; see docs/CACHING.md).
 
-``table1``/``table2``/``attacks`` are thin clients of the same internal
-:class:`~repro.service.api.JobSpec` path the ``repro serve`` daemon
-executes — one registry, one parameter schema, one execution function
-(docs/SERVICE.md).
+Each campaign subcommand calls its harness directly —
+``print_table1(run_table1(...))`` and so on — with a
+:class:`~repro.experiments.RunPolicy` built from those flags.  The job
+service subcommands ``repro serve`` and ``repro job`` are deprecated
+(one stderr line each) and are removed in 1.2.0 (docs/SERVICE.md).
 """
 
 from __future__ import annotations
@@ -41,10 +40,11 @@ import sys
 def add_runtime_flags(p, policy: bool = True) -> None:
     """Attach the unified runtime flag set to one subparser.
 
-    Every campaign parser (and ``repro serve``) goes through here, so
-    ``--jobs/--trace/--cache*`` are spelled and documented identically
-    across the CLI.  ``policy=True`` additionally attaches the
-    checkpoint/retry knobs that only row-runner campaigns honour.
+    Every campaign parser goes through here (as does the deprecated
+    ``repro serve`` until 1.2.0), so ``--jobs/--trace/--cache*`` are
+    spelled and documented identically across the CLI.  ``policy=True``
+    additionally attaches the checkpoint/retry knobs that only
+    row-runner campaigns honour.
     """
     p.add_argument(
         "--jobs",
@@ -189,8 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     psv = sub.add_parser(
         "serve",
-        help="campaign job service daemon: async submit/status/result "
-        "over a Unix socket (docs/SERVICE.md)",
+        help="(deprecated, removed in 1.2.0) campaign job service "
+        "daemon: async submit/status/result over a Unix socket "
+        "(docs/SERVICE.md)",
     )
     psv.add_argument(
         "--state-dir",
@@ -227,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pj = sub.add_parser(
         "job",
-        help="client for a running `repro serve` daemon",
+        help="(deprecated, removed in 1.2.0) client for a running "
+        "`repro serve` daemon",
     )
     pj.add_argument(
         "action",
@@ -507,6 +509,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.cmd == "job":
         from .service.cli import run_job_cli
 
+        _warn_service_subcommand("job")
         return run_job_cli(
             action=args.action,
             target=args.target,
@@ -560,9 +563,10 @@ def main(argv: list[str] | None = None) -> int:
         telemetry.configure(path=trace)
 
     if args.cmd == "serve":
-        from .service import ServeConfig, serve
+        from .service.daemon import ServeConfig, run_daemon
 
-        return serve(
+        _warn_service_subcommand("serve")
+        return run_daemon(
             ServeConfig(
                 state_dir=args.state_dir,
                 socket_path=args.socket,
@@ -625,63 +629,60 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def _run_campaign_spec(campaign: str, params: dict, policy) -> int:
-    """Run one table campaign through the shared service JobSpec path.
-
-    The CLI is a thin client of the exact code the ``repro serve``
-    daemon executes: same registry, same parameter validation, same
-    renderer — so a flag that works here works over the socket and
-    vice versa.
-    """
-    from .service.api import JobSpec
-    from .service.jobs import execute_job
-
-    result = execute_job(JobSpec(campaign=campaign, params=params), policy)
-    text = result.text
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    return 0
+def _warn_service_subcommand(cmd: str) -> None:
+    """The one stderr line of a deprecated service subcommand (its
+    stdout and exit code are unchanged until removal in 1.2.0)."""
+    print(
+        f"repro {cmd} is deprecated and will be removed in 1.2.0: run "
+        "campaigns directly with --cache/--resume/--jobs (docs/SERVICE.md)",
+        file=sys.stderr,
+    )
 
 
 def _dispatch_campaign(args, policy_of, circuits_of) -> int:
     from .experiments import (
+        DEFAULT_SCALE,
+        print_attack_matrix,
         print_protocol,
+        print_table1,
+        print_table2,
         print_trojan_table,
+        run_attack_matrix,
         run_protocol_checks,
+        run_table1,
+        run_table2,
         run_trojan_table,
     )
 
     if args.cmd == "table1":
-        return _run_campaign_spec(
-            "table1",
-            {
-                "scale": args.scale,
-                "circuits": circuits_of(args.circuits),
-                "n_patterns": args.patterns,
-                "corpus": args.corpus,
-            },
-            policy_of(args),
+        print_table1(
+            run_table1(
+                scale=DEFAULT_SCALE if args.scale is None else args.scale,
+                circuits=circuits_of(args.circuits),
+                n_patterns=args.patterns,
+                policy=policy_of(args),
+                corpus=args.corpus,
+            )
         )
     elif args.cmd == "table2":
-        return _run_campaign_spec(
-            "table2",
-            {
-                "scale": args.scale,
-                "circuits": circuits_of(args.circuits),
-                "n_random_patterns": args.patterns,
-                "corpus": args.corpus,
-            },
-            policy_of(args),
+        print_table2(
+            run_table2(
+                scale=DEFAULT_SCALE if args.scale is None else args.scale,
+                circuits=circuits_of(args.circuits),
+                n_random_patterns=args.patterns,
+                policy=policy_of(args),
+                corpus=args.corpus,
+            )
         )
     elif args.cmd == "attacks":
-        return _run_campaign_spec(
-            "attacks",
-            {
-                "variant": args.variant,
-                "attack_deadline_s": args.attack_deadline,
-                "corpus": args.corpus,
-                "circuit": args.circuit,
-            },
-            policy_of(args),
+        print_attack_matrix(
+            run_attack_matrix(
+                variant=args.variant,
+                attack_deadline_s=args.attack_deadline,
+                policy=policy_of(args),
+                corpus=args.corpus,
+                circuit=args.circuit,
+            )
         )
     elif args.cmd == "trojans":
         print_trojan_table(run_trojan_table())
@@ -708,12 +709,12 @@ def _dispatch_campaign(args, policy_of, circuits_of) -> int:
         print_hd_sweep(run_hd_sweep(circuit=args.circuit))
     elif args.cmd == "all":
         policy = policy_of(args)
-        _run_campaign_spec("table1", {}, policy)
+        print_table1(run_table1(policy=policy))
         print()
-        _run_campaign_spec("table2", {}, policy)
+        print_table2(run_table2(policy=policy))
         print()
         for variant in ("basic", "modified"):
-            _run_campaign_spec("attacks", {"variant": variant}, policy)
+            print_attack_matrix(run_attack_matrix(variant=variant, policy=policy))
             print()
         print_trojan_table(run_trojan_table())
         print()

@@ -28,6 +28,7 @@ behaviour).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -62,6 +63,38 @@ ERROR_CODES = frozenset(
 
 class SchemaError(ValueError):
     """A wire message or journal record violates the v1 schema."""
+
+
+_BATCH = "run campaigns with the repro CLI (--cache, --resume, --jobs)"
+
+#: the v1 service names in their one release of DeprecationWarning
+#: (docs/ATTACK_API.md, "Deprecated in 1.1.0"), each with what replaces it
+DEPRECATED_NAMES: dict[str, str] = {
+    "JobSpec": "call run_table1/run_table2/run_attack_matrix directly",
+    "JobStatus": "--resume reports progress from the checkpoint directory",
+    "execute_job": "call print_table1(run_table1(...)) and friends; "
+    "rows are dataclasses.asdict(row)",
+    "job_content_key": "--cache keys every row by its content",
+    "ServeConfig": _BATCH,
+    "serve": _BATCH,
+    "ServiceClient": _BATCH,
+    "ServiceError": _BATCH,
+}
+
+
+def warn_deprecated(name: str, stacklevel: int = 3) -> None:
+    """Warn that the v1 service name ``name`` goes away in 1.2.0.
+
+    Raised by ``repro.<name>`` resolution and by calling :func:`serve`
+    or :class:`ServiceClient`; the daemon's own code paths never call
+    it.  ``stacklevel`` blames the caller of the deprecated spelling.
+    """
+    warnings.warn(
+        f"repro.{name} is deprecated and will be removed in 1.2.0: "
+        f"{DEPRECATED_NAMES[name]}",
+        DeprecationWarning,
+        stacklevel=stacklevel,
+    )
 
 
 # --------------------------------------------------------------------- #

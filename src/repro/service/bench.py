@@ -62,7 +62,7 @@ from typing import Any
 
 from ..experiments.runner import RunPolicy
 from .api import JobSpec
-from .client import ServiceClient
+from .client import SocketClient
 from .jobs import execute_job, normalized_spec
 
 #: the service may add at most this much over direct in-process execution
@@ -126,7 +126,7 @@ def _service_seconds() -> tuple[float, float]:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.STDOUT,
         )
-        client = ServiceClient(Path(state) / "serve.sock")
+        client = SocketClient(Path(state) / "serve.sock")
         try:
             client.wait_ready(timeout_s=60.0)
             boot_s = time.perf_counter() - boot_t0

@@ -13,7 +13,7 @@ import sys
 from typing import Any
 
 from .api import JobStatus
-from .client import ServiceClient, ServiceError
+from .client import ServiceError, SocketClient
 
 
 def parse_params(pairs: list[str]) -> dict[str, Any]:
@@ -67,7 +67,7 @@ def run_job_cli(
     fmt: str,
 ) -> int:
     """Dispatch one ``repro job <action>`` invocation."""
-    client = ServiceClient(socket_path)
+    client = SocketClient(socket_path)
     try:
         if action == "submit":
             if not target:

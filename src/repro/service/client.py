@@ -31,6 +31,7 @@ from .api import (
     SubmitRequest,
     TERMINAL_STATES,
     parse_response,
+    warn_deprecated,
 )
 
 
@@ -46,8 +47,12 @@ class ServiceError(RuntimeError):
         self.message = message
 
 
-class ServiceClient:
-    """Thin blocking client over the daemon's Unix socket."""
+class SocketClient:
+    """Thin blocking client over the daemon's Unix socket.
+
+    The service's own spelling (``repro job``, the service bench): it
+    never warns.  :class:`ServiceClient` is the deprecated v1 name.
+    """
 
     def __init__(
         self, socket_path: str | Path, timeout_s: float = 30.0
@@ -141,3 +146,14 @@ class ServiceClient:
                         f"no daemon on {self.socket_path} after {timeout_s:g}s"
                     ) from None
                 time.sleep(poll_s)
+
+
+class ServiceClient(SocketClient):
+    """Deprecated v1 spelling of :class:`SocketClient`: constructing one
+    warns; removed in 1.2.0 with the rest of the service."""
+
+    def __init__(
+        self, socket_path: str | Path, timeout_s: float = 30.0
+    ) -> None:
+        warn_deprecated("ServiceClient")
+        super().__init__(socket_path, timeout_s)

@@ -57,6 +57,7 @@ from .api import (
     SubmitRequest,
     SubmitResponse,
     parse_request,
+    warn_deprecated,
 )
 from .jobs import ParamError, UnknownCampaign, _child_main, load_result_payload
 from .queue import BudgetExhausted, JobQueue, UnknownJob
@@ -452,6 +453,13 @@ class ServiceDaemon:
 
 
 def serve(config: ServeConfig) -> int:
+    """Deprecated v1 entry point (removed in 1.2.0): warns, then runs
+    :func:`run_daemon`."""
+    warn_deprecated("serve")
+    return run_daemon(config)
+
+
+def run_daemon(config: ServeConfig) -> int:
     """Blocking entry point for ``repro serve``."""
     daemon = ServiceDaemon(config)
     try:

@@ -1,10 +1,11 @@
 """Job execution: one :class:`~repro.service.api.JobSpec`, one campaign.
 
-This module is the single path between "a validated job spec" and "a
-campaign actually ran" — the daemon's worker processes and the thin
-``repro table1|table2|attacks`` CLI subcommands both go through
-:func:`execute_job`, so a campaign submitted over the socket computes
-exactly what the same flags on the command line would.
+This module is the path between "a validated job spec" and "a campaign
+actually ran" in the daemon's job children.  :func:`execute_job` calls
+the same ``run_*`` harness and ``print_*`` renderer that the
+``repro table1|table2|attacks`` subcommands call directly, so a
+campaign submitted over the socket computes exactly what the same
+flags on the command line would.
 
 The campaign registry (:data:`CAMPAIGNS`) is a closed catalog, like the
 attack registry: each entry names the harness function, its parameter

@@ -334,19 +334,29 @@ class TestSingleHostHarnesses:
 
 
 class TestCampaignParams:
-    def test_table_campaigns_accept_corpus(self):
-        from repro.service.jobs import CAMPAIGNS
+    def test_cli_forwards_corpus_to_each_harness(self, monkeypatch, capsys):
+        import repro.experiments as experiments
+        from repro.__main__ import main
 
-        for name in ("table1", "table2", "attacks"):
-            params = CAMPAIGNS[name].normalize_params({"corpus": None})
-            assert params["corpus"] is None
+        seen = {}
 
-    def test_rows_total_consults_manifest(self):
-        from repro.service.jobs import CAMPAIGNS
+        def fake(harness):
+            def run(**kwargs):
+                seen[harness] = kwargs["corpus"]
+                return []
 
-        spec = CAMPAIGNS["table1"]
-        params = spec.normalize_params({"corpus": "iscas85-mini"})
-        assert spec.rows_total(params) == 2
+            return run
+
+        harnesses = {
+            "table1": "run_table1",
+            "table2": "run_table2",
+            "attacks": "run_attack_matrix",
+        }
+        for harness in harnesses.values():
+            monkeypatch.setattr(experiments, harness, fake(harness))
+        for cmd in harnesses:
+            assert main([cmd, "--corpus", "iscas85-mini", "--no-cache"]) == 0
+        assert seen == {h: "iscas85-mini" for h in harnesses.values()}
 
 
 class TestCorpusCli:
@@ -429,3 +439,16 @@ class TestCorpusHarnessGolden:
         text = _golden_runs()[run]()
         capsys.readouterr()
         assert text + "\n" == (GOLDEN_DIR / f"{run}.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "run", ["table1_iscas85-mini", "table2_iscas89-mini",
+                "attacks_iscas89-mini"],
+    )
+    def test_cli_stdout_matches_golden(self, run, fresh_store, capsys):
+        from repro.__main__ import main
+
+        cmd, corpus = run.split("_")
+        assert main([cmd, "--corpus", corpus, "--no-cache"]) == 0
+        assert capsys.readouterr().out == (
+            GOLDEN_DIR / f"{run}.txt"
+        ).read_text()

@@ -23,6 +23,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,7 @@ from repro.service import (
     validate_message,
 )
 from repro.service.api import (
+    DEPRECATED_NAMES,
     MESSAGE_TYPES,
     CancelRequest,
     CancelResponse,
@@ -61,6 +63,11 @@ from repro.service.api import (
 )
 from repro.service.jobs import ParamError, UnknownCampaign, get_campaign
 from repro.service.queue import BudgetExhausted, UnknownJob
+
+# The CLI flag tests live in tests/test_cli.py; re-exported here so
+# their test ids stay collected until this file goes with the service
+# in 1.2.0.
+from tests.test_cli import TestUnifiedRuntimeFlags  # noqa: F401
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -239,6 +246,11 @@ class TestContentKeys:
     def test_registry_catalog(self):
         assert set(list_campaigns()) >= {"table1", "table2", "attacks", "sleep"}
         assert get_campaign("table1").experiment == "table1"
+
+    def test_rows_total_consults_manifest(self):
+        spec = get_campaign("table1")
+        params = spec.normalize_params({"corpus": "iscas85-mini"})
+        assert spec.rows_total(params) == 2
 
 
 class TestExecuteJob:
@@ -520,36 +532,68 @@ class TestJobCli:
             parse_params(["oops"])
 
 
-class TestUnifiedRuntimeFlags:
-    CAMPAIGNS = [
-        "table1", "table2", "attacks", "trojans", "protocol", "ablations",
-        "arms-race", "scaling", "hd-sweep", "all", "serve",
-    ]
-    UNIFIED = ["jobs", "trace", "cache", "cache_dir"]
+class TestDeprecation:
+    """The one release of DeprecationWarning before removal in 1.2.0."""
 
-    @pytest.mark.parametrize("cmd", CAMPAIGNS)
-    def test_every_campaign_parser_accepts_the_unified_set(self, cmd):
-        """One `add_runtime_flags` helper ⇒ identical flags everywhere."""
-        from repro.__main__ import build_parser
+    @pytest.mark.parametrize("name", sorted(DEPRECATED_NAMES))
+    def test_v1_name_warns_once_blaming_the_caller(self, name, monkeypatch):
+        import repro
+        import repro.service
 
-        args = build_parser().parse_args(
-            [
-                cmd, "--jobs", "2", "--trace", "t.jsonl", "--no-cache",
-                "--cache-dir", "x",
-            ]
-        )
-        assert args.jobs == 2
-        assert args.trace == "t.jsonl"
-        assert args.cache is False
-        assert args.cache_dir == "x"
+        monkeypatch.delitem(vars(repro), name, raising=False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            first = getattr(repro, name)
+            again = getattr(repro, name)
+        assert first is again is getattr(repro.service, name)
+        # only deprecations: garbage an earlier test left behind may be
+        # collected inside the block and warn too
+        [warning] = [w for w in caught if w.category is DeprecationWarning]
+        assert warning.filename == __file__
+        message = str(warning.message)
+        assert f"repro.{name}" in message and "removed in 1.2.0" in message
+        assert DEPRECATED_NAMES[name] in message
 
-    def test_row_policy_flags_on_runner_campaigns(self):
-        from repro.__main__ import build_parser
+    def test_deprecated_names_are_the_service_exports(self):
+        import repro
 
-        for cmd in ("table1", "table2", "attacks"):
-            args = build_parser().parse_args(
-                [cmd, "--resume", "--retries", "1", "--row-deadline", "5",
-                 "--worker-retries", "2"]
-            )
-            assert args.resume and args.retries == 1
-            assert args.row_deadline == 5.0 and args.worker_retries == 2
+        service = {
+            name for name, target in repro._V1_EXPORTS.items()
+            if target == "repro.service"
+        }
+        assert service == set(DEPRECATED_NAMES)
+
+    def test_serve_and_client_warn_on_call(self, tmp_path, monkeypatch):
+        from repro.service import ServeConfig, daemon, serve
+
+        monkeypatch.setattr(daemon, "run_daemon", lambda config: 0)
+        with pytest.warns(DeprecationWarning, match="repro.serve .*1.2.0"):
+            assert serve(ServeConfig(state_dir=tmp_path)) == 0
+        with pytest.warns(
+            DeprecationWarning, match="repro.ServiceClient .*1.2.0"
+        ) as record:
+            client = ServiceClient(tmp_path / "serve.sock")
+        assert record[0].filename == __file__
+        assert client.socket_path == tmp_path / "serve.sock"
+
+    def test_subcommands_print_one_line_and_never_warn(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.__main__ import main
+        from repro.service import daemon
+
+        monkeypatch.setattr(daemon, "run_daemon", lambda config: 0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["serve", "--state-dir", str(tmp_path)]) == 0
+            serve_err = capsys.readouterr().err
+            code = main(["job", "list", "--socket", str(tmp_path / "none")])
+            job = capsys.readouterr()
+        assert [w for w in caught if w.category is DeprecationWarning] == []
+        [serve_line] = serve_err.splitlines()
+        assert "repro serve is deprecated" in serve_line
+        # stdout and exit code as before: no daemon, a clean error
+        assert code == 1 and job.out == ""
+        first, *rest = job.err.splitlines()
+        assert "repro job is deprecated" in first
+        assert rest and "cannot reach daemon" in rest[0]
