@@ -17,8 +17,8 @@ fast enough for the locked-circuit instances this reproduction generates
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .. import telemetry
@@ -31,15 +31,16 @@ FALSE = 0
 UNASSIGNED = -1
 
 
+#: key of an order-heap entry once popped (live keys are -activity <= 0),
+#: so a variable's stale ``_queued`` entry never matches its activity
+_OFF_HEAP = 1.0
+_NOT_QUEUED = (_OFF_HEAP,)
+
+
 def _lit_to_internal(lit: int) -> int:
     """DIMACS literal -> internal encoding (2v for +v, 2v+1 for -v)."""
     v = abs(lit)
     return 2 * v if lit > 0 else 2 * v + 1
-
-
-def _internal_to_lit(ilit: int) -> int:
-    v = ilit >> 1
-    return v if (ilit & 1) == 0 else -v
 
 
 @dataclass
@@ -100,7 +101,15 @@ class Solver:
         self._trail: list[int] = []  # internal literals, in assignment order
         self._trail_lim: list[int] = []
         self._qhead = 0
-        self._heap: list[tuple[float, int]] = []
+        # Lazy VSIDS order heap of [-activity, var, copies] entries: a
+        # popped entry whose variable is assigned, or whose key is below
+        # its activity, is dropped.  It is a multiset (a variable unassigned
+        # twice at one activity is queued twice, and after a rescale each
+        # copy of an old, larger key is picked once) that stores a repeated
+        # entry once, with ``copies`` counting the rest; _queued[v] is v's
+        # newest entry, so _backtrack can count a copy instead of pushing.
+        self._heap: list[list] = []
+        self._queued: list[list | tuple] = [_NOT_QUEUED]
         self._var_inc = 1.0
         self._var_decay = 0.99
         self._cla_inc = 1.0
@@ -118,22 +127,23 @@ class Solver:
 
     def new_var(self) -> int:
         """Allocate and return a fresh variable."""
-        self._n_vars += 1
-        self._assign.append(UNASSIGNED)
-        self._lit_val.append(UNASSIGNED)
-        self._lit_val.append(UNASSIGNED)
-        self._level.append(0)
-        self._reason.append(None)
-        self._activity.append(0.0)
-        self._phase.append(FALSE)
-        self._watches.append([])
-        self._watches.append([])
+        self.ensure_vars(self._n_vars + 1)
         return self._n_vars
 
     def ensure_vars(self, n: int) -> None:
         """Grow the variable table to at least ``n``."""
-        while self._n_vars < n:
-            self.new_var()
+        k = n - self._n_vars
+        if k <= 0:
+            return
+        self._n_vars = n
+        self._assign += [UNASSIGNED] * k
+        self._lit_val += [UNASSIGNED] * (2 * k)
+        self._level += [0] * k
+        self._reason += [None] * k
+        self._activity += [0.0] * k
+        self._queued += [_NOT_QUEUED] * k
+        self._phase += [FALSE] * k
+        self._watches += [[] for _ in range(2 * k)]
 
     @property
     def n_vars(self) -> int:
@@ -145,58 +155,62 @@ class Solver:
 
         Must be called at decision level 0 (i.e. between solve calls).
         """
+        return self._load((literals,), 0)
+
+    def add_cnf(self, cnf: CNF) -> bool:
+        """Add every clause of a formula."""
+        return self._load(cnf.clauses, cnf.n_vars)
+
+    def _load(self, clauses: Iterable[Iterable[int]], n_vars: int) -> bool:
+        """Add DIMACS clauses at level 0; False once the formula is UNSAT.
+
+        Tautologies and clauses already true at level 0 are dropped;
+        duplicate and level-0-false literals are removed; a unit is
+        enqueued and propagated at once, so later clauses simplify
+        against it.  ``_ok`` latches False on an empty clause.
+        """
         if self._trail_lim:
             raise RuntimeError("add_clause only permitted at level 0")
         if not self._ok:
             return False
-        seen: set[int] = set()
-        lits: list[int] = []
-        for lit in literals:
-            if lit == 0:
-                raise ValueError("0 is not a valid literal")
-            self.ensure_vars(abs(lit))
-            ilit = _lit_to_internal(lit)
-            if ilit ^ 1 in seen:
-                return True  # tautology: always satisfied
-            if ilit in seen:
-                continue
-            val = self._value(ilit)
-            if val == TRUE:
-                return True  # already satisfied at level 0
-            if val == FALSE:
-                continue  # falsified at level 0: drop literal
-            seen.add(ilit)
-            lits.append(ilit)
-        if not lits:
-            self._ok = False
-            return False
-        if len(lits) == 1:
-            if not self._enqueue(lits[0], None):
-                self._ok = False
-                return False
-            self._ok = self._propagate() is None
-            return self._ok
-        clause = _Clause(lits, learned=False)
-        self._clauses.append(clause)
-        self._attach(clause)
+        self.ensure_vars(n_vars)
+        n_vars = self._n_vars
+        lit_val = self._lit_val
+        problem = self._clauses
+        watches = self._watches
+        for literals in clauses:
+            lits: list[int] = []
+            for lit in literals:
+                if lit > 0:
+                    ilit = 2 * lit
+                elif lit < 0:
+                    ilit = 1 - 2 * lit
+                else:
+                    raise ValueError("0 is not a valid literal")
+                if ilit >> 1 > n_vars:
+                    self.ensure_vars(ilit >> 1)
+                    n_vars = self._n_vars
+                val = lit_val[ilit]
+                if val == TRUE or ilit ^ 1 in lits:
+                    break  # satisfied at level 0, or a tautology
+                if val == UNASSIGNED and ilit not in lits:
+                    lits.append(ilit)
+            else:
+                if len(lits) > 1:
+                    clause = _Clause(lits, learned=False)
+                    problem.append(clause)
+                    watches[lits[0] ^ 1].append(clause)
+                    watches[lits[1] ^ 1].append(clause)
+                    continue
+                if lits:
+                    self._enqueue(lits[0], None)
+                if not lits or self._propagate() is not None:
+                    self._ok = False
+                    return False
         return True
-
-    def add_cnf(self, cnf: CNF) -> bool:
-        """Add every clause of a formula."""
-        self.ensure_vars(cnf.n_vars)
-        ok = True
-        for clause in cnf.clauses:
-            ok = self.add_clause(clause) and ok
-        return ok and self._ok
 
     # ------------------------------------------------------------------ #
     # internals
-
-    def _value(self, ilit: int) -> int:
-        a = self._assign[ilit >> 1]
-        if a == UNASSIGNED:
-            return UNASSIGNED
-        return a ^ (ilit & 1)
 
     def _attach(self, clause: _Clause) -> None:
         self._watches[clause.lits[0] ^ 1].append(clause)
@@ -224,95 +238,124 @@ class Solver:
         lit_val = self._lit_val
         watches = self._watches
         trail = self._trail
-        enqueue = self._enqueue
-        while self._qhead < len(trail):
-            ilit = trail[self._qhead]
-            self._qhead += 1
-            self.stats_propagations += 1
+        assign = self._assign
+        level_of = self._level
+        reason_of = self._reason
+        phase = self._phase
+        level = len(self._trail_lim)
+        qhead = start = self._qhead
+        conflict: _Clause | None = None
+        while qhead < len(trail):
+            ilit = trail[qhead]
+            qhead += 1
             false_lit = ilit ^ 1
             # clauses watching ``false_lit`` live under watches[ilit]
             # (attach registers a watch on L in watches[L ^ 1])
             watch_list = watches[ilit]
+            if not watch_list:
+                continue
             new_list: list[_Clause] = []
             append_kept = new_list.append
-            conflict: _Clause | None = None
-            i = 0
-            n = len(watch_list)
-            while i < n:
-                clause = watch_list[i]
-                i += 1
+            rest = iter(watch_list)
+            for clause in rest:
                 lits = clause.lits
                 # make sure the false literal is in slot 1
-                if lits[0] == false_lit:
-                    lits[0] = lits[1]
-                    lits[1] = false_lit
                 first = lits[0]
-                if lit_val[first] == TRUE:
+                if first == false_lit:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_lit
+                val = lit_val[first]
+                if val == TRUE:
                     append_kept(clause)
                     continue
                 # search a new watch
-                found = False
                 for k in range(2, len(lits)):
                     lk = lits[k]
                     if lit_val[lk] != FALSE:
                         lits[1] = lk
                         lits[k] = false_lit
                         watches[lk ^ 1].append(clause)
-                        found = True
                         break
-                if found:
-                    continue
-                # clause is unit or conflicting
-                append_kept(clause)
-                if not enqueue(first, clause):
-                    conflict = clause
-                    # keep the remaining watchers
-                    new_list.extend(watch_list[i:])
-                    break
+                else:
+                    # clause is unit or conflicting
+                    append_kept(clause)
+                    if val == FALSE:
+                        conflict = clause
+                        new_list.extend(rest)  # keep the remaining watchers
+                        break
+                    # enqueue ``first`` with this clause as its reason
+                    v = first >> 1
+                    val = TRUE if (first & 1) == 0 else FALSE
+                    assign[v] = val
+                    lit_val[first] = TRUE
+                    lit_val[first ^ 1] = FALSE
+                    level_of[v] = level
+                    reason_of[v] = clause
+                    phase[v] = val
+                    trail.append(first)
             watches[ilit] = new_list
             if conflict is not None:
-                return conflict
-        return None
+                break
+        self._qhead = qhead
+        self.stats_propagations += qhead - start
+        return conflict
 
     def _analyze(self, conflict: _Clause) -> tuple[list[int], int]:
         """First-UIP analysis: returns (learned clause, backjump level).
 
         The learned clause's asserting literal is placed at index 0.
         """
+        level_of = self._level
+        reason_of = self._reason
+        trail = self._trail
+        activity = self._activity
+        queued = self._queued
+        heap = self._heap
+        var_inc = self._var_inc
         learned: list[int] = [0]  # reserve slot for the asserting literal
         seen = [False] * (self._n_vars + 1)
         counter = 0
         ilit = -1
-        idx = len(self._trail) - 1
+        idx = len(trail) - 1
         reason: _Clause | None = conflict
         cur_level = len(self._trail_lim)
-        first = True
+        start = 0
         while True:
             assert reason is not None
             if reason.learned:
                 self._bump_clause(reason)
-            start = 0 if first else 1
             for q in reason.lits[start:]:
                 v = q >> 1
-                if not seen[v] and self._level[v] > 0:
+                lv = level_of[v]
+                if lv > 0 and not seen[v]:
                     seen[v] = True
-                    self._bump_var(v)
-                    if self._level[v] >= cur_level:
+                    # VSIDS bump
+                    act = activity[v] + var_inc
+                    activity[v] = act
+                    if act > 1e100:
+                        self._rescale()
+                        var_inc = self._var_inc
+                        act = activity[v]
+                    entry = [-act, v, 0]
+                    heappush(heap, entry)
+                    queued[v] = entry
+                    if lv >= cur_level:
                         counter += 1
                     else:
                         learned.append(q)
-            first = False
+            start = 1
             # pick next literal on trail to resolve on
-            while not seen[self._trail[idx] >> 1]:
+            while not seen[trail[idx] >> 1]:
                 idx -= 1
-            ilit = self._trail[idx]
+            ilit = trail[idx]
             idx -= 1
             v = ilit >> 1
             seen[v] = False
             counter -= 1
             if counter == 0:
                 break
-            reason = self._reason[v]
+            reason = reason_of[v]
         learned[0] = ilit ^ 1
         # minimize: drop literals implied by the rest (cheap self-subsumption)
         learned = self._minimize(learned, seen)
@@ -322,10 +365,10 @@ class Solver:
             # second-highest decision level in the clause
             max_i = 1
             for i in range(2, len(learned)):
-                if self._level[learned[i] >> 1] > self._level[learned[max_i] >> 1]:
+                if level_of[learned[i] >> 1] > level_of[learned[max_i] >> 1]:
                     max_i = i
             learned[1], learned[max_i] = learned[max_i], learned[1]
-            back_level = self._level[learned[1] >> 1]
+            back_level = level_of[learned[1] >> 1]
         return learned, back_level
 
     def _minimize(self, learned: list[int], seen: list[bool]) -> list[int]:
@@ -335,13 +378,13 @@ class Solver:
         graph eventually resolves into literals already in the clause (or
         level-0 facts).  ``seen`` marks the clause's variables on entry.
         """
-        levels = set()
-        for q in learned[1:]:
-            levels.add(self._level[q >> 1])
+        level_of = self._level
+        reason_of = self._reason
+        levels = {level_of[q >> 1] for q in learned[1:]}
         out = [learned[0]]
         extra_marked: list[int] = []
         for q in learned[1:]:
-            if self._reason[q >> 1] is None or not self._lit_redundant(
+            if reason_of[q >> 1] is None or not self._lit_redundant(
                 q, levels, seen, extra_marked
             ):
                 out.append(q)
@@ -357,17 +400,19 @@ class Solver:
         extra_marked: list[int],
     ) -> bool:
         """Iterative DFS over the implication graph of ``lit``."""
+        level_of = self._level
+        reason_of = self._reason
         stack = [lit]
         start = len(extra_marked)
         while stack:
-            p = stack.pop()
-            reason = self._reason[p >> 1]
+            reason = reason_of[stack.pop() >> 1]
             assert reason is not None
             for q in reason.lits[1:]:
                 v = q >> 1
-                if seen[v] or self._level[v] == 0:
+                lv = level_of[v]
+                if lv == 0 or seen[v]:
                     continue
-                if self._reason[v] is None or self._level[v] not in levels:
+                if reason_of[v] is None or lv not in levels:
                     # a decision or an off-level antecedent: not redundant;
                     # undo the speculative marks from this probe
                     for m in extra_marked[start:]:
@@ -380,27 +425,45 @@ class Solver:
         return True
 
     def _backtrack(self, level: int) -> None:
-        if len(self._trail_lim) <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        bound = self._trail_lim[level]
-        for ilit in reversed(self._trail[bound:]):
+        trail = self._trail
+        bound = trail_lim[level]
+        assign = self._assign
+        lit_val = self._lit_val
+        reason_of = self._reason
+        activity = self._activity
+        queued = self._queued
+        heap = self._heap
+        for ilit in reversed(trail[bound:]):
             v = ilit >> 1
-            self._assign[v] = UNASSIGNED
-            self._lit_val[ilit] = UNASSIGNED
-            self._lit_val[ilit ^ 1] = UNASSIGNED
-            self._reason[v] = None
-            heapq.heappush(self._heap, (-self._activity[v], v))
-        del self._trail[bound:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+            assign[v] = UNASSIGNED
+            lit_val[ilit] = UNASSIGNED
+            lit_val[ilit ^ 1] = UNASSIGNED
+            reason_of[v] = None
+            neg_act = -activity[v]
+            entry = queued[v]
+            if entry[0] == neg_act:  # still queued at this activity
+                entry[2] += 1
+            else:
+                entry = [neg_act, v, 0]
+                heappush(heap, entry)
+                queued[v] = entry
+        del trail[bound:]
+        del trail_lim[level:]
+        self._qhead = len(trail)
 
-    def _bump_var(self, v: int) -> None:
-        self._activity[v] += self._var_inc
-        if self._activity[v] > 1e100:
-            for i in range(1, self._n_vars + 1):
-                self._activity[i] *= 1e-100
-            self._var_inc *= 1e-100
-        heapq.heappush(self._heap, (-self._activity[v], v))
+    def _rescale(self) -> None:
+        """Scale every activity by 1e-100 before one passes 1e100.
+
+        Order-heap keys keep their old, larger values, so each copy of
+        such an entry is picked when popped if its variable is free.
+        """
+        activity = self._activity
+        for i in range(1, self._n_vars + 1):
+            activity[i] *= 1e-100
+        self._var_inc *= 1e-100
 
     def _bump_clause(self, clause: _Clause) -> None:
         clause.activity += self._cla_inc
@@ -414,12 +477,21 @@ class Solver:
         self._cla_inc /= self._cla_decay
 
     def _pick_branch_var(self) -> int:
-        while self._heap:
-            neg_act, v = heapq.heappop(self._heap)
-            if self._assign[v] == UNASSIGNED and -neg_act >= self._activity[v] - 1e-12:
+        heap = self._heap
+        assign = self._assign
+        activity = self._activity
+        while heap:
+            entry = heap[0]
+            v = entry[1]
+            if assign[v] == UNASSIGNED and -entry[0] >= activity[v] - 1e-12:
+                if entry[2]:
+                    entry[2] -= 1  # take one copy, the rest stay queued
+                else:
+                    heappop(heap)[0] = _OFF_HEAP
                 return v
+            heappop(heap)[0] = _OFF_HEAP  # stale: drop every copy
         for v in range(1, self._n_vars + 1):
-            if self._assign[v] == UNASSIGNED:
+            if assign[v] == UNASSIGNED:
                 return v
         return 0
 
@@ -587,7 +659,7 @@ class Solver:
             level = len(self._trail_lim)
             if level < len(iassumps):
                 ilit = iassumps[level]
-                val = self._value(ilit)
+                val = self._lit_val[ilit]
                 if val == FALSE:
                     self._backtrack(0)
                     return SolveResult(False, None, **stats())

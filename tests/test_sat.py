@@ -138,6 +138,29 @@ def _pigeonhole(n: int) -> CNF:
     return cnf
 
 
+def _sat_by_truth_table(clauses, n_vars: int) -> bool:
+    """Satisfiability by enumerating all 2**n_vars assignments at once.
+
+    Bit ``m`` of a mask stands for the assignment whose variable ``v`` is
+    bit ``v - 1`` of ``m``; a clause's mask is the OR of its literals'.
+    """
+    size = 1 << n_vars
+    full = (1 << size) - 1
+    true_of = [0]
+    for v in range(1, n_vars + 1):
+        # v is true in the upper half of every run of 2**v assignments
+        half = 1 << (v - 1)
+        runs = full // ((1 << (2 * half)) - 1)  # a 1 at the start of each run
+        true_of.append((((1 << half) - 1) << half) * runs)
+    sat = full
+    for clause in clauses:
+        mask = 0
+        for lit in clause:
+            mask |= true_of[lit] if lit > 0 else full ^ true_of[-lit]
+        sat &= mask
+    return sat != 0
+
+
 class TestSolverExhaustive:
     def test_pigeonhole_unsat(self):
         for n in (3, 4, 5):
@@ -162,6 +185,43 @@ class TestSolverExhaustive:
         assert res.sat == brute
         if res.sat:
             assert evaluate_cnf(cnf, res.model)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_incremental_use_vs_bruteforce(self, data):
+        """One solver through a random run of add_clause and solve calls,
+        some cut short by a conflict budget and then resumed: every
+        verdict matches the truth table of the clauses so far plus the
+        assumptions, and every model satisfies both."""
+        nv = data.draw(st.integers(2, 12), label="n_vars")
+        lit = st.integers(1, nv).flatmap(lambda v: st.sampled_from([v, -v]))
+        op = st.one_of(
+            st.tuples(st.just("add"), st.lists(lit, min_size=1, max_size=3)),
+            st.tuples(
+                st.just("solve"),
+                st.lists(lit, max_size=4),
+                st.none() | st.integers(0, 3),
+            ),
+        )
+        ops = data.draw(st.lists(op, min_size=1, max_size=60), label="ops")
+        s = Solver()
+        cnf = CNF()
+        for kind, lits, *budget in ops:
+            if kind == "add":
+                cnf.add_clause(lits)
+                s.add_clause(lits)
+                continue
+            if budget[0] is not None:
+                try:
+                    s.solve(assumptions=lits, conflict_budget=budget[0])
+                except BudgetExhausted:
+                    pass  # resumed by the unbudgeted call below
+            res = s.solve(assumptions=lits)
+            truth = _sat_by_truth_table(cnf.clauses + [(a,) for a in lits], nv)
+            assert res.sat == truth
+            if res.sat:
+                assert evaluate_cnf(cnf, res.model)
+                assert all(res.model[abs(a)] == (a > 0) for a in lits)
 
 
 class TestTseitin:
