@@ -21,13 +21,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-import networkx as nx
-
 from .. import telemetry
 from ..locking import LockedCircuit
 from ..netlist import Netlist
 from ..runtime.budget import ResourceExhausted
-from ..sat import CNF, CircuitEncoder, Solver
+from ..sat import CNF, ClauseTemplate, Solver
 from .config import AttackConfig
 from .oracle import Oracle
 from .result import AttackResult, exhausted_result
@@ -53,7 +51,11 @@ def no_cycle_clauses(
     non-feedback input — for cycles with no keyed edge (shouldn't exist in
     MUX-based cyclic locking) an empty clause would be produced and the
     caller will see immediate UNSAT, which is the correct semantics.
+    Needs networkx (the ``cyclic`` extra), imported here so that loading
+    the attack suite does not pay for it.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     for g in locked.gates():
         for f in g.fanin:
@@ -95,15 +97,18 @@ def cycsat_attack(
     key_set = set(key_inputs)
     data_inputs = [i for i in locked.inputs if i not in key_set]
 
+    # every copy below (two for the miter, two per DIP, one per DIP for
+    # the final key) is stamped from one template
+    template = ClauseTemplate(locked)
     cnf = CNF()
     x_vars = {name: cnf.new_var() for name in data_inputs}
     k1_vars = {name: cnf.new_var() for name in key_inputs}
     k2_vars = {name: cnf.new_var() for name in key_inputs}
-    enc1 = CircuitEncoder(locked, cnf=cnf, share={**x_vars, **k1_vars})
-    enc2 = CircuitEncoder(locked, cnf=cnf, share={**x_vars, **k2_vars})
+    var1 = template.stamp(cnf, {**x_vars, **k1_vars})
+    var2 = template.stamp(cnf, {**x_vars, **k2_vars})
     diffs = []
     for o in locked.outputs:
-        va, vb = enc1.var(o), enc2.var(o)
+        va, vb = var1[o], var2[o]
         d = cnf.new_var()
         cnf.add_clause([-d, va, vb])
         cnf.add_clause([-d, -va, -vb])
@@ -126,15 +131,15 @@ def cycsat_attack(
     def constrain(k_vars, dip, response) -> None:
         scratch = CNF()
         scratch.n_vars = solver.n_vars
-        enc = CircuitEncoder(locked, cnf=scratch, share=dict(k_vars))
+        var_of = template.stamp(scratch, k_vars)
         solver.ensure_vars(scratch.n_vars)
         for clause in scratch.clauses:
             solver.add_clause(clause)
         for name, value in dip.items():
-            v = enc.var(name)
+            v = var_of[name]
             solver.add_clause([v] if value else [-v])
         for name, value in response.items():
-            v = enc.var(name)
+            v = var_of[name]
             solver.add_clause([v] if value else [-v])
 
     budget = config.budget
@@ -182,15 +187,15 @@ def cycsat_attack(
     for dip, response in io_log:
         scratch = CNF()
         scratch.n_vars = final.n_vars
-        enc = CircuitEncoder(locked, cnf=scratch, share=dict(kv))
+        var_of = template.stamp(scratch, kv)
         final.ensure_vars(scratch.n_vars)
         for clause in scratch.clauses:
             final.add_clause(clause)
         for name, value in dip.items():
-            v = enc.var(name)
+            v = var_of[name]
             final.add_clause([v] if value else [-v])
         for name, value in response.items():
-            v = enc.var(name)
+            v = var_of[name]
             final.add_clause([v] if value else [-v])
     try:
         res = final.solve(budget=budget)

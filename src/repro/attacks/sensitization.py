@@ -27,11 +27,15 @@ import numpy as np
 from .. import telemetry
 from ..netlist import Netlist
 from ..runtime.budget import Budget, ResourceExhausted
-from ..sat import CNF, CircuitEncoder, Solver
+from ..sat import CNF, ClauseTemplate, Solver
 from .config import AttackConfig
-from ..sim import BitSimulator, broadcast_constant, pack_patterns
+from ..sim import compile_engine, pack_patterns, tail_mask
 from .oracle import Oracle
 from .result import AttackResult, exhausted_result
+
+
+#: key combinations per engine pass in the brute-force step
+_KEY_LANES = 64
 
 
 @dataclass
@@ -55,7 +59,7 @@ class SensitizationConfig(AttackConfig):
 
 
 def _find_sensitizing_pattern(
-    locked: Netlist,
+    template: ClauseTemplate,
     data_inputs: Sequence[str],
     key_inputs: Sequence[str],
     target_bit: str,
@@ -65,8 +69,9 @@ def _find_sensitizing_pattern(
 ) -> tuple[dict[str, int], dict[str, int]] | None:
     """Find (pattern, other_keys) flipping some output when target flips.
 
-    ``known`` pins already-recovered key bits; ``forbidden`` excludes
-    previously tried patterns.
+    Both copies are stamped from ``template``, the locked netlist's
+    clauses.  ``known`` pins already-recovered key bits; ``forbidden``
+    excludes previously tried patterns.
     """
     cnf = CNF()
     x_vars = {name: cnf.new_var() for name in data_inputs}
@@ -83,11 +88,11 @@ def _find_sensitizing_pattern(
         const_vars[name] = v
     share_a = {**x_vars, **k_vars, **const_vars, target_bit: t0}
     share_b = {**x_vars, **k_vars, **const_vars, target_bit: t1}
-    enc_a = CircuitEncoder(locked, cnf=cnf, share=share_a)
-    enc_b = CircuitEncoder(locked, cnf=cnf, share=share_b)
+    var_a = template.stamp(cnf, share_a)
+    var_b = template.stamp(cnf, share_b)
     diffs = []
-    for o in locked.outputs:
-        va, vb = enc_a.var(o), enc_b.var(o)
+    for o in template.netlist.outputs:
+        va, vb = var_a[o], var_b[o]
         d = cnf.new_var()
         cnf.add_clause([-d, va, vb])
         cnf.add_clause([-d, -va, -vb])
@@ -120,6 +125,7 @@ def sensitization_attack(
     key_set = set(key_inputs)
     data_inputs = [i for i in locked.inputs if i not in key_set]
     known: dict[str, int] = {}
+    template = ClauseTemplate(locked)
     start_queries = getattr(oracle, "n_queries", 0)
     attempts = 0
 
@@ -163,7 +169,7 @@ def sensitization_attack(
                     forbidden: list[dict[str, int]] = []
                     for _ in range(config.attempts_per_bit):
                         found = _find_sensitizing_pattern(
-                            locked,
+                            template,
                             data_inputs,
                             key_inputs,
                             bit,
@@ -265,9 +271,14 @@ def _bruteforce_bits(
     remaining: Sequence[str],
     probes: Sequence[tuple[dict[str, int], dict[str, int]]],
 ) -> dict[str, int] | None:
-    """Exhaust the residual key bits against recorded oracle responses."""
-    sim = BitSimulator(locked)
-    n_pat = len(probes)
+    """Exhaust the residual key bits against recorded oracle responses.
+
+    Combination ``c`` sets ``remaining[i]`` to bit ``i`` of ``c``.  The
+    combinations run :data:`_KEY_LANES` at a time on the key lanes of the
+    compiled engine, with the known bits as constant key columns; the
+    lowest-index combination that reproduces every probe wins.
+    """
+    engine = compile_engine(locked)
     bits = np.array(
         [[p[i] for i in data_inputs] for p, _ in probes], dtype=np.uint8
     )
@@ -276,24 +287,24 @@ def _bruteforce_bits(
         [[r[o] for o in locked.outputs] for _, r in probes], dtype=np.uint8
     )
     want_words = pack_patterns(want_bits)
-    nw = data_words.shape[1]
-    base_words = {
-        name: data_words[i] for i, name in enumerate(data_inputs)
-    }
-    for name, bit in known.items():
-        base_words[name] = broadcast_constant(bit, nw)
-    from ..sim import tail_mask
-
-    for combo in range(1 << len(remaining)):
-        in_words = dict(base_words)
-        guess = dict(known)
-        for bi, name in enumerate(remaining):
-            b = (combo >> bi) & 1
-            guess[name] = b
-            in_words[name] = broadcast_constant(b, nw)
-        out = sim.run_outputs(in_words)
-        diff = out ^ want_words
-        diff[:, -1] &= tail_mask(n_pat)
-        if not diff.any():
+    mask = tail_mask(len(probes))
+    key_inputs = [*known, *remaining]
+    n_known = len(known)
+    shifts = np.arange(len(remaining))
+    n_combos = 1 << len(remaining)
+    for lo in range(0, n_combos, _KEY_LANES):
+        combos = np.arange(lo, min(lo + _KEY_LANES, n_combos))
+        key_bits = np.empty((len(combos), len(key_inputs)), dtype=np.uint8)
+        key_bits[:, :n_known] = list(known.values())
+        key_bits[:, n_known:] = (combos[:, None] >> shifts) & 1
+        outs = engine.run_keyed(data_inputs, data_words, key_inputs, key_bits)
+        diff = outs ^ want_words
+        diff[:, :, -1] &= mask
+        hits = np.flatnonzero(~diff.any(axis=(1, 2)))
+        if hits.size:
+            combo = lo + int(hits[0])
+            guess = dict(known)
+            for bi, name in enumerate(remaining):
+                guess[name] = (combo >> bi) & 1
             return guess
     return None

@@ -12,9 +12,18 @@ in lazily-built caches that are invalidated on mutation.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .gates import Gate, GateType, evaluate_gate
+from .gates import Gate, GateType
+
+
+_AND, _NAND, _OR, _NOR = GateType.AND, GateType.NAND, GateType.OR, GateType.NOR
+_NOT, _BUF, _XOR, _XNOR = GateType.NOT, GateType.BUF, GateType.XOR, GateType.XNOR
+_MUX, _CONST0, _CONST1 = GateType.MUX, GateType.CONST0, GateType.CONST1
+
+#: (net order, (index, name) per input, (gtype, index, fan-in) per gate)
+_EvalPlan = tuple[tuple[str, ...], tuple[tuple[int, str], ...], tuple[tuple, ...]]
 
 
 class NetlistError(ValueError):
@@ -41,6 +50,7 @@ class Netlist:
         self._topo: list[str] | None = None
         self._fanout: dict[str, list[str]] | None = None
         self._levels: dict[str, int] | None = None
+        self._plan: _EvalPlan | None = None
         #: memo slot for :func:`repro.sim.optape.netlist_fingerprint`;
         #: cleared on every mutation like the other derived caches
         self._fingerprint: str | None = None
@@ -209,6 +219,7 @@ class Netlist:
         self._topo = None
         self._fanout = None
         self._levels = None
+        self._plan = None
         self._fingerprint = None
 
     def validate(self) -> None:
@@ -322,19 +333,83 @@ class Netlist:
     def evaluate(self, assignment: Mapping[str, int]) -> dict[str, int]:
         """Evaluate every net given primary-input values.
 
-        This is the slow, obviously-correct reference evaluator used by
-        tests; use :mod:`repro.sim` for bulk simulation.
+        This is the scalar reference evaluator (truthy input values count
+        as 1); use :mod:`repro.sim` for bulk simulation.  Gates run from
+        a cached plan over a flat value list, with the semantics of
+        :func:`~repro.netlist.gates.evaluate_gate`.
         """
-        values: dict[str, int] = {}
-        for n in self.topological_order():
+        order, inputs, gates = self._evaluation_plan()
+        vals = [0] * len(order)
+        for i, n in inputs:
+            if n not in assignment:
+                raise NetlistError(f"missing value for input {n!r}")
+            vals[i] = int(bool(assignment[n]))
+        for t, i, f in gates:
+            if t is _AND:
+                vals[i] = 0 if 0 in f(vals) else 1
+            elif t is _NAND:
+                vals[i] = 1 if 0 in f(vals) else 0
+            elif t is _OR:
+                vals[i] = 1 if 1 in f(vals) else 0
+            elif t is _NOR:
+                vals[i] = 0 if 1 in f(vals) else 1
+            elif t is _NOT:
+                vals[i] = 1 - vals[f]
+            elif t is _XOR:
+                vals[i] = sum(f(vals)) & 1
+            elif t is _XNOR:
+                vals[i] = 1 - (sum(f(vals)) & 1)
+            elif t is _BUF:
+                vals[i] = vals[f]
+            elif t is _MUX:
+                s, d0, d1 = f(vals)
+                vals[i] = d1 if s else d0
+            elif t is _CONST1:
+                vals[i] = 1
+            elif t is _CONST0:
+                vals[i] = 0
+            else:  # a fan-in later in the order: the cyclic region
+                raise KeyError(f)
+        return dict(zip(order, vals))
+
+    def _evaluation_plan(self) -> _EvalPlan:
+        """``(order, inputs, gates)`` for :meth:`evaluate`, cached.
+
+        ``inputs`` holds ``(index, name)`` per primary input; ``gates``
+        holds ``(gtype, out index, fan-in)`` per gate, where fan-in is
+        the net index of a NOT/BUF pin and an ``itemgetter`` of the
+        fan-in indices otherwise.  Sources precede every gate in
+        topological order, so reading all inputs first raises the same
+        missing-input error as a walk in order.  A gate with a fan-in at
+        or after its own position (the cyclic region of an
+        ``allow_cycles`` netlist) ends the plan with a ``(None, index,
+        net)`` step that raises ``KeyError(net)``.
+        """
+        if self._plan is not None:
+            return self._plan
+        order = self.topological_order()
+        index = {n: i for i, n in enumerate(order)}
+        inputs: list[tuple[int, str]] = []
+        gates: list[tuple] = []
+        for i, n in enumerate(order):
             g = self._gates[n]
             if g.gtype is GateType.INPUT:
-                if n not in assignment:
-                    raise NetlistError(f"missing value for input {n!r}")
-                values[n] = int(bool(assignment[n]))
+                inputs.append((i, n))
+                continue
+            fins = [index[f] for f in g.fanin]
+            late = [f for f, j in zip(g.fanin, fins) if j >= i]
+            if late:
+                gates.append((None, i, late[0]))
+                break
+            if g.gtype in (GateType.NOT, GateType.BUF):
+                gates.append((g.gtype, i, fins[0]))
+            elif g.gtype.is_source:
+                gates.append((g.gtype, i, None))
             else:
-                values[n] = evaluate_gate(g.gtype, [values[f] for f in g.fanin])
-        return values
+                # AND..MUX have at least two pins: itemgetter gives a tuple
+                gates.append((g.gtype, i, itemgetter(*fins)))
+        self._plan = (tuple(order), tuple(inputs), tuple(gates))
+        return self._plan
 
     def evaluate_outputs(self, assignment: Mapping[str, int]) -> dict[str, int]:
         """Evaluate and return only the primary-output values."""

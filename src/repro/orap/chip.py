@@ -334,35 +334,37 @@ class ProtectedChip:
         """One shift clock over every chain (chain index -> in/out bit)."""
         if self.scan_enable != 1:
             raise ChipError("scan shifting requires scan_enable=1")
+        return self._shift(self._visible_chains(), scan_in_bits or {})
+
+    def _visible_chains(self) -> list[list[ScanCell]]:
+        """The cells each chain shifts through: all of them, or the
+        flops alone while a Trojan bypasses the key cells."""
+        if not self.trojan.bypass_key_cells_in_scan:
+            return self.chains
+        return [
+            [c for c in chain if c.kind is not ScanCellKind.KEY]
+            for chain in self.chains
+        ]
+
+    def _shift(
+        self, visible: list[list[ScanCell]], scan_in_bits: Mapping[int, int]
+    ) -> dict[int, int]:
+        """One shift clock over ``visible`` (see :meth:`_visible_chains`).
+
+        Every stored bit is already 0/1, so only the scan-in bits are
+        normalised."""
+        flops = self.ff_state
+        keys = self.key_register.lfsr.state
         outs: dict[int, int] = {}
-        for ci, chain in enumerate(self.chains):
-            cells = [
-                c
-                for c in chain
-                if not (
-                    c.kind is ScanCellKind.KEY
-                    and self.trojan.bypass_key_cells_in_scan
-                )
-            ]
-            incoming = int(bool((scan_in_bits or {}).get(ci, 0)))
-            prev = incoming
+        for ci, cells in enumerate(visible):
+            prev = int(bool(scan_in_bits.get(ci, 0)))
             for cell in cells:
-                cur = self._cell_get(cell)
-                self._cell_set(cell, prev)
+                store = flops if cell.kind is ScanCellKind.FLOP else keys
+                cur = store[cell.ref]  # type: ignore[index]
+                store[cell.ref] = prev  # type: ignore[index]
                 prev = cur
             outs[ci] = prev
         return outs
-
-    def _cell_get(self, cell: ScanCell) -> int:
-        if cell.kind is ScanCellKind.FLOP:
-            return self.ff_state[cell.ref]  # type: ignore[index]
-        return self.key_register.scan_cell_get(cell.ref)  # type: ignore[arg-type]
-
-    def _cell_set(self, cell: ScanCell, bit: int) -> None:
-        if cell.kind is ScanCellKind.FLOP:
-            self.ff_state[cell.ref] = int(bool(bit))  # type: ignore[index]
-        else:
-            self.key_register.scan_cell_set(cell.ref, bit)  # type: ignore[arg-type]
 
     def scan_chain_cells(self) -> list[list[ScanCell]]:
         """Copy of the unified scan-chain cell lists."""
@@ -373,41 +375,17 @@ class ProtectedChip:
         key cells (attacker-chosen key-register contents)."""
         if self.scan_enable != 1:
             raise ChipError("scan load requires scan_enable=1")
-        depth = max(
-            (
-                len(
-                    [
-                        c
-                        for c in chain
-                        if not (
-                            c.kind is ScanCellKind.KEY
-                            and self.trojan.bypass_key_cells_in_scan
-                        )
-                    ]
-                )
-                for chain in self.chains
-            ),
-            default=0,
-        )
+        visible = self._visible_chains()
+        depth = max(map(len, visible), default=0)
         for cycle in range(depth):
-            bits: dict[int, int] = {}
-            for ci, chain in enumerate(self.chains):
-                cells = [
-                    c
-                    for c in chain
-                    if not (
-                        c.kind is ScanCellKind.KEY
-                        and self.trojan.bypass_key_cells_in_scan
-                    )
-                ]
-                # after `depth` shifts, cell i holds the bit entered at
-                # cycle (depth - 1 - i); shorter chains load last
-                idx = depth - 1 - cycle
-                if 0 <= idx < len(cells):
-                    bits[ci] = self._target_bit(cells[idx], target)
-                else:
-                    bits[ci] = 0
-            self.scan_shift_cycle(bits)
+            # after `depth` shifts, cell i holds the bit entered at
+            # cycle (depth - 1 - i); shorter chains load last
+            idx = depth - 1 - cycle
+            bits = {
+                ci: self._target_bit(cells[idx], target) if idx < len(cells) else 0
+                for ci, cells in enumerate(visible)
+            }
+            self._shift(visible, bits)
 
     @staticmethod
     def _target_bit(cell: ScanCell, target: Mapping[str, int]) -> int:
@@ -420,26 +398,15 @@ class ProtectedChip:
         name / ``"kr<i>"``.  Zeros shift in behind."""
         if self.scan_enable != 1:
             raise ChipError("scan unload requires scan_enable=1")
-        observed: dict[str, int] = {}
-        streams: dict[int, list[int]] = {ci: [] for ci in range(len(self.chains))}
-        visible: dict[int, list[ScanCell]] = {}
-        for ci, chain in enumerate(self.chains):
-            visible[ci] = [
-                c
-                for c in chain
-                if not (
-                    c.kind is ScanCellKind.KEY
-                    and self.trojan.bypass_key_cells_in_scan
-                )
-            ]
-        depth = max((len(v) for v in visible.values()), default=0)
+        visible = self._visible_chains()
+        depth = max(map(len, visible), default=0)
+        streams: list[list[int]] = [[] for _ in visible]
         for _ in range(depth):
-            outs = self.scan_shift_cycle({})
-            for ci, bit in outs.items():
+            for ci, bit in self._shift(visible, {}).items():
                 streams[ci].append(bit)
-        for ci, cells in visible.items():
-            for i, cell in enumerate(reversed(cells)):
-                bit = streams[ci][i]
+        observed: dict[str, int] = {}
+        for stream, cells in zip(streams, visible):
+            for bit, cell in zip(stream, reversed(cells)):
                 if cell.kind is ScanCellKind.FLOP:
                     observed[cell.ref] = bit  # type: ignore[index]
                 else:

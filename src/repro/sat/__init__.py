@@ -3,7 +3,7 @@ combinational equivalence checking."""
 
 from .cnf import CNF, evaluate_clause, evaluate_cnf
 from .solver import BudgetExhausted, SolveResult, Solver, solve_cnf
-from .tseitin import CircuitEncoder, encode_gate, encode_netlist
+from .tseitin import CircuitEncoder, ClauseTemplate, encode_gate, encode_netlist
 from .equivalence import (
     build_miter,
     check_equivalence,
@@ -20,6 +20,7 @@ __all__ = [
     "Solver",
     "solve_cnf",
     "CircuitEncoder",
+    "ClauseTemplate",
     "encode_gate",
     "encode_netlist",
     "build_miter",

@@ -3,9 +3,11 @@
 :class:`CircuitEncoder` maintains a shared :class:`~repro.sat.cnf.CNF` and a
 per-instance variable map, so several circuit copies (the two keyed copies
 of a SAT-attack miter, unrolled oracle constraints, ...) can share input
-variables while keeping distinct internal variables.  Its per-gate
-clauses come from :func:`encode_gate`, the one gate-to-CNF table, which
-partial encodings (the fanout-cone miter of SAT-ATPG) call directly.
+variables while keeping distinct internal variables.  It stamps a
+:class:`ClauseTemplate`, which a caller encoding many copies of one
+netlist builds once and stamps itself.  The per-gate clauses come from
+:func:`encode_gate`, the one gate-to-CNF table, which partial encodings
+(the fanout-cone miter of SAT-ATPG) call directly.
 """
 
 from __future__ import annotations
@@ -14,6 +16,68 @@ from typing import Mapping, Sequence
 
 from ..netlist import GateType, Netlist
 from .cnf import CNF
+
+
+class ClauseTemplate:
+    """A netlist's Tseitin clauses, encoded once and stamped per copy.
+
+    The clauses are built through :func:`encode_gate` over local ids:
+    nets in topological order take ``1..len(order)``, then the XOR-chain
+    auxiliaries follow in the order they are created.  :meth:`stamp`
+    maps those ids onto a target CNF, so every copy costs one remap
+    instead of a gate-by-gate encoding.
+
+    Constraints are local, so the circuit need not be acyclic:
+    cyclically locked netlists (repro.locking.cyclic) encode just as
+    well, which is exactly the fixed-point semantics CycSAT reasons
+    about.
+    """
+
+    def __init__(self, netlist: Netlist) -> None:
+        self.netlist = netlist
+        self.nets = tuple(netlist.topological_order())
+        local = {name: i for i, name in enumerate(self.nets, 1)}
+        scratch = CNF(n_vars=len(self.nets))
+        for name in self.nets:
+            gate = netlist.gate(name)
+            encode_gate(
+                scratch, gate.gtype, local[name], [local[f] for f in gate.fanin]
+            )
+        self.n_aux = scratch.n_vars - len(self.nets)
+        self.clauses = scratch.clauses
+
+    def stamp(
+        self, cnf: CNF, share: Mapping[str, int] | None = None
+    ) -> dict[str, int]:
+        """Append one copy to ``cnf``; returns its net-to-variable map.
+
+        Each net not in ``share`` gets a fresh variable, in topological
+        order; the auxiliaries come next, then the clauses.  That is the
+        numbering and clause order of a gate-by-gate encoding.  Shared
+        variables must already be allocated in ``cnf``.
+        """
+        var_of = dict(share or {})
+        top = cnf.n_vars
+        mapped = []
+        for name in self.nets:
+            v = var_of.get(name)
+            if v is None:
+                v = var_of[name] = cnf.new_var()
+            elif not 0 < abs(v) <= top:
+                raise ValueError(
+                    f"shared variable {v} of net {name!r} is not allocated "
+                    f"in the CNF ({top} variables)"
+                )
+            mapped.append(int(v))
+        first_aux = cnf.n_vars + 1
+        cnf.n_vars += self.n_aux
+        mapped.extend(range(first_aux, cnf.n_vars + 1))
+        # lut[lit] for positive local literals, lut[-lit] (Python's
+        # negative indexing) for negative ones
+        lut = [0, *mapped, *[-v for v in reversed(mapped)]]
+        get = lut.__getitem__
+        cnf.clauses.extend([tuple(map(get, c)) for c in self.clauses])
+        return var_of
 
 
 class CircuitEncoder:
@@ -38,8 +102,9 @@ class CircuitEncoder:
         self.netlist = netlist
         self.cnf = cnf if cnf is not None else CNF()
         self.prefix = prefix
-        self.var_of: dict[str, int] = dict(share or {})
-        self._encode()
+        self.var_of: dict[str, int] = ClauseTemplate(netlist).stamp(
+            self.cnf, share
+        )
 
     def var(self, net: str) -> int:
         """CNF variable carrying the value of ``net``."""
@@ -48,30 +113,6 @@ class CircuitEncoder:
     def output_vars(self) -> list[int]:
         """CNF variables of the netlist outputs, in order."""
         return [self.var_of[o] for o in self.netlist.outputs]
-
-    def _fresh(self, net: str) -> int:
-        v = self.cnf.new_var()
-        self.var_of[net] = v
-        return v
-
-    def _encode(self) -> None:
-        # two-pass encoding: allocate every net's variable first, then add
-        # the per-gate constraints.  Constraints are local, so no
-        # topological order is required — cyclically locked netlists
-        # (repro.locking.cyclic) encode just as well, which is exactly the
-        # fixed-point semantics CycSAT reasons about.
-        order = self.netlist.topological_order()
-        for name in order:
-            if name not in self.var_of:
-                self._fresh(name)
-        for name in order:
-            gate = self.netlist.gate(name)
-            encode_gate(
-                self.cnf,
-                gate.gtype,
-                self.var_of[name],
-                [self.var_of[f] for f in gate.fanin],
-            )
 
 
 def encode_gate(cnf: CNF, gtype: GateType, out: int, fins: Sequence[int]) -> None:

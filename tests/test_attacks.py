@@ -1,5 +1,7 @@
 """Tests for the attack suite against ideal and scan-level oracles."""
 
+import random
+
 import pytest
 
 from repro.attacks import (
@@ -23,6 +25,7 @@ from repro.attacks import (
     sensitization_attack,
     sps_attack,
 )
+from repro.attacks.sensitization import _bruteforce_bits
 from repro.bench import GeneratorConfig, generate_netlist
 from repro.locking import (
     WLLConfig,
@@ -31,6 +34,7 @@ from repro.locking import (
     lock_sarlock,
     lock_weighted,
 )
+from repro.netlist import GateType, Netlist
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +196,85 @@ class TestSensitization:
         assert res.completed
         assert key_is_correct(rll, res.recovered_key)
         assert res.notes["bits_recovered"] == len(rll.key_inputs)
+
+
+def _bruteforce_host():
+    """Six data inputs, eight key bits: k0..k5 XOR-mask one output each,
+    k6 shows only when x0 is 1, and k7 drives nothing."""
+    nl = Netlist("bf")
+    xs = [nl.add_input(f"x{j}") for j in range(6)]
+    ks = [nl.add_input(f"k{j}") for j in range(8)]
+    outs = []
+    for j in range(6):
+        nl.add_gate(f"a{j}", GateType.NAND, [xs[j], xs[(j + 1) % 6]])
+        outs.append(nl.add_gate(f"y{j}", GateType.XOR, [f"a{j}", ks[j]]))
+    outs.append(nl.add_gate("y6", GateType.AND, [xs[0], ks[6]]))
+    nl.set_outputs(outs)
+    return nl, xs, ks
+
+
+#: k6 set puts the true key past the first 64 combinations; k7 set
+#: makes the lowest match (k7 = 0) differ from it
+_BF_KEY = {"k0": 1, "k1": 0, "k2": 1, "k3": 1, "k4": 0, "k5": 0, "k6": 1, "k7": 1}
+
+
+def _bf_probes(nl, xs, n, seed=3):
+    rng = random.Random(seed)
+    probes = []
+    for _ in range(n):
+        pattern = {x: rng.randrange(2) for x in xs}
+        probes.append((pattern, nl.evaluate_outputs({**pattern, **_BF_KEY})))
+    return probes
+
+
+def _reference_bruteforce(nl, known, remaining, probes):
+    """The plain loop: every combination in index order, scalar checks."""
+    for combo in range(1 << len(remaining)):
+        guess = dict(known)
+        for bi, name in enumerate(remaining):
+            guess[name] = (combo >> bi) & 1
+        if all(
+            nl.evaluate_outputs({**p, **guess}) == want for p, want in probes
+        ):
+            return guess
+    return None
+
+
+class TestBruteforceBits:
+    @pytest.mark.parametrize("n_probes", [20, 64, 100])
+    @pytest.mark.parametrize(
+        "known",
+        [
+            {},
+            {"k7": 1},
+            {"k0": 1, "k3": 1, "k6": 1},
+            {"k0": 0},  # contradicts every probe's response
+        ],
+        ids=["none", "unobservable", "three", "wrong"],
+    )
+    def test_matches_reference_loop(self, known, n_probes):
+        nl, xs, ks = _bruteforce_host()
+        remaining = [k for k in ks if k not in known]
+        probes = _bf_probes(nl, xs, n_probes)
+        got = _bruteforce_bits(nl, xs, known, remaining, probes)
+        want = _reference_bruteforce(nl, known, remaining, probes)
+        assert got == want
+        if want is None:
+            assert known == {"k0": 0}
+            return
+        assert list(got) == list(want)  # known bits first, then remaining
+        assert got["k7"] == known.get("k7", 0)  # lowest match, not the key
+        assert {k: v for k, v in got.items() if k != "k7"} == {
+            k: v for k, v in _BF_KEY.items() if k != "k7"
+        }
+
+    def test_no_match_when_a_response_is_wrong(self):
+        nl, xs, ks = _bruteforce_host()
+        probes = _bf_probes(nl, xs, 70)
+        pattern, resp = probes[66]
+        probes[66] = (pattern, {**resp, "y2": 1 - resp["y2"]})
+        assert _bruteforce_bits(nl, xs, {}, ks, probes) is None
+        assert _reference_bruteforce(nl, {}, ks, probes) is None
 
 
 class TestStructuralAttacks:

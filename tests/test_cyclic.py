@@ -1,5 +1,10 @@
 """Tests for cyclic logic locking and the CycSAT attack."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.attacks import (
@@ -103,3 +108,22 @@ class TestCycSAT:
         assert ind is not None  # NC condition honoured
         eq, _ = check_equivalence(cyclic.original, ind)
         assert eq
+
+
+def test_campaigns_load_without_networkx():
+    """networkx (the ``cyclic`` extra) is imported by CycSAT's cycle
+    enumeration alone, not by loading the harnesses."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys\n"
+        "import repro.experiments, repro.attacks.cycsat\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

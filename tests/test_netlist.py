@@ -1,8 +1,12 @@
 """Unit tests for the combinational netlist container."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.netlist import GateType, Netlist, NetlistError
+from repro.netlist import GateType, Netlist, NetlistError, evaluate_gate
+from repro.sim import BitSimulator
 
 
 @pytest.fixture
@@ -142,6 +146,113 @@ class TestEvaluation:
         nl.add_gate("y", GateType.AND, ["one", "zero"])
         nl.set_outputs(["y"])
         assert nl.evaluate_outputs({})["y"] == 0
+
+
+_LOGIC_TYPES = [t for t in GateType if t is not GateType.INPUT]
+
+#: input values that are not 0/1 but must read as such
+_TRUTHY = st.sampled_from([0, 1, 2, -3, True, False, 0.5])
+
+
+@st.composite
+def _random_netlist(draw):
+    """Every gate type, fan-in up to 5, fan-ins drawn from earlier nets."""
+    nl = Netlist("rand")
+    nets = [nl.add_input(f"i{k}") for k in range(draw(st.integers(1, 6)))]
+    for k in range(draw(st.integers(1, 24))):
+        gtype = draw(st.sampled_from(_LOGIC_TYPES))
+        hi = gtype.max_fanin if gtype.max_fanin is not None else 5
+        arity = draw(st.integers(gtype.min_fanin, hi))
+        fanin = [draw(st.sampled_from(nets)) for _ in range(arity)]
+        nets.append(nl.add_gate(f"g{k}", gtype, fanin))
+    outs = draw(st.lists(st.sampled_from(nets), min_size=1, max_size=4))
+    nl.set_outputs(outs)
+    return nl
+
+
+def _walk(nl, assignment):
+    """The per-gate reference: evaluate_gate over the topological order."""
+    values = {}
+    for n in nl.topological_order():
+        g = nl.gate(n)
+        if g.gtype is GateType.INPUT:
+            if n not in assignment:
+                raise NetlistError(f"missing value for input {n!r}")
+            values[n] = int(bool(assignment[n]))
+        else:
+            values[n] = evaluate_gate(g.gtype, [values[f] for f in g.fanin])
+    return values
+
+
+def _bitsim(nl, assignment):
+    words = {
+        i: np.array([1 if assignment[i] else 0], dtype=np.uint64)
+        for i in nl.inputs
+    }
+    sim = BitSimulator(nl)
+    values = sim.run(words)
+    return {n: int(values[sim.net_index(n)][0] & 1) for n in nl.nets}
+
+
+class TestIndexedEvaluation:
+    """``Netlist.evaluate`` runs a cached plan; it must agree with the
+    per-gate walk and the bit-parallel simulator, and the plan must
+    follow every mutation."""
+
+    @given(_random_netlist(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_gate_walk_and_bitsim(self, nl, data):
+        for _ in range(3):
+            asg = {i: data.draw(_TRUTHY) for i in nl.inputs}
+            got = nl.evaluate(asg)
+            assert list(got) == nl.topological_order()
+            assert got == _walk(nl, asg)
+            assert got == _bitsim(nl, asg)
+            assert all(type(v) is int for v in got.values())
+            assert nl.evaluate_outputs(asg) == {o: got[o] for o in nl.outputs}
+
+    @given(_random_netlist(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_missing_input_error(self, nl, data):
+        drop = data.draw(st.sampled_from(nl.inputs))
+        asg = {i: 1 for i in nl.inputs if i != drop}
+        with pytest.raises(NetlistError, match=repr(drop)):
+            _walk(nl, asg)
+        with pytest.raises(NetlistError, match=repr(drop)):
+            nl.evaluate(asg)
+
+    @given(_random_netlist(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_plan_follows_mutations(self, nl, data):
+        asg = {i: data.draw(_TRUTHY) for i in nl.inputs}
+        nl.evaluate(asg)
+        nets = nl.nets
+        nl.add_gate("extra", GateType.NAND, [nets[-1], nets[0]])
+        assert nl.evaluate(asg) == _walk(nl, asg)
+        nl.set_outputs(["extra"])
+        assert nl.evaluate_outputs(asg) == {"extra": _walk(nl, asg)["extra"]}
+        nl.add_output(nets[0])
+        assert list(nl.evaluate_outputs(asg)) == ["extra", nets[0]]
+        nl.prune_dangling()
+        got = nl.evaluate(asg)
+        assert got == _walk(nl, asg)
+        assert set(got) == set(nl.nets)
+        nl.replace_gate("extra", GateType.XNOR, [nets[0], nets[-1], nets[0]])
+        assert nl.evaluate(asg) == _walk(nl, asg)
+
+    def test_cyclic_region_raises_the_walks_key_error(self):
+        nl = Netlist("loop", allow_cycles=True)
+        nl.add_input("a")
+        nl.add_gate("x", GateType.AND, ["a", "y"])
+        nl.add_gate("y", GateType.OR, ["x", "a"])
+        nl.set_outputs(["y"])
+        with pytest.raises(KeyError) as want:
+            _walk(nl, {"a": 1})
+        with pytest.raises(KeyError) as got:
+            nl.evaluate({"a": 1})
+        assert got.value.args == want.value.args == ("y",)
+        with pytest.raises(NetlistError, match="'a'"):
+            nl.evaluate({})
 
 
 class TestMutation:

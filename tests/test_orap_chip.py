@@ -1,5 +1,7 @@
 """Tests for the pulse generator, key register, and protected-chip model."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -321,3 +323,84 @@ class TestTrojanHooksOnChip:
         observed = chip.scan_unload()
         assert not any(k.startswith("kr") for k in observed)
         assert chip.is_unlocked()  # key cells held their values
+
+
+@pytest.fixture(scope="module")
+def multichain_design():
+    """Seven flops over three chains: the chains have unequal lengths."""
+    return generate_sequential(
+        SequentialConfig(
+            comb=GeneratorConfig(
+                n_inputs=8, n_outputs=12, n_gates=90, depth=5, seed=7, name="mc"
+            ),
+            n_flops=7,
+            n_scan_chains=3,
+        )
+    )
+
+
+#: sha256 prefixes of 20 seeded oracle queries plus a load/unload round
+#: trip, per (placement, protected, bypass); recorded before the scan
+#: shifts were precomputed per transaction
+_PINNED_SCAN_PROTOCOL = {
+    "interleaved-orap-0": "09551d9ded26e07a",
+    "interleaved-orap-1": "444b0e10a3df9242",
+    "interleaved-plain-0": "b46e2852c0a8b7da",
+    "interleaved-plain-1": "b46e2852c0a8b7da",
+    "head-orap-0": "de2d80b0e1eb7447",
+    "head-orap-1": "444b0e10a3df9242",
+    "head-plain-0": "b46e2852c0a8b7da",
+    "head-plain-1": "b46e2852c0a8b7da",
+    "clustered-orap-0": "b5f4e9fc13cb0930",
+    "clustered-orap-1": "63c188eb1dd7d703",
+    "clustered-plain-0": "b46e2852c0a8b7da",
+    "clustered-plain-1": "b46e2852c0a8b7da",
+}
+
+
+class TestScanProtocolPinned:
+    @pytest.mark.parametrize("bypass", [False, True])
+    @pytest.mark.parametrize("protected_chip", [True, False])
+    @pytest.mark.parametrize("placement", ["interleaved", "head", "clustered"])
+    def test_queries_and_round_trip(
+        self, multichain_design, placement, protected_chip, bypass
+    ):
+        d = protect(
+            multichain_design,
+            orap=OraPConfig(variant="basic", placement=placement),
+            wll=WLLConfig(key_width=10, control_width=3, n_key_gates=4),
+            rng=3,
+        )
+        chip = d.build_chip(
+            protected=protected_chip,
+            trojan=TrojanHooks(bypass_key_cells_in_scan=bypass),
+        )
+        lengths = {len(chain) for chain in chip.chains}
+        assert len(lengths) > 1
+        chip.reset()
+        chip.unlock()
+        rng = random.Random(11)
+        flops = [ff.name for ff in multichain_design.flops]
+        n_key = chip.key_register.size
+        records = []
+        for _ in range(20):
+            pi = {p: rng.randrange(2) for p in chip.primary_inputs}
+            state = {f: rng.randrange(2) for f in flops}
+            state.update({f"kr{i}": rng.randrange(2) for i in range(n_key)})
+            po, captured = chip.oracle_query(pi, state)
+            records.append([sorted(po.items()), sorted(captured.items())])
+        target = {f: rng.randrange(2) for f in flops}
+        target.update({f"kr{i}": rng.randrange(2) for i in range(n_key)})
+        chip.scan_load(target)
+        after_load = [sorted(chip.ff_state.items()), chip.key_register.key_bits()]
+        observed = chip.scan_unload()
+        assert all(observed[k] == target[k] for k in observed)
+        records += [after_load, sorted(observed.items())]
+        # raw shift clocks expose each chain's cell order
+        for _ in range(max(lengths) + 1):
+            bits = {ci: rng.randrange(2) for ci in range(len(chip.chains))}
+            records.append(sorted(chip.scan_shift_cycle(bits).items()))
+        records.append(chip.key_register.key_bits())
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16]
+        key = f"{placement}-{'orap' if protected_chip else 'plain'}-{int(bypass)}"
+        assert digest == _PINNED_SCAN_PROTOCOL[key]

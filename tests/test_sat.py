@@ -1,6 +1,8 @@
 """Tests for the CNF container, CDCL solver, Tseitin encoding, equivalence."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -13,9 +15,11 @@ from repro.sat import (
     CNF,
     BudgetExhausted,
     CircuitEncoder,
+    ClauseTemplate,
     Solver,
     build_miter,
     check_equivalence,
+    encode_gate,
     evaluate_cnf,
     prove_unlocks,
     solve_circuit,
@@ -278,6 +282,166 @@ class TestTseitin:
             cnf.add_clause([e1.var(o), -e2.var(o)])
             cnf.add_clause([-e1.var(o), e2.var(o)])
         assert Solver(cnf).solve().sat
+
+
+def _xor_netlist(gtype, arity):
+    """``gtype`` at ``arity`` fed by four inputs, then a second XOR chain
+    and an AND downstream, so auxiliaries interleave with later nets."""
+    nl = Netlist(f"{gtype.value}{arity}")
+    ins = [nl.add_input(f"i{k}") for k in range(4)]
+    nl.add_gate("g", gtype, ins[:arity])
+    nl.add_gate("h", GateType.XNOR, ["g", "i3", "i1"])
+    nl.add_gate("y", GateType.AND, ["h", "i0"])
+    nl.set_outputs(["y", "g"])
+    return nl
+
+
+def _mixed_netlist():
+    nl = Netlist("mixed")
+    a, b, c, d = (nl.add_input(n) for n in "abcd")
+    nl.add_gate("zero", GateType.CONST0)
+    nl.add_gate("one", GateType.CONST1)
+    nl.add_gate("m", GateType.MUX, [a, b, c])
+    nl.add_gate("na", GateType.NAND, ["m", d, "one"])
+    nl.add_gate("no", GateType.NOR, [a, "zero", "na"])
+    nl.add_gate("x", GateType.XOR, ["m", "no", b, c])
+    nl.add_gate("nb", GateType.NOT, ["x"])
+    nl.add_gate("bf", GateType.BUF, ["nb"])
+    nl.add_gate("o", GateType.OR, ["bf", "na", d])
+    nl.set_outputs(["o", "x", "m"])
+    return nl
+
+
+def _cyclic_netlist():
+    from repro.locking.cyclic import lock_cyclic
+
+    locked = lock_cyclic(mini_alu(3), 3, rng=5).locked
+    assert locked.allow_cycles
+    return locked
+
+
+def _encoder_stamp(netlist, cnf, share):
+    return CircuitEncoder(netlist, cnf=cnf, share=share).var_of
+
+
+def _template_stamp(netlist, cnf, share):
+    return ClauseTemplate(netlist).stamp(cnf, share)
+
+
+def _digest(cnf, var_maps):
+    payload = json.dumps(
+        [
+            cnf.n_vars,
+            [list(c) for c in cnf.clauses],
+            [sorted(m.items()) for m in var_maps],
+        ]
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _one_copy(netlist, share_inputs):
+    """One stamp after a two-variable prefix, sharing ``share_inputs``."""
+
+    def case(stamp):
+        cnf = CNF()
+        cnf.new_vars(2)
+        share = {name: cnf.new_var() for name in share_inputs(netlist)}
+        return _digest(cnf, [stamp(netlist, cnf, share)])
+
+    return case
+
+
+def _two_copies(stamp):
+    """A miter-style pair: shared data inputs, one input private per copy,
+    a constraint clause between the copies, and a second netlist's copy
+    stamped on top."""
+    nl = ripple_adder(3)
+    cnf = CNF()
+    shared = {i: cnf.new_var() for i in nl.inputs[1:]}
+    a = stamp(nl, cnf, dict(shared))
+    b = stamp(nl, cnf, {**shared, "bogus": 1})
+    cnf.add_clause([a[nl.outputs[0]], b[nl.outputs[0]]])
+    c = stamp(_mixed_netlist(), cnf, {"a": a[nl.outputs[1]]})
+    return _digest(cnf, [a, b, c])
+
+
+def _all_inputs(nl):
+    return nl.inputs[::-1]
+
+
+def _no_inputs(nl):
+    return []
+
+
+def _odd_inputs(nl):
+    return nl.inputs[1::2]
+
+
+_TEMPLATE_CASES = {
+    **{
+        f"{t.value}{n}": _one_copy(_xor_netlist(t, n), _odd_inputs)
+        for t in (GateType.XOR, GateType.XNOR)
+        for n in (2, 3, 4)
+    },
+    "mixed-full": _one_copy(_mixed_netlist(), _all_inputs),
+    "mixed-partial": _one_copy(_mixed_netlist(), _odd_inputs),
+    "mixed-empty": _one_copy(_mixed_netlist(), _no_inputs),
+    "cyclic-full": _one_copy(_cyclic_netlist(), _all_inputs),
+    "cyclic-empty": _one_copy(_cyclic_netlist(), _no_inputs),
+    "two-copies": _two_copies,
+}
+
+#: sha256 prefixes of (n_vars, clauses, var maps) per case
+_PINNED_ENCODINGS = {
+    "cyclic-empty": "a4f21d41a51b50b5",
+    "cyclic-full": "e1af0dc904ce5c45",
+    "mixed-empty": "256288ec8914bf82",
+    "mixed-full": "ddd45c6610980f01",
+    "mixed-partial": "4da68aaca9a0494a",
+    "two-copies": "2134eb93300ef677",
+    "xnor2": "436f06ab4501e47f",
+    "xnor3": "1b8ff356fcb0406d",
+    "xnor4": "d68400c2bbd67369",
+    "xor2": "d2f72d0da328d056",
+    "xor3": "2235b51d7109e1a9",
+    "xor4": "fabd546d582558ac",
+}
+
+
+class TestClauseTemplate:
+    """The template's stamps are the CNFs the per-gate encoder produced:
+    the hashes were recorded from ``CircuitEncoder`` before it was built
+    on :class:`ClauseTemplate`."""
+
+    @pytest.mark.parametrize("stamp", [_encoder_stamp, _template_stamp])
+    @pytest.mark.parametrize("case", sorted(_TEMPLATE_CASES))
+    def test_stamp_matches_pinned_encoding(self, case, stamp):
+        assert _TEMPLATE_CASES[case](stamp) == _PINNED_ENCODINGS[case]
+
+    @pytest.mark.parametrize(
+        "gtype, clauses",
+        [(GateType.XOR, [(-3, 1), (3, -1)]), (GateType.XNOR, [(-3, -1), (3, 1)])],
+    )
+    def test_single_fanin_xor_is_an_equality(self, gtype, clauses):
+        # a netlist gate cannot have one XOR fan-in, but encode_gate can
+        cnf = CNF(n_vars=3)
+        encode_gate(cnf, gtype, 3, [1])
+        assert cnf.clauses == clauses and cnf.n_vars == 3
+
+    def test_unallocated_shared_variable_rejected(self):
+        cnf = CNF()
+        with pytest.raises(ValueError, match="not allocated"):
+            ClauseTemplate(c17()).stamp(cnf, {"G1": 1})
+
+    def test_template_reused_across_cnfs(self):
+        nl = _mixed_netlist()
+        template = ClauseTemplate(nl)
+        for _ in range(2):
+            cnf = CNF()
+            var_of = template.stamp(cnf, {})
+            ref = CNF()
+            assert var_of == _encoder_stamp(nl, ref, {})
+            assert cnf == ref
 
 
 class TestEquivalence:
