@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install dev lint test verify-fast verify-robust bench bench-sim bench-sim-smoke bench-telemetry bench-service bench-corpus bench-gate campaign-smoke chaos-smoke serve-smoke experiments examples clean
+.PHONY: install dev lint test verify-fast verify-robust bench bench-sim bench-sim-smoke bench-telemetry bench-corpus bench-gate campaign-smoke chaos-smoke experiments examples clean
 
 install:
 	pip install -e .
@@ -62,7 +62,7 @@ bench-telemetry:
 
 # bench regression gate: regenerate BENCH_sim.json and
 # BENCH_telemetry.json into .bench-fresh/ and diff them (plus the
-# committed BENCH_runtime.json self-check) against the repo baselines;
+# committed BENCH_corpus.json self-check) against the repo baselines;
 # >25% slowdown on a within-run ratio, a missing metric, or an
 # engine/scalar mismatch fails the build (scripts/bench_compare.py)
 bench-gate:
@@ -81,29 +81,6 @@ bench-gate:
 # from the merged trace (repro chaos run, src/repro/experiments/chaos.py)
 chaos-smoke:
 	PYTHONPATH=src $(PY) -m repro chaos run --jobs 4
-
-# deprecated job service: this target and serve-smoke go with it in
-# 1.2.0.  Job-service overhead vs direct run_rows (interleaved rounds,
-# fixed seed; see src/repro/service/bench.py); refreshes BENCH_service.json
-bench-service:
-	PYTHONPATH=src $(PY) -m repro.service.bench --out BENCH_service.json
-
-# job-service end-to-end smoke (scripts/serve_smoke.py): boot a real
-# daemon, submit a small table1 campaign twice — the second submit must
-# be a cache-admission hit (born done via content-key dedup, nonzero
-# cache.hit in the trace) — then SIGTERM-drain a job mid-run and prove
-# a restarted daemon resumes it to a result byte-identical to a direct
-# in-process run; every journal line must validate against the v1 event
-# schema.  A fresh BENCH_service.json is then generated and gated
-# against its embedded <3% service-overhead bound.
-serve-smoke:
-	rm -rf .repro-serve-smoke
-	PYTHONPATH=src $(PY) scripts/serve_smoke.py --state-dir .repro-serve-smoke
-	rm -rf .bench-fresh-service && mkdir -p .bench-fresh-service
-	PYTHONPATH=src $(PY) -m repro.service.bench \
-		--out .bench-fresh-service/BENCH_service.json
-	PYTHONPATH=src $(PY) scripts/bench_compare.py \
-		--fresh-dir .bench-fresh-service --only service
 
 # front-end parse throughput + round-trip/recovery invariants;
 # refreshes BENCH_corpus.json (gated by scripts/bench_compare.py

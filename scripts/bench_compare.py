@@ -2,9 +2,8 @@
 """Bench regression gate: diff fresh bench reports against baselines.
 
 Compares freshly produced ``BENCH_sim.json`` / ``BENCH_telemetry.json`` /
-``BENCH_runtime.json`` / ``BENCH_service.json`` / ``BENCH_corpus.json``
-against the copies committed at the repo root and fails (exit 1) on a
-regression:
+``BENCH_corpus.json`` against the copies committed at the repo root and
+fails (exit 1) on a regression:
 
 * **missing metrics** — a circuit, field, or whole file the baseline has
   but the fresh report lacks is always a failure (a silently shrinking
@@ -26,17 +25,13 @@ percentage) and machine-independent work counters are compared across
 machines — absolute wall-clock numbers from a different box are not
 comparable and are reported informationally only.
 
-``BENCH_runtime.json`` records a one-off before/after instrumentation
-measurement that cannot be cheaply regenerated; when no fresh copy is
-given the committed baseline is self-checked against its own acceptance
-bound instead.  ``BENCH_service.json`` (job-service overhead vs direct
-``run_rows``, regenerated by ``make serve-smoke``) follows the same
-rule: fresh report when supplied, baseline self-check otherwise.
+``BENCH_corpus.json`` is gated against its own embedded floor: fresh
+report when supplied, committed-baseline self-check otherwise.
 
 Usage::
 
     python scripts/bench_compare.py --fresh-dir .bench-fresh \
-        [--baseline-dir .] [--threshold 25] [--only service ...]
+        [--baseline-dir .] [--threshold 25] [--only corpus ...]
 """
 
 from __future__ import annotations
@@ -229,68 +224,6 @@ def compare_telemetry(gate: Gate, baseline: dict, fresh: dict | None) -> None:
         )
 
 
-def compare_runtime(gate: Gate, baseline: dict, fresh: dict | None) -> None:
-    gate.lines.append("BENCH_runtime.json (governance instrumentation cost)")
-    source = fresh if fresh is not None else baseline
-    which = "fresh" if fresh is not None else "baseline (self-check)"
-    overhead = source.get("overhead_percent")
-    bound = source.get("acceptance_bound_percent")
-    if not isinstance(overhead, dict) or bound is None:
-        gate.fail(f"runtime: {which}: overhead/acceptance metrics missing")
-        return
-    for key, value in sorted(overhead.items()):
-        if not isinstance(value, (int, float)):
-            continue  # prose note fields
-        verdict = "ok" if float(value) <= float(bound) else "REGRESSION"
-        gate.lines.append(
-            f"  runtime.{key:<34} {which}: {float(value):>6.1f}% "
-            f"(bound {float(bound):g}%, {verdict})"
-        )
-        if float(value) > float(bound):
-            gate.failures.append(
-                f"runtime: {key} overhead {value}% exceeds the "
-                f"{bound}% acceptance bound"
-            )
-
-
-def compare_service(gate: Gate, baseline: dict, fresh: dict | None) -> None:
-    """Gate BENCH_service.json: job-service overhead vs direct run_rows.
-
-    ``overhead_percent`` is a within-run ratio (both sides measured in
-    the same process tree on the same box), so it is gated against the
-    report's embedded acceptance bound; absolute seconds stay
-    informational.  Works runtime-style: fresh report when supplied,
-    committed-baseline self-check otherwise.
-    """
-    gate.lines.append("BENCH_service.json (job-service overhead)")
-    source = fresh if fresh is not None else baseline
-    which = "fresh" if fresh is not None else "baseline (self-check)"
-    overhead = source.get("overhead_percent")
-    bound = source.get("acceptance_bound_percent")
-    if not isinstance(overhead, (int, float)) or bound is None:
-        gate.fail(f"service: {which}: overhead/acceptance metrics missing")
-        return
-    if source.get("pass") is not True:
-        gate.fail(f"service: {which} report's own threshold check failed")
-    verdict = "ok" if float(overhead) <= float(bound) else "REGRESSION"
-    gate.lines.append(
-        f"  service.overhead_percent                 {which}: "
-        f"{float(overhead):>6.2f}% (bound {float(bound):g}%, {verdict})"
-    )
-    if float(overhead) > float(bound):
-        gate.failures.append(
-            f"service: job-service overhead {overhead}% exceeds the "
-            f"{bound}% acceptance bound"
-        )
-    direct_s = source.get("direct_s")
-    service_s = source.get("service_s")
-    if direct_s is not None and service_s is not None:
-        gate.info(
-            f"service.best_round  direct {float(direct_s):.2f}s  "
-            f"service {float(service_s):.2f}s (not gated across machines)"
-        )
-
-
 def compare_corpus(gate: Gate, baseline: dict, fresh: dict | None) -> None:
     """Gate BENCH_corpus.json: front-end parse throughput + invariants.
 
@@ -298,8 +231,8 @@ def compare_corpus(gate: Gate, baseline: dict, fresh: dict | None) -> None:
     correctness bits and always gated.  ``lines_per_s`` is gated against
     the report's embedded conservative floor (``min_lines_per_s``), not
     against the baseline's absolute number — parse throughput from a
-    different box is informational only.  Works runtime-style: fresh
-    report when supplied, committed-baseline self-check otherwise.
+    different box is informational only.  Fresh report when supplied,
+    committed-baseline self-check otherwise.
     """
     gate.lines.append("BENCH_corpus.json (netlist front-end throughput)")
     source = fresh if fresh is not None else baseline
@@ -361,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--only",
         action="append",
-        choices=["sim", "telemetry", "runtime", "service", "corpus"],
+        choices=["sim", "telemetry", "corpus"],
         metavar="NAME",
         help="restrict the gate to one report (repeatable); default: all",
     )
@@ -371,8 +304,6 @@ def main(argv: list[str] | None = None) -> int:
     comparisons = (
         ("sim", "BENCH_sim.json", compare_sim),
         ("telemetry", "BENCH_telemetry.json", compare_telemetry),
-        ("runtime", "BENCH_runtime.json", compare_runtime),
-        ("service", "BENCH_service.json", compare_service),
         ("corpus", "BENCH_corpus.json", compare_corpus),
     )
     for name, filename, compare in comparisons:

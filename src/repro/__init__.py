@@ -37,17 +37,17 @@ Quickstart::
     assert not chip.is_unlocked()
 """
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 #: API stability: v1.  Everything in this table is the *frozen* public
 #: surface — importable directly from ``repro`` — and follows the
 #: deprecation policy in docs/ATTACK_API.md: a spelling is never removed
 #: without a full release of :class:`DeprecationWarning` first, through a
 #: shim written for that case (the pre-v1 ``max_flips``/``max_rounds``/
-#: ``backend="optape"`` spellings completed that cycle and are gone; the
-#: simulation-lane knobs and the eight job-service names are in it now,
-#: until 1.2.0).  Names are resolved lazily (PEP 562) so ``import repro``
-#: stays cheap for programs that only need one subsystem.
+#: ``backend="optape"`` spellings, the simulation-lane knobs and the
+#: eight job-service names completed that cycle and are gone).  Names
+#: are resolved lazily (PEP 562) so ``import repro`` stays cheap for
+#: programs that only need one subsystem.
 _V1_EXPORTS: dict[str, str] = {
     # unified attack API (docs/ATTACK_API.md)
     "run_attack": "repro.attacks.api",
@@ -73,16 +73,6 @@ _V1_EXPORTS: dict[str, str] = {
     "print_table1": "repro.experiments",
     "print_table2": "repro.experiments",
     "print_attack_matrix": "repro.experiments",
-    # campaign job service (docs/SERVICE.md): deprecated in 1.1.0,
-    # removed in 1.2.0; resolving one warns
-    "JobSpec": "repro.service",
-    "JobStatus": "repro.service",
-    "execute_job": "repro.service",
-    "job_content_key": "repro.service",
-    "ServeConfig": "repro.service",
-    "serve": "repro.service",
-    "ServiceClient": "repro.service",
-    "ServiceError": "repro.service",
 }
 
 _SUBPACKAGES = [
@@ -100,7 +90,6 @@ _SUBPACKAGES = [
     "runtime",
     "cache",
     "telemetry",
-    "service",
     "lint",
 ]
 
@@ -115,11 +104,7 @@ def __getattr__(name: str):
     import importlib
 
     value = getattr(importlib.import_module(target), name)
-    if target == "repro.service":
-        from .service.api import warn_deprecated
-
-        warn_deprecated(name)
-    globals()[name] = value  # cache: resolve (and warn about) each name once
+    globals()[name] = value  # cache: resolve each name once
     return value
 
 

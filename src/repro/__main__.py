@@ -26,9 +26,7 @@ stats|clear|verify``; see docs/CACHING.md).
 
 Each campaign subcommand calls its harness directly —
 ``print_table1(run_table1(...))`` and so on — with a
-:class:`~repro.experiments.RunPolicy` built from those flags.  The job
-service subcommands ``repro serve`` and ``repro job`` are deprecated
-(one stderr line each) and are removed in 1.2.0 (docs/SERVICE.md).
+:class:`~repro.experiments.RunPolicy` built from those flags.
 """
 
 from __future__ import annotations
@@ -40,9 +38,8 @@ import sys
 def add_runtime_flags(p, policy: bool = True) -> None:
     """Attach the unified runtime flag set to one subparser.
 
-    Every campaign parser goes through here (as does the deprecated
-    ``repro serve`` until 1.2.0), so ``--jobs/--trace/--cache*`` are
-    spelled and documented identically across the CLI.  ``policy=True``
+    Every campaign parser goes through here, so ``--jobs/--trace/--cache*``
+    are spelled and documented identically across the CLI.  ``policy=True``
     additionally attaches the checkpoint/retry knobs that only
     row-runner campaigns honour.
     """
@@ -186,85 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     ph = sub.add_parser("hd-sweep", help="HD saturation curve (Table I rule)")
     ph.add_argument("--circuit", default="b20")
     add_runtime_flags(ph, policy=False)
-
-    psv = sub.add_parser(
-        "serve",
-        help="(deprecated, removed in 1.2.0) campaign job service "
-        "daemon: async submit/status/result over a Unix socket "
-        "(docs/SERVICE.md)",
-    )
-    psv.add_argument(
-        "--state-dir",
-        type=str,
-        default=".repro-serve",
-        metavar="DIR",
-        help="service state root: journal, job records, results, "
-        "checkpoints (default .repro-serve)",
-    )
-    psv.add_argument(
-        "--socket",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="Unix socket path (default <state-dir>/serve.sock)",
-    )
-    psv.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="concurrent jobs (each may additionally fan out --jobs "
-        "row workers)",
-    )
-    psv.add_argument(
-        "--tenant-budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock compute budget per tenant (persisted across "
-        "restarts; exhausted tenants' submits are refused)",
-    )
-    add_runtime_flags(psv, policy=False)
-
-    pj = sub.add_parser(
-        "job",
-        help="(deprecated, removed in 1.2.0) client for a running "
-        "`repro serve` daemon",
-    )
-    pj.add_argument(
-        "action",
-        choices=["submit", "status", "result", "cancel", "list"],
-        help="submit <campaign> | status/result/cancel <job-id> | list",
-    )
-    pj.add_argument(
-        "target",
-        nargs="?",
-        default=None,
-        help="campaign name (submit) or job id (status/result/cancel)",
-    )
-    pj.add_argument(
-        "--socket",
-        type=str,
-        default=".repro-serve/serve.sock",
-        metavar="PATH",
-        help="daemon socket (default .repro-serve/serve.sock)",
-    )
-    pj.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="K=V",
-        help="campaign parameter, JSON-typed value (repeatable), "
-        "e.g. --param scale=0.004 --param 'circuits=[\"b20\"]'",
-    )
-    pj.add_argument("--tenant", type=str, default="default")
-    pj.add_argument(
-        "--wait",
-        action="store_true",
-        help="(submit) block until the job is terminal, then print its "
-        "result table",
-    )
-    pj.add_argument("--format", choices=["text", "json"], default="text")
 
     pb = sub.add_parser(
         "bench",
@@ -506,20 +424,6 @@ def main(argv: list[str] | None = None) -> int:
 
         return run_trace_cli(args.action, args.path, top=args.top)
 
-    if args.cmd == "job":
-        from .service.cli import run_job_cli
-
-        _warn_service_subcommand("job")
-        return run_job_cli(
-            action=args.action,
-            target=args.target,
-            socket_path=args.socket,
-            params=args.param,
-            tenant=args.tenant,
-            wait=args.wait,
-            fmt=args.format,
-        )
-
     if args.cmd == "lint":
         from .lint.cli import run_lint
 
@@ -557,26 +461,10 @@ def main(argv: list[str] | None = None) -> int:
     # --trace must bite on every campaign, including harnesses that
     # never thread a RunPolicy: it configures telemetry process-globally
     trace = getattr(args, "trace", None)
-    if trace is not None and args.cmd != "serve":
+    if trace is not None:
         from . import telemetry
 
         telemetry.configure(path=trace)
-
-    if args.cmd == "serve":
-        from .service.daemon import ServeConfig, run_daemon
-
-        _warn_service_subcommand("serve")
-        return run_daemon(
-            ServeConfig(
-                state_dir=args.state_dir,
-                socket_path=args.socket,
-                workers=args.workers,
-                jobs=args.jobs,
-                tenant_budget_s=args.tenant_budget,
-                trace_path=args.trace,
-                cache_dir=resolved_cache_dir,
-            )
-        )
 
     def circuits_of(s: str | None) -> list[str] | None:
         return s.split(",") if s else None
@@ -627,16 +515,6 @@ def main(argv: list[str] | None = None) -> int:
     except CircuitSelectionError as bad:
         print(f"repro: {bad}", file=sys.stderr)
         return 2
-
-
-def _warn_service_subcommand(cmd: str) -> None:
-    """The one stderr line of a deprecated service subcommand (its
-    stdout and exit code are unchanged until removal in 1.2.0)."""
-    print(
-        f"repro {cmd} is deprecated and will be removed in 1.2.0: run "
-        "campaigns directly with --cache/--resume/--jobs (docs/SERVICE.md)",
-        file=sys.stderr,
-    )
 
 
 def _dispatch_campaign(args, policy_of, circuits_of) -> int:

@@ -79,10 +79,6 @@ class RunPolicy:
             None (default) disables result caching.
         cache_max_bytes: LRU size bound for the result cache (None =
             the store's default).
-        supervised: deprecated v1 no-op.  Parallel campaigns always
-            run on the crash/hang-containing
-            :class:`~repro.runtime.SupervisedPool`; ``False`` warns once
-            and is reset to ``True``.
         worker_retries: process-level retries before a row that crashes
             or hangs its worker is quarantined.
         hang_grace_s: wall-clock margin past a row's full in-process
@@ -91,10 +87,6 @@ class RunPolicy:
         retry_quarantined: recompute quarantined rows on ``--resume``
             instead of reusing their quarantine verdict (default False:
             a poison row would just take workers down again).
-        sim_backend, max_matrix_bytes: deprecated v1 no-ops.  A
-            non-default value warns once and is reset to the default;
-            simulation always runs on the fused lane under a fixed
-            chunk cap, which is bit-identical to every former choice.
         prewarm: tuple of ``(callable, args)`` pairs executed by every
             supervised-pool worker at bootstrap.  Each callable must be
             module-level (it pickles with the policy) and return a
@@ -117,29 +109,11 @@ class RunPolicy:
     trace_path: str | Path | None = None
     cache_dir: str | Path | None = None
     cache_max_bytes: int | None = None
-    supervised: bool = True
     worker_retries: int = 1
     hang_grace_s: float = 30.0
     heartbeat_interval_s: float = 1.0
     retry_quarantined: bool = False
-    sim_backend: str = "auto"
-    max_matrix_bytes: int | None = None
     prewarm: tuple = ()
-
-    def __post_init__(self) -> None:
-        if self.sim_backend != "auto" or self.max_matrix_bytes is not None:
-            from ..sim.metrics import reset_ignored_knobs
-
-            reset_ignored_knobs(self)
-        if not self.supervised:
-            from ..sim.metrics import warn_ignored
-
-            warn_ignored(
-                "RunPolicy.supervised=False",
-                stacklevel=4,
-                reason="parallel rows always run on the supervised pool",
-            )
-            self.supervised = True
 
     def row_allowance_s(self) -> float | None:
         """Worst-case in-process wall clock for one supervised row.

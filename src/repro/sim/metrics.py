@@ -8,9 +8,8 @@ keys.  50% is optimal [3]; Table I reports per-circuit HD for OraP + WLL.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,42 +37,6 @@ CACHE_VERSION = 3
 #: workload, a 1 GiB budget (no chunking) drops from ~12x to 2-4x over
 #: the scalar loop once the matrix spills to DRAM.
 DEFAULT_MAX_MATRIX_BYTES = 32 << 20
-
-#: execution-lane spellings of ``measure_corruption(backend=...)`` from
-#: before the fused lane became the only one; each now means "batched"
-_DEPRECATED_LANES = ("numpy", "fused", "numba", "cupy")
-
-
-def warn_ignored(
-    spelling: str,
-    stacklevel: int = 3,
-    reason: str = "simulation always runs on the fused lane under a "
-    "fixed chunk cap",
-) -> None:
-    """Warn that a deprecated v1 knob is now a no-op.
-
-    Every execution lane and chunk cap was bit-identical by contract
-    (as were the supervised and bare worker pools), so ignoring the
-    value cannot change a result.  The spelling is removed after one
-    release of this warning.
-    """
-    warnings.warn(
-        f"{spelling} is deprecated and ignored: {reason}",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def reset_ignored_knobs(config: Any) -> None:
-    """Warn about a config's non-default ``sim_backend`` /
-    ``max_matrix_bytes`` fields and reset them to their defaults, so a
-    ``dataclasses.replace`` copy warns no second time.  Called from the
-    ``__post_init__`` of :class:`~repro.experiments.runner.RunPolicy`
-    and :class:`~repro.service.daemon.ServeConfig`."""
-    for name, default in (("sim_backend", "auto"), ("max_matrix_bytes", None)):
-        if getattr(config, name) != default:
-            warn_ignored(f"{type(config).__name__}.{name}", stacklevel=5)
-            setattr(config, name, default)
 
 
 @dataclass(frozen=True)
@@ -136,7 +99,6 @@ def measure_corruption(
     n_keys: int = 16,
     seed: int = 0,
     backend: str = "auto",
-    max_matrix_bytes: int | None = None,
 ) -> CorruptionReport:
     """Measure HD of a locked netlist under random wrong keys.
 
@@ -149,11 +111,8 @@ def measure_corruption(
             ``"scalar"`` is the original one-simulation-per-key
             :class:`BitSimulator` loop, kept as the cross-check oracle.
             Both sample identical keys and return identical reports.
-            The v1 lane spellings ``"numpy"``, ``"fused"``, ``"numba"``
-            and ``"cupy"`` are deprecated: they warn and mean
-            ``"batched"``.  Any other name raises :class:`ValueError`.
-        max_matrix_bytes: deprecated and ignored (warns).  Key lanes
-            are evaluated in balanced chunks under the fixed
+            Any other name raises :class:`ValueError`.  Key lanes are
+            evaluated in balanced chunks under the fixed
             :data:`DEFAULT_MAX_MATRIX_BYTES`.
 
     When the process-global result cache (:mod:`repro.cache`) is
@@ -162,16 +121,11 @@ def measure_corruption(
     the correct key bits, ``n_patterns``/``n_keys``/``seed``, the
     scalar-vs-batched strategy and this module's :data:`CACHE_VERSION`.
     """
-    if backend in _DEPRECATED_LANES:
-        warn_ignored(f"measure_corruption(backend={backend!r})")
-        backend = "batched"
     if backend not in ("auto", "batched", "scalar"):
         raise ValueError(
             f"unknown backend {backend!r}; expected 'auto', 'batched' "
             "or 'scalar'"
         )
-    if max_matrix_bytes is not None:
-        warn_ignored("measure_corruption(max_matrix_bytes=...)")
     strategy = "scalar" if backend == "scalar" else "batched"
     store, ck = _corruption_cache_key(
         locked, key_inputs, correct_key, n_patterns, n_keys, seed, strategy

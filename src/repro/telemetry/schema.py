@@ -45,8 +45,6 @@ KNOWN_SPANS = frozenset(
         "cache.lookup",
         # bench harness measurements
         "bench.measure",
-        # campaign job service (repro.service): one span per executed job
-        "job.run",
     }
 )
 
@@ -84,13 +82,6 @@ KNOWN_COUNTERS = frozenset(
         "corpus.parse",
         "corpus.parse.cached",
         "corpus.store.heal",
-        # campaign job service (repro.service): queue state transitions
-        "job.submitted",
-        "job.dedup",
-        "job.completed",
-        "job.failed",
-        "job.cancelled",
-        "job.requeued",
         # anomaly counters: silent fallbacks made visible
         "atpg.verdict.disagree",
         "atpg.sat.aborted",

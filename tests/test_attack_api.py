@@ -1,11 +1,15 @@
-"""The unified attack registry and config-unification shims."""
+"""The unified attack registry, config-unification shims and the v1
+spellings removed in release 1.2.0."""
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 
 import pytest
 
+import repro
+from repro.__main__ import main
 from repro.attacks import (
     AttackConfig,
     AttackResult,
@@ -18,6 +22,7 @@ from repro.attacks import (
     run_attack,
 )
 from repro.bench import GeneratorConfig, generate_netlist
+from repro.experiments import RunPolicy
 from repro.locking import WLLConfig, lock_cyclic, lock_weighted
 from repro.runtime.budget import Budget
 from repro.sim.metrics import measure_corruption
@@ -175,3 +180,70 @@ class TestCorruptionBackendKeyword:
     def test_unknown_backend_rejected(self, wll):
         with pytest.raises(ValueError, match="vectorized"):
             self._measure(wll, "vectorized")
+
+
+class TestRemovedIn120:
+    """Everything deprecated in 1.1.0 is gone in 1.2.0: the job service
+    and the lane, chunk and supervision no-op knobs now fail the way an
+    unknown spelling does, with no warning shim in between."""
+
+    SERVICE_EXPORTS = (
+        "JobSpec", "JobStatus", "execute_job", "job_content_key",
+        "ServeConfig", "serve", "ServiceClient", "ServiceError",
+    )
+    CASES = [
+        *(
+            pytest.param(
+                lambda wll, b=b: measure_corruption(
+                    wll.locked, list(wll.key_inputs), wll.correct_key,
+                    n_patterns=64, n_keys=2, backend=b,
+                ),
+                ValueError,
+                id=f"measure_corruption-backend={b}",
+            )
+            for b in ("numpy", "fused", "numba", "cupy")
+        ),
+        pytest.param(
+            lambda wll: measure_corruption(
+                wll.locked, list(wll.key_inputs), wll.correct_key,
+                n_patterns=64, n_keys=2, max_matrix_bytes=1,
+            ),
+            TypeError,
+            id="measure_corruption-max_matrix_bytes",
+        ),
+        pytest.param(
+            lambda wll: RunPolicy(sim_backend="numba"), TypeError,
+            id="RunPolicy-sim_backend",
+        ),
+        pytest.param(
+            lambda wll: RunPolicy(max_matrix_bytes=1 << 20), TypeError,
+            id="RunPolicy-max_matrix_bytes",
+        ),
+        pytest.param(
+            lambda wll: RunPolicy(supervised=False), TypeError,
+            id="RunPolicy-supervised",
+        ),
+        *(
+            pytest.param(
+                lambda wll, n=n: getattr(repro, n), AttributeError,
+                id=f"repro.{n}",
+            )
+            for n in SERVICE_EXPORTS
+        ),
+        pytest.param(
+            lambda wll: importlib.import_module("repro.service"),
+            ModuleNotFoundError,
+            id="import-repro.service",
+        ),
+        pytest.param(lambda wll: main(["serve"]), SystemExit, id="cli-serve"),
+        pytest.param(
+            lambda wll: main(["job", "list"]), SystemExit, id="cli-job-list"
+        ),
+    ]
+
+    @pytest.mark.parametrize("call,error", CASES)
+    def test_removed_spelling_fails(self, call, error, wll):
+        with pytest.raises(error) as info:
+            call(wll)
+        if error is SystemExit:
+            assert info.value.code == 2  # argparse: invalid subcommand

@@ -1,5 +1,5 @@
-"""Execution lanes: fused-vs-reference equivalence, the deprecated lane
-knobs, solver persistence and the incremental SAT attack.
+"""Execution lanes: fused-vs-reference equivalence, the corruption
+metric's chunking, solver persistence and the incremental SAT attack.
 
 The differential suites assert *byte-identical* packed output words
 between the fused lane, the grouped numpy reference and the bit-true
@@ -9,8 +9,6 @@ fused planner rewrites the tape aggressively (polarity absorption, De
 Morgan dual forms, live-range row reuse) and "close enough" is not a
 thing for bit vectors.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -345,69 +343,3 @@ class TestEngineDispatchValidation:
         copied.rename_net(gate_name, gate_name + "_renamed")
         assert netlist_fingerprint(copied) != fp1
 
-
-def _measure(**kwargs):
-    from repro.sim import measure_corruption
-
-    base = _circuit(8, n_gates=70, n_inputs=7, n_outputs=6)
-    lc = lock_random(base, 6, rng=2)
-    return measure_corruption(
-        lc.locked, lc.key_inputs, lc.correct_key, n_patterns=300, n_keys=5,
-        seed=3, **kwargs,
-    )
-
-
-def _table1(**policy_kwargs):
-    from repro.experiments import RunPolicy, run_table1
-
-    policy = RunPolicy(**policy_kwargs) if policy_kwargs else None
-    return run_table1(
-        scale=0.005, circuits=["s38417"], n_patterns=256, n_keys=4,
-        policy=policy,
-    )
-
-
-def _serve_config(tmp_path, **kwargs):
-    from repro.service import ServeConfig
-
-    return ServeConfig(state_dir=tmp_path, **kwargs)
-
-
-class TestDeprecatedNoOps:
-    """Every v1 lane/chunk spelling warns exactly once and changes
-    nothing: all lanes and chunk caps were bit-identical by contract."""
-
-    CASES = [
-        ("measure_corruption", {"backend": "numpy"}),
-        ("measure_corruption", {"backend": "fused"}),
-        ("measure_corruption", {"backend": "numba"}),
-        ("measure_corruption", {"backend": "cupy"}),
-        ("measure_corruption", {"max_matrix_bytes": 1}),
-        ("run_table1", {"sim_backend": "numba"}),
-        ("run_table1", {"max_matrix_bytes": 1}),
-        ("ServeConfig", {"sim_backend": "cupy"}),
-        ("ServeConfig", {"max_matrix_bytes": 1 << 20}),
-    ]
-
-    @pytest.mark.parametrize(
-        "surface,kwargs",
-        CASES,
-        ids=[f"{s}-{k}={v}" for s, kw in CASES for k, v in kw.items()],
-    )
-    def test_warns_once_and_matches_default(self, surface, kwargs, tmp_path):
-        run = {
-            "measure_corruption": _measure,
-            "run_table1": _table1,
-            "ServeConfig": lambda **kw: _serve_config(tmp_path, **kw),
-        }[surface]
-        default = run()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = run(**kwargs)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1, [str(w.message) for w in deprecations]
-        assert "deprecated and ignored" in str(deprecations[0].message)
-        assert deprecations[0].filename == __file__  # blames the caller
-        assert got == default

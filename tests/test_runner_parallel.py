@@ -5,8 +5,6 @@ everything stateful (checkpoints, resume cache, preflights) must stay in
 the parent — these tests pin that contract.
 """
 
-import warnings
-
 from repro import cache as result_cache
 from repro.experiments import ExperimentRunner, RowTask, RunPolicy
 from repro.lint import lint_netlist
@@ -188,21 +186,3 @@ class TestUnifiedGate:
         assert rows[0][1] == {"value": 25} and rows[1][1] == {"value": 36}
         assert counts == (1, 1, 3)
 
-
-class TestSupervisedNoOp:
-    def test_unsupervised_policy_warns_and_runs_supervised(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            policy = RunPolicy(supervised=False, jobs=2)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "deprecated and ignored" in str(deprecations[0].message)
-        assert deprecations[0].filename == __file__  # blames the caller
-        assert policy.supervised is True
-        parallel = ExperimentRunner("nosup", policy).run_rows(_tasks())
-        serial = ExperimentRunner("sup").run_rows(_tasks(), jobs=1)
-        assert [(o.status, o.value) for o in parallel] == [
-            (o.status, o.value) for o in serial
-        ]
