@@ -158,7 +158,6 @@ examples:
 	$(PY) examples/trojan_analysis.py
 	$(PY) examples/testability_study.py
 	$(PY) examples/design_space.py
-	$(PY) examples/oracle_less_attacks.py
 	$(PY) examples/tapeout_view.py
 
 clean:

@@ -167,19 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("all", "every experiment, default parameters"),
     ):
         add_runtime_flags(sub.add_parser(name, help=help_text), policy=False)
-    par = sub.add_parser("arms-race", help="Sect. I attack history, replayed")
-    par.add_argument("--corpus", type=str, default=None, help=corpus_help)
-    par.add_argument(
-        "--circuit",
-        type=str,
-        default=None,
-        help="pick one corpus circuit as the host "
-        "(default: first circuit of the family)",
-    )
-    add_runtime_flags(par, policy=False)
-    ps = sub.add_parser("scaling", help="substitution scale-stability study")
-    ps.add_argument("--circuit", default="b20")
-    add_runtime_flags(ps, policy=False)
     ph = sub.add_parser("hd-sweep", help="HD saturation curve (Table I rule)")
     ph.add_argument("--circuit", default="b20")
     add_runtime_flags(ph, policy=False)
@@ -450,8 +437,8 @@ def main(argv: list[str] | None = None) -> int:
         return cache_dir
 
     # enable the process-global result cache for every campaign command —
-    # harnesses that call run_attack/measure_corruption directly (arms-race,
-    # trojans, ablations...) cache through it even without a RunPolicy
+    # harnesses that call run_attack/measure_corruption directly (ablations,
+    # hd-sweep) cache through it even without a RunPolicy
     resolved_cache_dir = cache_dir_of(args)
     if resolved_cache_dir is not None:
         from . import cache as _cache
@@ -571,16 +558,6 @@ def _dispatch_campaign(args, policy_of, circuits_of) -> int:
         from .experiments.ablations import main as ablations_main
 
         ablations_main()
-    elif args.cmd == "arms-race":
-        from .experiments import print_arms_race, run_arms_race
-
-        print_arms_race(
-            run_arms_race(corpus=args.corpus, circuit=args.circuit)
-        )
-    elif args.cmd == "scaling":
-        from .experiments import print_scaling, run_scaling_study
-
-        print_scaling(run_scaling_study(circuit=args.circuit))
     elif args.cmd == "hd-sweep":
         from .experiments import print_hd_sweep, run_hd_sweep
 
@@ -598,17 +575,6 @@ def _dispatch_campaign(args, policy_of, circuits_of) -> int:
         print()
         for variant in ("basic", "modified"):
             print_protocol(run_protocol_checks(variant=variant))
-        print()
-        from .experiments import (
-            print_arms_race,
-            print_scaling,
-            run_arms_race,
-            run_scaling_study,
-        )
-
-        print_arms_race(run_arms_race())
-        print()
-        print_scaling(run_scaling_study())
     return 0
 
 

@@ -34,14 +34,6 @@ from .sps import SPSFinding, find_skewed_nets, sps_attack
 from .removal import RemovalCandidate, find_removal_candidates, removal_attack
 from .bypass import BypassConfig, bypass_attack, enumerate_disagreements
 from .cycsat import CycSATConfig, cycsat_attack, no_cycle_clauses
-from .sail import (
-    LogisticModel,
-    extract_key_features,
-    key_accuracy,
-    resynthesize,
-    sail_attack,
-    train_sail_model,
-)
 from .sequential_sat import (
     FunctionalOracle,
     SequentialSATConfig,
@@ -92,12 +84,6 @@ __all__ = [
     "BypassConfig",
     "bypass_attack",
     "enumerate_disagreements",
-    "LogisticModel",
-    "extract_key_features",
-    "key_accuracy",
-    "resynthesize",
-    "sail_attack",
-    "train_sail_model",
     "CycSATConfig",
     "cycsat_attack",
     "no_cycle_clauses",

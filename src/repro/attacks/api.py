@@ -21,6 +21,7 @@ this is a facade, not a rewrite.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -216,6 +217,14 @@ def run_attack(
                 f"got {type(config).__name__}"
             )
         config = config.with_budget(budget)
+    if name in ("cycsat", "fall"):
+        # after validation, before the cache: a cached run warns too
+        warnings.warn(
+            f"attack {name!r} is deprecated and will be removed in 1.4.0: "
+            "it breaks cyclic locking or TTLock, which no paper artifact uses",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     store, ck = _attack_cache_key(name, locked, target, oracle, config)
     if store is not None and ck is not None:
         payload = store.get(ck)

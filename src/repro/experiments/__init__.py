@@ -25,8 +25,6 @@ from .trojan_table import (
     run_trojan_table,
 )
 from .protocol import ProtocolCheck, print_protocol, run_protocol_checks
-from .arms_race import ArmsRaceRow, print_arms_race, run_arms_race
-from .scaling import ScalingRow, print_scaling, run_scaling_study
 from .hd_saturation import (
     HDPoint,
     print_hd_sweep,
@@ -63,12 +61,6 @@ __all__ = [
     "print_hd_sweep",
     "run_hd_sweep",
     "saturation_point",
-    "ScalingRow",
-    "print_scaling",
-    "run_scaling_study",
-    "ArmsRaceRow",
-    "print_arms_race",
-    "run_arms_race",
     "ProtocolCheck",
     "print_protocol",
     "run_protocol_checks",

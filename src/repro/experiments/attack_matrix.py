@@ -113,7 +113,7 @@ def run_attack_matrix(
     source = CircuitSource(corpus=corpus)
     hosts: list[str] = []
     if design is None and corpus is not None:
-        host_name, host = source.host(circuit, sequential=True)
+        host_name, host = source.host(circuit)
         hosts.append(host_name)
         design = _protect(host, seed, variant)
     d = design if design is not None else default_design(seed=seed, variant=variant)

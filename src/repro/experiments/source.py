@@ -139,19 +139,15 @@ class CircuitSource:
 
         return preflight_report(self._handle(name))
 
-    def host(self, circuit: str | None = None, sequential: bool = False):
-        """``(name, circuit)`` for a one-host corpus harness.
+    def host(self, circuit: str | None = None):
+        """``(name, circuit)`` of the first flop-bearing circuit in the
+        selection (OraP protects a scan chain), flops kept.
 
-        ``circuit=None`` picks the family's first circuit, or its first
-        flop-bearing one when ``sequential`` (OraP protects a scan
-        chain).  Sequential hosts keep their flops; others come back as
-        the full-scan core.
+        ``circuit=None`` selects the whole family.
         """
         names = self.names([circuit] if circuit else None)
         for name in names:
             seq = self._handle(name).require_circuit()
-            if not sequential:
-                return name, seq.core
             if seq.flops:
                 return name, seq
         raise CircuitSelectionError(

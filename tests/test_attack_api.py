@@ -1,10 +1,13 @@
-"""The unified attack registry, config-unification shims and the v1
-spellings removed in release 1.2.0."""
+"""The unified attack registry, config-unification shims, the attacks
+deprecated in release 1.3.0 and the spellings removed in 1.2.0 and
+later."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import importlib
+import warnings
 
 import pytest
 
@@ -23,7 +26,7 @@ from repro.attacks import (
 )
 from repro.bench import GeneratorConfig, generate_netlist
 from repro.experiments import RunPolicy
-from repro.locking import WLLConfig, lock_cyclic, lock_weighted
+from repro.locking import WLLConfig, lock_cyclic, lock_ttlock, lock_weighted
 from repro.runtime.budget import Budget
 from repro.sim.metrics import measure_corruption
 
@@ -47,6 +50,10 @@ def wll(host):
 @pytest.fixture(scope="module")
 def cyclic(host):
     return lock_cyclic(host, n_feedbacks=3, rng=3)
+
+
+#: registered attacks whose run_attack warns in 1.3.x (gone in 1.4.0)
+DEPRECATED = ("cycsat", "fall")
 
 
 class TestRegistry:
@@ -79,7 +86,12 @@ class TestRegistry:
             spec = get_attack(name)
             target = cyclic if "feedback_muxes" in spec.requires else wll
             oracle = IdealOracle(target.original) if spec.needs_oracle else None
-            result = run_attack(name, target, oracle)
+            with (
+                pytest.warns(DeprecationWarning, match="1.4.0")
+                if name in DEPRECATED
+                else contextlib.nullcontext()
+            ):
+                result = run_attack(name, target, oracle)
             assert isinstance(result, AttackResult), name
             assert result.attack == name
             assert isinstance(result.completed, bool)
@@ -126,6 +138,58 @@ class TestRegistry:
     def test_budget_rejected_for_configless_attacks(self, wll):
         with pytest.raises(TypeError, match="budget"):
             run_attack("fall", wll, budget=Budget(wall_s=1.0))
+
+
+class TestDeprecatedIn130:
+    """``cycsat`` and ``fall`` serve no paper artifact: run_attack warns
+    for them through 1.3.x, and 1.4.0 deletes them."""
+
+    @staticmethod
+    def _deprecations(call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = call()
+        return result, [
+            w for w in caught if issubclass(w.category, DeprecationWarning)
+        ]
+
+    @pytest.mark.parametrize("name", DEPRECATED)
+    def test_run_attack_warns_once_at_the_caller(self, name, wll, cyclic):
+        target = cyclic if name == "cycsat" else wll
+        oracle = IdealOracle(target.original) if name == "cycsat" else None
+        _, caught = self._deprecations(
+            lambda: run_attack(name, target, oracle)
+        )
+        assert len(caught) == 1
+        assert name in str(caught[0].message)
+        assert "1.4.0" in str(caught[0].message)
+        assert caught[0].filename == __file__
+
+    def test_registry_still_lists_every_attack(self):
+        assert list_attacks() == (
+            "appsat", "bypass", "cycsat", "doubledip", "fall",
+            "hillclimb", "removal", "sat", "sensitization", "sps",
+        )
+
+    def test_cache_served_run_warns_too(self, host, tmp_path):
+        from repro import cache as result_cache
+
+        tt = lock_ttlock(host, key_width=6, rng=5)
+        store = result_cache.configure(tmp_path / "cache")
+        try:
+            cold, cold_caught = self._deprecations(
+                lambda: run_attack("fall", tt)
+            )
+            assert cold.status == "ok" and store.hits == 0
+            warm, warm_caught = self._deprecations(
+                lambda: run_attack("fall", tt)
+            )
+            assert store.hits == 1
+            assert dataclasses.asdict(warm) == dataclasses.asdict(cold)
+        finally:
+            result_cache.disable()
+        assert len(cold_caught) == len(warm_caught) == 1
+        assert warm_caught[0].filename == __file__
 
 
 class TestConfigUnification:
@@ -183,9 +247,12 @@ class TestCorruptionBackendKeyword:
 
 
 class TestRemovedIn120:
-    """Everything deprecated in 1.1.0 is gone in 1.2.0: the job service
-    and the lane, chunk and supervision no-op knobs now fail the way an
-    unknown spelling does, with no warning shim in between."""
+    """Spellings removed in 1.2.0 and later fail the way an unknown
+    spelling does, with no warning shim in between.  1.2.0 removed
+    everything deprecated in 1.1.0: the job service and the lane, chunk
+    and supervision no-op knobs.  1.3.0 removed the E6 arms race, the
+    E8 scaling study and the SAIL attack, which served no paper
+    artifact."""
 
     SERVICE_EXPORTS = (
         "JobSpec", "JobStatus", "execute_job", "job_content_key",
@@ -238,6 +305,34 @@ class TestRemovedIn120:
         pytest.param(lambda wll: main(["serve"]), SystemExit, id="cli-serve"),
         pytest.param(
             lambda wll: main(["job", "list"]), SystemExit, id="cli-job-list"
+        ),
+        *(
+            pytest.param(lambda wll, c=c: main([c]), SystemExit, id=f"cli-{c}")
+            for c in ("arms-race", "scaling")
+        ),
+        *(
+            pytest.param(
+                lambda wll, m=m: importlib.import_module(m),
+                ModuleNotFoundError,
+                id=f"import-{m}",
+            )
+            for m in (
+                "repro.experiments.arms_race",
+                "repro.experiments.scaling",
+                "repro.attacks.sail",
+            )
+        ),
+        *(
+            pytest.param(
+                lambda wll, m=m, n=n: getattr(importlib.import_module(m), n),
+                AttributeError,
+                id=f"{m}.{n}",
+            )
+            for m, n in (
+                ("repro.experiments", "run_arms_race"),
+                ("repro.experiments", "run_scaling_study"),
+                ("repro.attacks", "sail_attack"),
+            )
         ),
     ]
 

@@ -82,7 +82,7 @@ class TestCLI:
 class TestUnifiedRuntimeFlags:
     CAMPAIGNS = [
         "table1", "table2", "attacks", "trojans", "protocol", "ablations",
-        "arms-race", "scaling", "hd-sweep", "all",
+        "hd-sweep", "all",
     ]
     UNIFIED = ["jobs", "trace", "cache", "cache_dir"]
 

@@ -259,9 +259,11 @@ class TestBadSelection:
             ["table1", "--circuits", "nosuch"],
             ["table2", "--corpus", "nosuch"],
             ["table1", "--corpus", "iscas85", "--circuits", "c432"],
+            # no flop-bearing circuit: OraP has no scan chain to protect
+            ["attacks", "--corpus", "iscas85-mini"],
         ],
         ids=["other-family", "unknown-circuit", "unknown-family",
-             "not-fetched"],
+             "not-fetched", "no-sequential-host"],
     )
     def test_cli_reports_cleanly(self, argv, capsys):
         from repro.__main__ import main
@@ -275,23 +277,6 @@ class TestBadSelection:
 
 @pytest.mark.usefixtures("fresh_store")
 class TestSingleHostHarnesses:
-    def test_arms_race_on_c17_is_a_clean_error(self, capsys):
-        from repro.__main__ import main
-        from repro.experiments import run_arms_race
-        from repro.experiments.source import CircuitSelectionError
-
-        # RLL/FLL clamp to c17's six gates; cyclic locking is the first
-        # scheme that still cannot fit, and says so without a traceback
-        from repro.locking import LockingError
-
-        with pytest.raises(
-            CircuitSelectionError, match="'c17'.*feedback"
-        ) as info:
-            run_arms_race(corpus="iscas85-mini")
-        assert isinstance(info.value.__cause__, LockingError)
-        assert main(["arms-race", "--corpus", "iscas85-mini"]) == 2
-        assert capsys.readouterr().err.startswith("repro: arms-race host")
-
     def test_attack_matrix_resume_pins_corpus_digest(
         self, tmp_path, monkeypatch
     ):
@@ -397,11 +382,9 @@ GOLDEN_DIR = Path(__file__).parent / "data" / "corpus_golden"
 
 def _golden_runs():
     from repro.experiments import (
-        print_arms_race,
         print_attack_matrix,
         print_table1,
         print_table2,
-        run_arms_race,
         run_attack_matrix,
         run_table1,
         run_table2,
@@ -417,9 +400,6 @@ def _golden_runs():
         "attacks_iscas89-mini": lambda: print_attack_matrix(
             run_attack_matrix(corpus="iscas89-mini")
         ),
-        "arms_race_iscas89-mini": lambda: print_arms_race(
-            run_arms_race(corpus="iscas89-mini")
-        ),
     }
 
 
@@ -433,7 +413,7 @@ class TestCorpusHarnessGolden:
 
     @pytest.mark.parametrize(
         "run", ["table1_iscas85-mini", "table2_iscas89-mini",
-                "attacks_iscas89-mini", "arms_race_iscas89-mini"],
+                "attacks_iscas89-mini"],
     )
     def test_rendered_table_matches_golden(self, run, fresh_store, capsys):
         text = _golden_runs()[run]()

@@ -140,29 +140,6 @@ class TestAblations:
         assert by["interleaved"] > by["clustered"]
 
 
-class TestScalingStudy:
-    def test_rows_and_trend_fields(self):
-        from repro.experiments import print_scaling, run_scaling_study
-
-        rows = run_scaling_study(
-            circuit="b21", scales=(0.005, 0.02), n_patterns=512
-        )
-        assert [r.scale for r in rows] == [0.005, 0.02]
-        assert rows[1].n_gates > rows[0].n_gates
-        for r in rows:
-            assert r.hd_percent > 10.0
-        text = print_scaling(rows)
-        assert "Scaling study" in text
-
-
-class TestArmsRaceLight:
-    def test_row_schema(self):
-        from repro.experiments.arms_race import ArmsRaceRow
-
-        r = ArmsRaceRow("s", "a", True, True, False, note="n")
-        assert r.scheme == "s" and not r.broken
-
-
 class TestHDSaturation:
     def test_sweep_and_stopping_rule(self):
         from repro.experiments import (
