@@ -6,7 +6,7 @@ Subpackages:
 * :mod:`repro.netlist` — gate-level IR, scan-design model, BENCH/Verilog I/O
 * :mod:`repro.sim` — bit-parallel simulation and corruption metrics
 * :mod:`repro.sat` — CDCL solver, Tseitin encoding, equivalence checking
-* :mod:`repro.locking` — WLL and the RLL/FLL/SARLock/Anti-SAT/TTLock baselines
+* :mod:`repro.locking` — WLL and the RLL/FLL/SARLock/Anti-SAT baselines
 * :mod:`repro.orap` — the paper's contribution: LFSR key register with
   pulse-generator clears, reseeding schedules, the protected-chip model
 * :mod:`repro.attacks` — SAT/AppSAT/Double-DIP/hill-climbing/sensitization/
@@ -37,7 +37,7 @@ Quickstart::
     assert not chip.is_unlocked()
 """
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 #: API stability: v1.  Everything in this table is the *frozen* public
 #: surface — importable directly from ``repro`` — and follows the

@@ -1,6 +1,6 @@
 """Oracle-based (and companion oracle-less) attacks on logic locking:
 SAT [6], AppSAT [11], Double DIP [10], hill climbing [4], key
-sensitization [5], SPS [9], removal [9], bypass [12], FALL [18]."""
+sensitization [5], SPS [9], removal [9], bypass [12]."""
 
 from .api import (
     AttackSpec,
@@ -33,17 +33,10 @@ from .sensitization import SensitizationConfig, sensitization_attack
 from .sps import SPSFinding, find_skewed_nets, sps_attack
 from .removal import RemovalCandidate, find_removal_candidates, removal_attack
 from .bypass import BypassConfig, bypass_attack, enumerate_disagreements
-from .cycsat import CycSATConfig, cycsat_attack, no_cycle_clauses
 from .sequential_sat import (
     FunctionalOracle,
     SequentialSATConfig,
     sequential_sat_attack,
-)
-from .fall import (
-    ComparatorMatch,
-    fall_attack,
-    find_restore_units,
-    recover_stripped_cube,
 )
 
 __all__ = [
@@ -84,14 +77,7 @@ __all__ = [
     "BypassConfig",
     "bypass_attack",
     "enumerate_disagreements",
-    "CycSATConfig",
-    "cycsat_attack",
-    "no_cycle_clauses",
     "FunctionalOracle",
     "SequentialSATConfig",
     "sequential_sat_attack",
-    "ComparatorMatch",
-    "fall_attack",
-    "find_restore_units",
-    "recover_stripped_cube",
 ]

@@ -1,15 +1,13 @@
 """The unified attack API: one registry, one entry point.
 
-Campaign code used to import eight differently-shaped attack functions
-(``sat_attack(netlist, keys, oracle, cfg)`` here,
-``cycsat_attack(locked_circuit, oracle, cfg)`` there, oracle-less
-``fall_attack(netlist, keys)`` elsewhere) and adapt each call site by
-hand.  This module normalizes all of them behind:
+Campaign code used to import differently-shaped attack functions
+(``sat_attack(netlist, keys, oracle, cfg)`` here, oracle-less
+``sps_attack(netlist, keys)`` there) and adapt each call site by hand.
+This module normalizes all of them behind:
 
 * :func:`register` / :class:`AttackSpec` — the registry.  Each spec
-  carries the attack's config dataclass, whether it consumes an oracle,
-  and any :class:`~repro.locking.LockedCircuit` metadata it requires
-  (e.g. CycSAT's ``feedback_muxes``).
+  carries the attack's config dataclass and whether it consumes an
+  oracle.
 * :func:`run_attack` — ``run_attack("sat", locked, oracle)`` dispatches
   by name, builds a default config when none is given, threads a shared
   :class:`~repro.runtime.Budget` into it, and wraps the run in an
@@ -21,7 +19,6 @@ this is a facade, not a rewrite.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -32,9 +29,7 @@ from ..runtime.budget import Budget
 from .appsat import AppSATConfig, appsat_attack
 from .bypass import BypassConfig, bypass_attack
 from .config import AttackConfig
-from .cycsat import CycSATConfig, cycsat_attack
 from .doubledip import DoubleDIPConfig, doubledip_attack
-from .fall import fall_attack
 from .hillclimb import HillClimbConfig, hill_climb_attack
 from .oracle import Oracle
 from .removal import removal_attack
@@ -72,9 +67,6 @@ class AttackSpec:
         config_type: the attack's config dataclass (None for configless
             structural attacks — ``config``/``budget`` are then rejected).
         needs_oracle: whether ``run_attack`` requires ``oracle``.
-        requires: keys that must be present in ``LockedCircuit.extra``
-            (so the caller must pass the full LockedCircuit, not a bare
-            netlist).
         description: one-line summary for listings.
     """
 
@@ -82,7 +74,6 @@ class AttackSpec:
     run: AttackRunner
     config_type: type[AttackConfig] | None = None
     needs_oracle: bool = True
-    requires: tuple[str, ...] = ()
     description: str = ""
 
 
@@ -94,7 +85,6 @@ def register(
     *,
     config_type: type[AttackConfig] | None = None,
     needs_oracle: bool = True,
-    requires: Sequence[str] = (),
     description: str = "",
 ) -> Callable[[AttackRunner], AttackRunner]:
     """Decorator registering a normalized attack runner under ``name``."""
@@ -107,7 +97,6 @@ def register(
             run=fn,
             config_type=config_type,
             needs_oracle=needs_oracle,
-            requires=tuple(requires),
             description=description,
         )
         return fn
@@ -192,12 +181,6 @@ def run_attack(
     """
     spec = get_attack(name)
     target = _normalize_target(locked, key_inputs)
-    for req in spec.requires:
-        if target.circuit is None or req not in target.circuit.extra:
-            raise ValueError(
-                f"attack {name!r} requires a LockedCircuit with "
-                f"extra[{req!r}]"
-            )
     if spec.needs_oracle and oracle is None:
         raise TypeError(f"attack {name!r} requires an oracle")
     if spec.config_type is None:
@@ -217,14 +200,6 @@ def run_attack(
                 f"got {type(config).__name__}"
             )
         config = config.with_budget(budget)
-    if name in ("cycsat", "fall"):
-        # after validation, before the cache: a cached run warns too
-        warnings.warn(
-            f"attack {name!r} is deprecated and will be removed in 1.4.0: "
-            "it breaks cyclic locking or TTLock, which no paper artifact uses",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     store, ck = _attack_cache_key(name, locked, target, oracle, config)
     if store is not None and ck is not None:
         payload = store.get(ck)
@@ -331,25 +306,6 @@ def _run_sensitization(target, oracle, config):
 )
 def _run_bypass(target, oracle, config):
     return bypass_attack(target.locked, target.key_inputs, oracle, config)
-
-
-@register(
-    "cycsat",
-    config_type=CycSATConfig,
-    requires=("feedback_muxes",),
-    description="cyclic locking: NC pre-analysis + DIP loop",
-)
-def _run_cycsat(target, oracle, config):
-    return cycsat_attack(target.circuit, oracle, config)
-
-
-@register(
-    "fall",
-    needs_oracle=False,
-    description="oracle-less functional analysis of SFLL-style locking",
-)
-def _run_fall(target, oracle, config):
-    return fall_attack(target.locked, target.key_inputs)
 
 
 @register(

@@ -7,7 +7,7 @@ column.  :class:`AttackConfig` is the shared base:
 
 * ``max_iterations`` — the attack's primary iteration budget, whatever
   the algorithm's natural unit is (DIPs for the SAT family, key flips
-  for hill climbing, sensitization rounds, CycSAT iterations);
+  for hill climbing, sensitization rounds);
 * ``seed`` — the PRNG seed for randomized attacks;
 * ``budget`` — the shared :class:`~repro.runtime.Budget` bounding the
   whole run (wall clock + resource caps).

@@ -141,13 +141,6 @@ class AIGEncoder:
             if t is GateType.CONST1:
                 lit_of[name] = TRUE_LIT
                 continue
-            missing = [f for f in g.fanin if f not in lit_of]
-            if missing:
-                raise ValueError(
-                    f"net {name!r} depends on {missing[0]!r} which has no "
-                    "literal yet — the netlist is cyclic; the combinational "
-                    "SAT attack needs an acyclic circuit (use cycsat_attack)"
-                )
             fins = [lit_of[f] for f in g.fanin]
             from ..synth.aig import lit_not
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from ..netlist.gates import BENCH_TYPES, GateType
 from ..netlist.netlist import Netlist, NetlistError
@@ -241,6 +241,20 @@ def _parse_bench_statement(
     return None
 
 
+def _loop_site(
+    core: Netlist, defined_at: Mapping[str, tuple[int, str]]
+) -> tuple[int, str]:
+    """``(line_no, line)`` of the earliest-defined gate on a combinational
+    loop of ``core``, or ``(0, "")`` when it has none (lazy import: the
+    lint package depends on this module)."""
+    from ..lint.netlist_rules import NetlistSubject
+
+    loop = NetlistSubject(core).find_cycle()
+    if loop is None:
+        return 0, ""
+    return min((defined_at[n] for n in loop if n in defined_at), default=(0, ""))
+
+
 def parse_bench_recovering(
     lines: Iterable[str], name: str = "bench", source: str | None = None
 ) -> ParseResult:
@@ -359,7 +373,7 @@ def parse_bench_recovering(
             try:
                 circuit.validate()
             except NetlistError as exc:
-                err(str(exc))
+                err(str(exc), *_loop_site(core, defined_at))
     except (NetlistError, ValueError) as exc:
         # best-effort assembly failed outright; only report it when the
         # scan itself was clean (otherwise it is cascade noise)
@@ -490,6 +504,7 @@ def parse_verilog_recovering(
     outputs: list[str] = []
     ff_updates: dict[str, tuple[str, str]] = {}  # state reg -> (prev, d)
     ff_q_assign: dict[str, tuple[str, int]] = {}  # q net -> (state reg, line)
+    defined_at: dict[str, tuple[int, str]] = {}  # gate net -> (line, stmt)
     pending_assigns: list[tuple[str, str, int, str]] = []
     n_gates = 0
 
@@ -507,6 +522,7 @@ def parse_verilog_recovering(
         try:
             core.add_gate(net, gtype, fanin)
             n_gates += 1
+            defined_at[net] = (line_no, stmt)
             return True
         except (NetlistError, ValueError) as exc:
             err(str(exc), line_no, stmt)
@@ -650,6 +666,7 @@ def parse_verilog_recovering(
             try:
                 core.add_gate(y, GateType.BUF, (rhs,))
                 n_gates += 1
+                defined_at[y] = (line_no, stmt)
             except NetlistError as exc:
                 err(str(exc), line_no, stmt)
     else:
@@ -688,7 +705,7 @@ def parse_verilog_recovering(
             try:
                 circuit.validate()
             except NetlistError as exc:
-                err(str(exc))
+                err(str(exc), *_loop_site(core, defined_at))
     except (NetlistError, ValueError) as exc:
         if scan_clean and not errors:
             err(str(exc))

@@ -147,11 +147,9 @@ class NetlistSubject:
     Severity.ERROR,
     "netlist",
     "A combinational loop makes simulation order-dependent and hangs "
-    "topological evaluation; cyclic locking must be declared explicitly.",
+    "topological evaluation.",
 )
 def check_cycle(subject: NetlistSubject, config: LintConfig) -> Iterator[Diagnostic]:
-    if subject.netlist.allow_cycles:
-        return  # deliberately cyclic (CycSAT workloads) — opted out
     loop = subject.find_cycle()
     if loop is not None:
         shown = " -> ".join(loop[:9]) + (" ..." if len(loop) > 9 else "")
@@ -160,7 +158,7 @@ def check_cycle(subject: NetlistSubject, config: LintConfig) -> Iterator[Diagnos
             severity=Severity.ERROR,
             message=f"combinational cycle: {shown}",
             location=subject.loc(loop[0]),
-            hint="break the loop or construct the netlist with allow_cycles=True",
+            hint="break the loop",
         )
 
 
@@ -384,9 +382,7 @@ def check_depth_anomaly(
 ) -> Iterator[Diagnostic]:
     nl = subject.netlist
     # depth requires an evaluable netlist; skip when other rules already fire
-    if subject.undefined_references() or (
-        not nl.allow_cycles and subject.find_cycle() is not None
-    ):
+    if subject.undefined_references() or subject.find_cycle() is not None:
         return
     n_gates = nl.num_gates()
     if n_gates < 32:

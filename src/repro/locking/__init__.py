@@ -1,6 +1,6 @@
 """Combinational logic-locking schemes: RLL/EPIC, fault-analysis (FLL),
 weighted logic locking (WLL, the paper's companion scheme), and the
-SAT-resistant baselines SARLock / Anti-SAT / TTLock / SFLL-HD."""
+SAT-resistant baselines SARLock / Anti-SAT."""
 
 from .base import (
     LockedCircuit,
@@ -14,8 +14,6 @@ from .fll import lock_fault_analysis, rank_nets_by_fault_impact
 from .wll import WLLConfig, lock_weighted
 from .sarlock import lock_sarlock
 from .antisat import lock_antisat
-from .ttlock import lock_ttlock
-from .cyclic import induced_acyclic_netlist, lock_cyclic
 
 __all__ = [
     "LockedCircuit",
@@ -30,7 +28,4 @@ __all__ = [
     "lock_weighted",
     "lock_sarlock",
     "lock_antisat",
-    "lock_ttlock",
-    "induced_acyclic_netlist",
-    "lock_cyclic",
 ]

@@ -37,12 +37,8 @@ class Netlist:
         name: circuit name (used by writers and reports).
     """
 
-    def __init__(self, name: str = "circuit", allow_cycles: bool = False) -> None:
+    def __init__(self, name: str = "circuit") -> None:
         self.name = name
-        #: cyclic logic locking deliberately creates combinational loops;
-        #: with ``allow_cycles`` validation skips the acyclicity check
-        #: (topological evaluation then only covers the acyclic region)
-        self.allow_cycles = allow_cycles
         self._gates: dict[str, Gate] = {}
         self._inputs: list[str] = []
         self._outputs: list[str] = []
@@ -148,7 +144,7 @@ class Netlist:
 
     def copy(self, name: str | None = None) -> "Netlist":
         """Deep copy (optionally renamed)."""
-        out = Netlist(name or self.name, allow_cycles=self.allow_cycles)
+        out = Netlist(name or self.name)
         out._gates = {
             n: Gate(g.name, g.gtype, g.fanin) for n, g in self._gates.items()
         }
@@ -262,12 +258,8 @@ class Netlist:
                 if indeg[succ] == 0:
                     queue.append(succ)
         if len(order) != len(self._gates):
-            if not self.allow_cycles:
-                cyclic = sorted(n for n, d in indeg.items() if d > 0)
-                raise NetlistError(f"combinational cycle involving {cyclic[:8]}")
-            # cycle-tolerant mode: append the cyclic region in name order so
-            # fanout maps stay total (evaluation of that region is undefined)
-            order.extend(sorted(n for n, d in indeg.items() if d > 0))
+            cyclic = sorted(n for n, d in indeg.items() if d > 0)
+            raise NetlistError(f"combinational cycle involving {cyclic[:8]}")
         self._topo = order
         self._fanout = fanout
         return order
@@ -368,8 +360,6 @@ class Netlist:
                 vals[i] = 1
             elif t is _CONST0:
                 vals[i] = 0
-            else:  # a fan-in later in the order: the cyclic region
-                raise KeyError(f)
         return dict(zip(order, vals))
 
     def _evaluation_plan(self) -> _EvalPlan:
@@ -380,10 +370,7 @@ class Netlist:
         the net index of a NOT/BUF pin and an ``itemgetter`` of the
         fan-in indices otherwise.  Sources precede every gate in
         topological order, so reading all inputs first raises the same
-        missing-input error as a walk in order.  A gate with a fan-in at
-        or after its own position (the cyclic region of an
-        ``allow_cycles`` netlist) ends the plan with a ``(None, index,
-        net)`` step that raises ``KeyError(net)``.
+        missing-input error as a walk in order.
         """
         if self._plan is not None:
             return self._plan
@@ -397,10 +384,6 @@ class Netlist:
                 inputs.append((i, n))
                 continue
             fins = [index[f] for f in g.fanin]
-            late = [f for f, j in zip(g.fanin, fins) if j >= i]
-            if late:
-                gates.append((None, i, late[0]))
-                break
             if g.gtype in (GateType.NOT, GateType.BUF):
                 gates.append((g.gtype, i, fins[0]))
             elif g.gtype.is_source:

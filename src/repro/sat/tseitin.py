@@ -26,11 +26,6 @@ class ClauseTemplate:
     auxiliaries follow in the order they are created.  :meth:`stamp`
     maps those ids onto a target CNF, so every copy costs one remap
     instead of a gate-by-gate encoding.
-
-    Constraints are local, so the circuit need not be acyclic:
-    cyclically locked netlists (repro.locking.cyclic) encode just as
-    well, which is exactly the fixed-point semantics CycSAT reasons
-    about.
     """
 
     def __init__(self, netlist: Netlist) -> None:

@@ -26,12 +26,6 @@ the whole tape ahead of time:
   cached per ``(engine, n_columns)`` — steady-state calls do zero
   allocation beyond the output block.
 
-Cyclic-region nets (``allow_cycles`` netlists) are pinned to their
-engine rows, pre-zeroed per pass, and always materialized with positive
-polarity, reproducing the reference evaluator's read-before-write
-semantics exactly; self-referential reductions route through a scratch
-row so partial results are never observed.
-
 This is the one execution lane: :meth:`OpTapeEngine.run_outputs
 <repro.sim.optape.OpTapeEngine.run_outputs>` and
 :meth:`~repro.sim.optape.OpTapeEngine.run_keyed` call it directly.  The
@@ -70,11 +64,10 @@ class _Program:
     """Column-width-independent lowering of one engine's tape.
 
     ``steps`` hold *physical* arena rows (post live-range remap) in one
-    of four primitive forms::
+    of three primitive forms::
 
         ("b", ufunc, a, b, o)   o <- a op b
         ("u", s, o)             o <- ~s
-        ("c", s, o)             o <- s
         ("z", fill, o)          o <- constant fill (defensive; tapes
                                 normally carry constants as sources)
     """
@@ -83,7 +76,6 @@ class _Program:
         "steps",
         "n_rows",
         "out_pairs",
-        "cyc_rows",
         "const0_rows",
         "const1_rows",
     )
@@ -93,14 +85,12 @@ class _Program:
         steps: list[tuple],
         n_rows: int,
         out_pairs: list[tuple[int, int]],
-        cyc_rows: np.ndarray,
         const0_rows: np.ndarray,
         const1_rows: np.ndarray,
     ) -> None:
         self.steps = steps
         self.n_rows = n_rows
         self.out_pairs = out_pairs
-        self.cyc_rows = cyc_rows
         self.const0_rows = const0_rows
         self.const1_rows = const1_rows
 
@@ -108,10 +98,7 @@ class _Program:
 def _build_program(engine: Any) -> _Program:
     """Lower the engine tape to abstract primitives, then remap rows."""
     n_sources = engine._n_sources
-    cyc = set(int(i) for i in engine._cyclic_idx)
     loc: dict[int, tuple[int, int]] = {i: (i, 0) for i in range(n_sources)}
-    for r in cyc:
-        loc[r] = (r, 0)
 
     next_row = engine.n_nets
     steps: list[tuple] = []
@@ -119,18 +106,15 @@ def _build_program(engine: Any) -> _Program:
     tmp_row: int | None = None
 
     def comp(sr: int) -> int:
-        """Materialized complement of a storage row (cached when the
-        row is static; cyclic rows get a fresh snapshot per use)."""
+        """Materialized complement of a storage row (cached)."""
         nonlocal next_row
-        if sr not in cyc:
-            cached = comp_of.get(sr)
-            if cached is not None:
-                return cached
+        cached = comp_of.get(sr)
+        if cached is not None:
+            return cached
         c = next_row
         next_row += 1
         steps.append(("u", sr, c))
-        if sr not in cyc:
-            comp_of[sr] = c
+        comp_of[sr] = c
         return c
 
     def tmp() -> int:
@@ -151,7 +135,6 @@ def _build_program(engine: Any) -> _Program:
         gtype = group.gtype
         for j in range(group.size):
             r = group.start + j
-            materialize = r in cyc
             if gtype is GateType.CONST0 or gtype is GateType.CONST1:
                 steps.append(
                     ("z", _ALL_ONES if gtype is GateType.CONST1 else np.uint64(0), r)
@@ -178,12 +161,7 @@ def _build_program(engine: Any) -> _Program:
                 continue
             if arity == 1 or gtype is GateType.BUF or gtype is GateType.NOT:
                 sa, pa = loc[srcs[0]]
-                pol = pa ^ (1 if gtype.is_inverting else 0)
-                if materialize:
-                    steps.append(("u" if pol else "c", sa, r))
-                    loc[r] = (r, 0)
-                else:
-                    loc[r] = (sa, pol)
+                loc[r] = (sa, pa ^ (1 if gtype.is_inverting else 0))
                 continue
             pairs = [loc[s] for s in srcs]
             if gtype is GateType.XOR or gtype is GateType.XNOR:
@@ -208,22 +186,8 @@ def _build_program(engine: Any) -> _Program:
                     need = pairs
                     pol = inv
                 eff = [sr if p == 0 else comp(sr) for sr, p in need]
-            if materialize:
-                if any(e == r for e in eff[2:]):
-                    # self-referential reduction in the cyclic region:
-                    # accumulate in scratch so every read of row r sees
-                    # its pre-pass value, exactly like the reference
-                    t = tmp()
-                    emit_chain(op, eff, t)
-                    steps.append(("u" if pol else "c", t, r))
-                else:
-                    emit_chain(op, eff, r)
-                    if pol:
-                        steps.append(("u", r, r))
-                loc[r] = (r, 0)
-            else:
-                emit_chain(op, eff, r)
-                loc[r] = (r, pol)
+            emit_chain(op, eff, r)
+            loc[r] = (r, pol)
 
     out_abstract = [loc[int(i)] for i in engine._output_idx]
 
@@ -238,7 +202,7 @@ def _build_program(engine: Any) -> _Program:
     def _write(st: tuple) -> int:
         return st[-1]
 
-    reserved = set(range(n_sources)) | cyc
+    reserved = set(range(n_sources))
     pinned = set(reserved)
     pinned.update(sr for sr, _ in out_abstract)
     if tmp_row is not None:
@@ -265,7 +229,7 @@ def _build_program(engine: Any) -> _Program:
         reads = _reads(st)
         for rr in reads:
             if rr not in remap:
-                remap[rr] = rr  # read-before-write: sources / cyclic rows
+                remap[rr] = rr  # read-before-write: sources
         w = _write(st)
         if w not in remap:
             if w in reserved:
@@ -307,7 +271,6 @@ def _build_program(engine: Any) -> _Program:
         steps=phys_steps,
         n_rows=max_row + 1,
         out_pairs=out_pairs,
-        cyc_rows=np.array(sorted(cyc), dtype=np.int64),
         const0_rows=np.array(engine._const0_idx, dtype=np.int64),
         const1_rows=np.array(engine._const1_idx, dtype=np.int64),
     )
@@ -334,8 +297,6 @@ class _Plan:
                 bound.append((op, (V[a], V[b], V[o])))
             elif kind == "u":
                 bound.append((np.invert, (V[st[1]], V[st[2]])))
-            elif kind == "c":
-                bound.append((np.copyto, (V[st[2]], V[st[1]])))
             else:  # "z"
                 bound.append((np.copyto, (V[st[2]], st[1])))
         self.V = V
@@ -387,8 +348,6 @@ def run_outputs(
     plan = _plan_for(engine, nw)
     for row, words in fills:
         np.copyto(plan.V[row], words)
-    if plan.program.cyc_rows.size:
-        plan.V[plan.program.cyc_rows] = 0
     with telemetry.span("optape.run", words=nw, groups=engine.n_groups):
         telemetry.counter_add("optape.words", nw)
         plan.execute()
@@ -413,8 +372,6 @@ def run_keyed(
     lane_words = np.where(key_bits.astype(bool), _ALL_ONES, np.uint64(0))
     for col, name in enumerate(key_inputs):
         np.copyto(V[index[name]].reshape(n_keys, nw), lane_words[:, col][:, None])
-    if plan.program.cyc_rows.size:
-        V[plan.program.cyc_rows] = 0
     with telemetry.span(
         "optape.run", words=n_keys * nw, lanes=n_keys, groups=engine.n_groups
     ):

@@ -73,8 +73,7 @@ class OpGroup:
 
     Attributes:
         level: schedule slot of the group — every fan-in of every member
-            lives in an earlier slot (cyclic-region gates carry a
-            synthetic slot after all leveled gates).
+            lives in an earlier slot.
         gtype: the shared gate function.
         start: first output row of the group (rows are contiguous).
         stop: one past the last output row.
@@ -87,10 +86,6 @@ class OpGroup:
     start: int
     stop: int
     fanin_idx: np.ndarray
-    #: True when a fan-in row falls inside the output slice (possible
-    #: only for self-referential gates in the cyclic region); such
-    #: groups must read all fan-ins before writing
-    overlap: bool = False
 
     @property
     def size(self) -> int:
@@ -117,24 +112,18 @@ class OpTapeEngine:
         # (type, arity) scheduled at-or-after that slot — merging what
         # strict per-level grouping would fragment.  New groups always
         # open after every existing one, so creation order is execution
-        # order.  Gates whose fan-ins are not yet slotted form the cyclic
-        # region (allow_cycles netlists) and run gate-at-a-time in
-        # topo-append order to match BitSimulator's semantics.
+        # order.
         slot_of: dict[str, int] = {}
         latest: dict[tuple[GateType, int], int] = {}
         group_names: dict[int, list[str]] = {}
         group_type: dict[int, GateType] = {}
         sources: list[str] = []
-        cyclic: list[str] = []
         next_slot = 0
         for n in topo:
             g = netlist.gate(n)
             if g.gtype.is_source:
                 slot_of[n] = 0
                 sources.append(n)
-                continue
-            if any(f not in slot_of for f in g.fanin):
-                cyclic.append(n)
                 continue
             ready = 1 + max(slot_of[f] for f in g.fanin)
             key = (g.gtype, len(g.fanin))
@@ -151,8 +140,6 @@ class OpTapeEngine:
         schedule: list[tuple[int, GateType, list[str]]] = [
             (s, group_type[s], group_names[s]) for s in sorted(group_names)
         ]
-        for pos, n in enumerate(cyclic):
-            schedule.append((next_slot + 1 + pos, netlist.gate(n).gtype, [n]))
 
         order: list[str] = list(sources)
         for _lv, _gt, names in schedule:
@@ -173,7 +160,6 @@ class OpTapeEngine:
             for n in sources
             if netlist.gate(n).gtype is GateType.CONST1
         ]
-        self._cyclic_idx = [self._index[n] for n in cyclic]
         self._n_sources = len(sources)
 
         self._tape: list[OpGroup] = []
@@ -186,12 +172,7 @@ class OpTapeEngine:
                 ],
                 dtype=np.int64,
             ).T
-            overlap = bool(
-                ((fanin_idx >= row) & (fanin_idx < row + len(names))).any()
-            )
-            self._tape.append(
-                OpGroup(lv, gtype, row, row + len(names), fanin_idx, overlap)
-            )
+            self._tape.append(OpGroup(lv, gtype, row, row + len(names), fanin_idx))
             row += len(names)
 
     # ------------------------------------------------------------------ #
@@ -221,7 +202,7 @@ class OpTapeEngine:
 
     def _alloc(self, n_cols: int) -> np.ndarray:
         """Fresh value matrix: only rows that may be read before being
-        written (constants, cyclic region) need pre-clearing."""
+        written (constants) need pre-clearing."""
         return self._preset(np.empty((self.n_nets, n_cols), dtype=np.uint64))
 
     def _preset(self, values: np.ndarray) -> np.ndarray:
@@ -230,8 +211,6 @@ class OpTapeEngine:
             values[self._const0_idx] = 0
         if self._const1_idx:
             values[self._const1_idx] = _ALL_ONES
-        if self._cyclic_idx:
-            values[self._cyclic_idx] = 0
         return values
 
     def input_fills(
@@ -391,9 +370,9 @@ class OpTapeEngine:
                 )
                 v3 = values.reshape(self.n_nets, hi - lo, nw)
                 v3[self._input_idx] = good_in
-                # every force also lands before the tape: cyclic-region
-                # readers that run ahead of the forced gate must see the
-                # forced value, exactly as BitSimulator pre-applies forces
+                # every force lands before the tape, the only write a
+                # forced source row gets; a gate row is re-forced after
+                # its group below
                 v3[lane_rows, np.arange(hi - lo)] = lane_words
                 after: dict[int, list[int]] = {}
                 for lane, gi in enumerate(group_of[lo:hi].tolist()):
@@ -496,12 +475,6 @@ def _eval_group(group: OpGroup, values: np.ndarray) -> None:
     if gtype is GateType.CONST1:
         out[:] = _ALL_ONES
         return
-    if group.overlap:
-        # self-referential gate in the cyclic region: gather every fan-in
-        # *before* writing, so it reads the previous (zero) value exactly
-        # like BitSimulator's scalar tape does
-        out[:] = _eval_gathered(gtype, [values[fan[s]] for s in range(fan.shape[0])])
-        return
     if gtype is GateType.BUF:
         np.take(values, fan[0], axis=0, out=out)
         return
@@ -576,7 +549,6 @@ def netlist_fingerprint(netlist: Netlist) -> str:
     if memo is not None:
         return memo
     h = hashlib.blake2b(digest_size=16)
-    h.update(b"cyc1|" if netlist.allow_cycles else b"cyc0|")
     for name in netlist.inputs:
         h.update(b"i|" + name.encode())
     for name in netlist.outputs:

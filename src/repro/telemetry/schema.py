@@ -33,7 +33,6 @@ KNOWN_SPANS = frozenset(
         "attack.doubledip.iteration",
         "attack.hillclimb.restart",
         "attack.sensitization.round",
-        "attack.cycsat.iteration",
         # compiled-simulation layer
         "optape.compile",
         "optape.run",

@@ -1,13 +1,10 @@
-"""The unified attack registry, config-unification shims, the attacks
-deprecated in release 1.3.0 and the spellings removed in 1.2.0 and
-later."""
+"""The unified attack registry, config-unification shims and the
+spellings removed in 1.2.0 and later."""
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import importlib
-import warnings
 
 import pytest
 
@@ -26,7 +23,8 @@ from repro.attacks import (
 )
 from repro.bench import GeneratorConfig, generate_netlist
 from repro.experiments import RunPolicy
-from repro.locking import WLLConfig, lock_cyclic, lock_ttlock, lock_weighted
+from repro.locking import WLLConfig, lock_weighted
+from repro.netlist import Netlist
 from repro.runtime.budget import Budget
 from repro.sim.metrics import measure_corruption
 
@@ -47,28 +45,12 @@ def wll(host):
     )
 
 
-@pytest.fixture(scope="module")
-def cyclic(host):
-    return lock_cyclic(host, n_feedbacks=3, rng=3)
-
-
-#: registered attacks whose run_attack warns in 1.3.x (gone in 1.4.0)
-DEPRECATED = ("cycsat", "fall")
-
-
 class TestRegistry:
     def test_the_eight_headline_attacks_are_registered(self):
-        names = set(list_attacks())
-        assert {
-            "sat",
-            "appsat",
-            "doubledip",
-            "hillclimb",
-            "sensitization",
-            "fall",
-            "sps",
-            "cycsat",
-        } <= names
+        assert list_attacks() == (
+            "appsat", "bypass", "doubledip", "hillclimb",
+            "removal", "sat", "sensitization", "sps",
+        )
 
     def test_unknown_name_lists_known_ones(self):
         with pytest.raises(ValueError, match="sat"):
@@ -76,22 +58,15 @@ class TestRegistry:
 
     def test_specs_carry_config_types(self):
         assert get_attack("sat").config_type is SATAttackConfig
-        assert get_attack("fall").config_type is None
-        assert get_attack("cycsat").requires == ("feedback_muxes",)
+        assert get_attack("sps").config_type is None
 
-    def test_round_trip_every_registered_attack(self, wll, cyclic):
+    def test_round_trip_every_registered_attack(self, wll):
         """Every registry entry runs end-to-end and returns a well-formed
         AttackResult on a small locked netlist."""
         for name in list_attacks():
             spec = get_attack(name)
-            target = cyclic if "feedback_muxes" in spec.requires else wll
-            oracle = IdealOracle(target.original) if spec.needs_oracle else None
-            with (
-                pytest.warns(DeprecationWarning, match="1.4.0")
-                if name in DEPRECATED
-                else contextlib.nullcontext()
-            ):
-                result = run_attack(name, target, oracle)
+            oracle = IdealOracle(wll.original) if spec.needs_oracle else None
+            result = run_attack(name, wll, oracle)
             assert isinstance(result, AttackResult), name
             assert result.attack == name
             assert isinstance(result.completed, bool)
@@ -109,10 +84,6 @@ class TestRegistry:
             run_attack("sps", wll.locked)
         result = run_attack("sps", wll.locked, key_inputs=wll.key_inputs)
         assert result.attack == "sps"
-
-    def test_cycsat_demands_locked_circuit_metadata(self, wll):
-        with pytest.raises(ValueError, match="feedback_muxes"):
-            run_attack("cycsat", wll, IdealOracle(wll.original))
 
     def test_oracle_required_when_spec_says_so(self, wll):
         with pytest.raises(TypeError, match="oracle"):
@@ -137,59 +108,7 @@ class TestRegistry:
 
     def test_budget_rejected_for_configless_attacks(self, wll):
         with pytest.raises(TypeError, match="budget"):
-            run_attack("fall", wll, budget=Budget(wall_s=1.0))
-
-
-class TestDeprecatedIn130:
-    """``cycsat`` and ``fall`` serve no paper artifact: run_attack warns
-    for them through 1.3.x, and 1.4.0 deletes them."""
-
-    @staticmethod
-    def _deprecations(call):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = call()
-        return result, [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-
-    @pytest.mark.parametrize("name", DEPRECATED)
-    def test_run_attack_warns_once_at_the_caller(self, name, wll, cyclic):
-        target = cyclic if name == "cycsat" else wll
-        oracle = IdealOracle(target.original) if name == "cycsat" else None
-        _, caught = self._deprecations(
-            lambda: run_attack(name, target, oracle)
-        )
-        assert len(caught) == 1
-        assert name in str(caught[0].message)
-        assert "1.4.0" in str(caught[0].message)
-        assert caught[0].filename == __file__
-
-    def test_registry_still_lists_every_attack(self):
-        assert list_attacks() == (
-            "appsat", "bypass", "cycsat", "doubledip", "fall",
-            "hillclimb", "removal", "sat", "sensitization", "sps",
-        )
-
-    def test_cache_served_run_warns_too(self, host, tmp_path):
-        from repro import cache as result_cache
-
-        tt = lock_ttlock(host, key_width=6, rng=5)
-        store = result_cache.configure(tmp_path / "cache")
-        try:
-            cold, cold_caught = self._deprecations(
-                lambda: run_attack("fall", tt)
-            )
-            assert cold.status == "ok" and store.hits == 0
-            warm, warm_caught = self._deprecations(
-                lambda: run_attack("fall", tt)
-            )
-            assert store.hits == 1
-            assert dataclasses.asdict(warm) == dataclasses.asdict(cold)
-        finally:
-            result_cache.disable()
-        assert len(cold_caught) == len(warm_caught) == 1
-        assert warm_caught[0].filename == __file__
+            run_attack("sps", wll, budget=Budget(wall_s=1.0))
 
 
 class TestConfigUnification:
@@ -252,7 +171,8 @@ class TestRemovedIn120:
     everything deprecated in 1.1.0: the job service and the lane, chunk
     and supervision no-op knobs.  1.3.0 removed the E6 arms race, the
     E8 scaling study and the SAIL attack, which served no paper
-    artifact."""
+    artifact.  1.4.0 removed what 1.3.0 deprecated: CycSAT, FALL,
+    cyclic locking, TTLock and ``Netlist(allow_cycles=)``."""
 
     SERVICE_EXPORTS = (
         "JobSpec", "JobStatus", "execute_job", "job_content_key",
@@ -320,6 +240,10 @@ class TestRemovedIn120:
                 "repro.experiments.arms_race",
                 "repro.experiments.scaling",
                 "repro.attacks.sail",
+                "repro.attacks.cycsat",
+                "repro.attacks.fall",
+                "repro.locking.cyclic",
+                "repro.locking.ttlock",
             )
         ),
         *(
@@ -332,7 +256,23 @@ class TestRemovedIn120:
                 ("repro.experiments", "run_arms_race"),
                 ("repro.experiments", "run_scaling_study"),
                 ("repro.attacks", "sail_attack"),
+                ("repro.attacks", "cycsat_attack"),
+                ("repro.attacks", "fall_attack"),
+                ("repro.locking", "lock_cyclic"),
+                ("repro.locking", "lock_ttlock"),
             )
+        ),
+        *(
+            pytest.param(
+                lambda wll, n=n: run_attack(n, wll, IdealOracle(wll.original)),
+                ValueError,
+                id=f"run_attack-{n}",
+            )
+            for n in ("cycsat", "fall")
+        ),
+        pytest.param(
+            lambda wll: Netlist("x", allow_cycles=True), TypeError,
+            id="Netlist-allow_cycles",
         ),
     ]
 
@@ -342,3 +282,5 @@ class TestRemovedIn120:
             call(wll)
         if error is SystemExit:
             assert info.value.code == 2  # argparse: invalid subcommand
+        if error is ValueError:
+            assert "unknown" in str(info.value)  # an unknown name's error

@@ -169,6 +169,32 @@ class TestRecovery:
         assert result.errors[0].line_no == 5
         assert "frobnicate" in result.errors[0].message
 
+    def test_combinational_loop_is_located_at_a_gate_on_it(self):
+        lines = [
+            "INPUT(a)",
+            "OUTPUT(y)",
+            "x = AND(a, y)",
+            "y = OR(x, a)",
+        ]
+        result = parse_bench_recovering(lines, name="loop")
+        assert [d.line_no for d in result.errors] == [3]
+        assert "combinational cycle" in result.errors[0].message
+        assert result.errors[0].line == "x = AND(a, y)"
+
+    def test_verilog_combinational_loop_is_located(self):
+        text = (
+            "module loop (a, y);\n"
+            "  input a;\n"
+            "  output y;\n"
+            "  wire x;\n"
+            "  and g1 (x, a, y);\n"
+            "  assign y = x;\n"
+            "endmodule\n"
+        )
+        result = parse_verilog_recovering(text.splitlines(), name="loop")
+        assert [d.line_no for d in result.errors] == [5]
+        assert "combinational cycle" in result.errors[0].message
+
     def test_verilog_missing_endmodule_is_located(self):
         text = "module t (a, y);\n  input a;\n  output y;\n  not g (y, a);\n"
         result = parse_verilog_recovering(text.splitlines(), name="t")

@@ -5,14 +5,12 @@ import pytest
 
 from repro.attacks import (
     AppSATConfig,
-    CycSATConfig,
     DoubleDIPConfig,
     IdealOracle,
     SATAttackConfig,
     SequentialSATConfig,
     FunctionalOracle,
     appsat_attack,
-    cycsat_attack,
     doubledip_attack,
     sat_attack,
     sequential_sat_attack,
@@ -25,7 +23,7 @@ from repro.bench import (
     generate_netlist,
     generate_sequential,
 )
-from repro.locking import WLLConfig, lock_cyclic, lock_random
+from repro.locking import WLLConfig, lock_random
 from repro.orap import OraPConfig, protect
 from repro.runtime import Budget, faultinject
 from repro.runtime.faultinject import InjectedFault
@@ -188,21 +186,6 @@ class TestNoAttackLeaksBudgetViolations:
             comb_locked.key_inputs,
             IdealOracle(comb_locked.original),
             DoubleDIPConfig(budget=self._expired()),
-        )
-        assert res.status == "timeout" and not res.completed
-
-    def test_cycsat(self):
-        circuit = generate_netlist(
-            GeneratorConfig(
-                n_inputs=10, n_outputs=8, n_gates=70, depth=6, seed=4,
-                name="cyc",
-            )
-        )
-        cyc = lock_cyclic(circuit, n_feedbacks=4, rng=3)
-        res = cycsat_attack(
-            cyc,
-            IdealOracle(cyc.original),
-            CycSATConfig(budget=self._expired()),
         )
         assert res.status == "timeout" and not res.completed
 

@@ -1,4 +1,4 @@
-"""Tests for the locking schemes (RLL, FLL, WLL, SARLock, Anti-SAT, TTLock)."""
+"""Tests for the locking schemes (RLL, FLL, WLL, SARLock, Anti-SAT)."""
 
 import itertools
 import random
@@ -14,7 +14,6 @@ from repro.locking import (
     lock_fault_analysis,
     lock_random,
     lock_sarlock,
-    lock_ttlock,
     lock_weighted,
     make_key_inputs,
     rank_nets_by_fault_impact,
@@ -181,6 +180,33 @@ class TestWLL:
             keys.add(lc.key_vector())
         assert len(keys) > 2
 
+    @pytest.mark.parametrize(
+        "key_width,control_width,n_key_gates", [(9, 3, 4), (16, 4, 8), (32, 3, 12)]
+    )
+    def test_no_gate_mixes_key_and_primary_inputs(
+        self, key_width, control_width, n_key_gates
+    ):
+        """No gate takes both a key input and a primary input, so WLL has
+        no key-vs-input comparator: the restore unit FALL [18] looks for
+        in cube-stripping schemes does not exist."""
+        cfg = WLLConfig(key_width, control_width, n_key_gates)
+        for seed in range(5):
+            nl = generate_netlist(
+                GeneratorConfig(
+                    n_inputs=14, n_outputs=10, n_gates=120, depth=7,
+                    seed=seed, name=f"w{seed}",
+                )
+            )
+            for rng in range(5):
+                lc = lock_weighted(nl, cfg, rng=rng)
+                keys, data = set(lc.key_inputs), set(lc.data_inputs)
+                mixed = [
+                    g.name
+                    for g in lc.locked.gates()
+                    if keys & set(g.fanin) and data & set(g.fanin)
+                ]
+                assert not mixed
+
     def test_config_validation(self, medium):
         with pytest.raises(LockingError):
             lock_weighted(medium, WLLConfig(key_width=4, control_width=1))
@@ -249,31 +275,3 @@ class TestAntiSAT:
             lc.locked, lc.key_inputs, lc.correct_key, n_patterns=2048, n_keys=8
         )
         assert rep.hd_percent < 1.0
-
-
-class TestTTLock:
-    def test_correct_key_unlocks(self):
-        lc = lock_ttlock(c17(), key_width=5, rng=3)
-        assert prove_unlocks(lc.original, lc.locked, lc.correct_key)
-
-    def test_wrong_key_errs_on_two_cubes(self):
-        """TTLock: a wrong key leaves the strip flip at the secret cube and
-        adds a restore flip at the guessed cube — exactly 2 bad patterns."""
-        lc = lock_ttlock(c17(), key_width=5, rng=3)
-        wrong = lc.random_wrong_key(rng=1)
-        n_bad = 0
-        for bits in itertools.product([0, 1], repeat=5):
-            asg = dict(zip(lc.data_inputs, bits))
-            want = lc.original.evaluate_outputs(asg)
-            got = lc.locked.evaluate_outputs({**asg, **wrong})
-            if want != got:
-                n_bad += 1
-        assert n_bad == 2
-
-    def test_sfll_hd_unlocks(self):
-        lc = lock_ttlock(c17(), key_width=5, rng=3, hd=2)
-        assert prove_unlocks(lc.original, lc.locked, lc.correct_key)
-
-    def test_sfll_hd_parameter_validation(self):
-        with pytest.raises(LockingError):
-            lock_ttlock(c17(), key_width=4, hd=5)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netlist import GateType, Netlist, NetlistError, evaluate_gate
-from repro.sim import BitSimulator
+from repro.sat.tseitin import ClauseTemplate
+from repro.sim import BitSimulator, compile_engine
 
 
 @pytest.fixture
@@ -240,19 +241,18 @@ class TestIndexedEvaluation:
         nl.replace_gate("extra", GateType.XNOR, [nets[0], nets[-1], nets[0]])
         assert nl.evaluate(asg) == _walk(nl, asg)
 
-    def test_cyclic_region_raises_the_walks_key_error(self):
-        nl = Netlist("loop", allow_cycles=True)
+    def test_loop_raises_from_every_evaluator(self):
+        nl = Netlist("loop")
         nl.add_input("a")
         nl.add_gate("x", GateType.AND, ["a", "y"])
         nl.add_gate("y", GateType.OR, ["x", "a"])
         nl.set_outputs(["y"])
-        with pytest.raises(KeyError) as want:
-            _walk(nl, {"a": 1})
-        with pytest.raises(KeyError) as got:
+        with pytest.raises(NetlistError, match="cycle"):
             nl.evaluate({"a": 1})
-        assert got.value.args == want.value.args == ("y",)
-        with pytest.raises(NetlistError, match="'a'"):
-            nl.evaluate({})
+        with pytest.raises(NetlistError, match="cycle"):
+            compile_engine(nl, cache=False)
+        with pytest.raises(NetlistError, match="cycle"):
+            ClauseTemplate(nl)
 
 
 class TestMutation:

@@ -1,7 +1,7 @@
 """Equivalence and regression tests for the compiled op-tape engine.
 
 The scalar :class:`BitSimulator` is the oracle throughout: every engine
-path (leveled groups, cyclic singletons, multi-key lanes)
+path (leveled groups, multi-key lanes)
 must be bit-exact against it, and the batched multi-key HD reduction
 must reproduce the looped per-key measurement report for report.
 """
@@ -18,7 +18,7 @@ from repro.bench import (
     ripple_adder,
 )
 from repro.bench.registry import PAPER_ORDER, build_paper_circuit, scaled_key_size
-from repro.locking import lock_cyclic, lock_random
+from repro.locking import lock_random
 from repro.netlist import GateType, Netlist
 from repro.sim import (
     BitSimulator,
@@ -83,26 +83,6 @@ class TestEngineEquivalence:
             want = nl.evaluate_outputs(int_to_assignment(v, nl.inputs))
             got = {o: int(rows[v][j]) for j, o in enumerate(nl.outputs)}
             assert got == want
-
-    def test_cyclic_netlist_matches_bitsim(self):
-        circuit = generate_netlist(
-            GeneratorConfig(
-                n_inputs=12, n_outputs=8, n_gates=90, depth=6, seed=4, name="cy"
-            )
-        )
-        cyclic = lock_cyclic(circuit, n_feedbacks=6, rng=3)
-        nl = cyclic.locked
-        assert nl.allow_cycles
-        sim = BitSimulator(nl)
-        eng = OpTapeEngine(nl)
-        words = random_words(len(nl.inputs), 130, seed=5)
-        in_words = {n: words[i] for i, n in enumerate(nl.inputs)}
-        vs = sim.run(in_words)
-        ve = eng.run(in_words)
-        for net in nl.nets:
-            assert np.array_equal(
-                vs[sim.net_index(net)], ve[eng.net_index(net)]
-            ), net
 
     def test_array_input_form(self):
         nl = ripple_adder(3)

@@ -37,7 +37,7 @@ def _good_preflight():
 
 
 def _bad_preflight():
-    nl = Netlist("bad", allow_cycles=True)
+    nl = Netlist("bad")
     nl.add_input("a")
     # undriven fan-in: lint flags this as an error
     nl.add_gate("y", GateType.AND, ["a", "ghost"])

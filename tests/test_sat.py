@@ -312,14 +312,6 @@ def _mixed_netlist():
     return nl
 
 
-def _cyclic_netlist():
-    from repro.locking.cyclic import lock_cyclic
-
-    locked = lock_cyclic(mini_alu(3), 3, rng=5).locked
-    assert locked.allow_cycles
-    return locked
-
-
 def _encoder_stamp(netlist, cnf, share):
     return CircuitEncoder(netlist, cnf=cnf, share=share).var_of
 
@@ -386,15 +378,11 @@ _TEMPLATE_CASES = {
     "mixed-full": _one_copy(_mixed_netlist(), _all_inputs),
     "mixed-partial": _one_copy(_mixed_netlist(), _odd_inputs),
     "mixed-empty": _one_copy(_mixed_netlist(), _no_inputs),
-    "cyclic-full": _one_copy(_cyclic_netlist(), _all_inputs),
-    "cyclic-empty": _one_copy(_cyclic_netlist(), _no_inputs),
     "two-copies": _two_copies,
 }
 
 #: sha256 prefixes of (n_vars, clauses, var maps) per case
 _PINNED_ENCODINGS = {
-    "cyclic-empty": "a4f21d41a51b50b5",
-    "cyclic-full": "e1af0dc904ce5c45",
     "mixed-empty": "256288ec8914bf82",
     "mixed-full": "ddd45c6610980f01",
     "mixed-partial": "4da68aaca9a0494a",
