@@ -89,8 +89,8 @@ bench-corpus:
 	PYTHONPATH=src $(PY) -m repro.corpus.bench --out BENCH_corpus.json
 
 # one small campaign through every campaign layer, fully offline (the
-# campaign-smoke CI job).  The vendored ISCAS/ITC fixtures are fetched
-# into a corpus store and checksum-verified; Table I on the genuine
+# campaign-smoke CI job).  The packaged ISCAS/ITC fixtures are
+# checksum-verified against their pins; Table I on the genuine
 # iscas85-mini family then runs with the same flags:
 #   cold   --jobs 2, traced, checkpointed, into a result cache wiped
 #          first, so every row computes in the workers (its trace must
@@ -103,12 +103,10 @@ bench-corpus:
 #          runs (actions/cache): byte-identical.
 # Both traces must be schema-valid and both caches must verify.  Every
 # malformed netlist in tests/data/corpus_bad/ must then yield structured
-# diagnostics, and a fresh BENCH_corpus.json is gated.  The corpus
-# store and .repro-cache-smoke are NOT wiped: stale entries
-# self-invalidate via the VERSION stamp, per-read checksums and
+# diagnostics, and a fresh BENCH_corpus.json is gated.
+# .repro-cache-smoke is NOT wiped: stale entries self-invalidate via
 # CACHE_VERSION salts.
-SMOKE_ENV = REPRO_CORPUS_OFFLINE=1 REPRO_CORPUS_DIR=.repro-corpus-smoke \
-	PYTHONPATH=src
+SMOKE_ENV = PYTHONPATH=src
 SMOKE_TABLE1_ARGS = -m repro table1 --corpus iscas85-mini \
 	--patterns 256 --checkpoint-dir .ckpt-campaign-smoke
 SMOKE_TABLE1 = $(SMOKE_ENV) $(PY) $(SMOKE_TABLE1_ARGS)
@@ -116,7 +114,6 @@ SMOKE_TABLE1 = $(SMOKE_ENV) $(PY) $(SMOKE_TABLE1_ARGS)
 campaign-smoke:
 	rm -rf .ckpt-campaign-smoke .repro-cache-campaign \
 		TRACE_campaign_cold.jsonl TRACE_campaign_warm.jsonl
-	$(SMOKE_ENV) $(PY) -m repro corpus fetch --offline
 	$(SMOKE_ENV) $(PY) -m repro corpus verify
 	$(SMOKE_ENV) $(PY) -m repro corpus list
 	$(SMOKE_ENV) $(PY) -W error::DeprecationWarning $(SMOKE_TABLE1_ARGS) \

@@ -37,7 +37,7 @@ Quickstart::
     assert not chip.is_unlocked()
 """
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 #: API stability: v1.  Everything in this table is the *frozen* public
 #: surface — importable directly from ``repro`` — and follows the

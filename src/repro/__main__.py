@@ -9,7 +9,7 @@ Usage::
     python -m repro protocol
     python -m repro ablations
     python -m repro bench [--smoke]
-    python -m repro corpus fetch --offline
+    python -m repro corpus verify
     python -m repro table1 --corpus iscas85-mini
     python -m repro trace report out.jsonl
     python -m repro cache stats
@@ -121,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     corpus_help = (
-        "run on a genuine corpus family (e.g. iscas85-mini) from the "
-        "verified store instead of the synthetic stand-ins; see "
-        "`repro corpus fetch` and docs/CORPUS.md"
+        "run on a genuine corpus family (e.g. iscas85-mini) packaged "
+        "with repro instead of the synthetic stand-ins; see "
+        "`repro corpus list` and docs/CORPUS.md"
     )
 
     p1 = sub.add_parser("table1", help="Table I: HD + area/delay overhead")
@@ -213,43 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pcor = sub.add_parser(
         "corpus",
-        help="fetch/inspect the ISCAS/ITC benchmark-netlist corpus "
+        help="inspect the packaged benchmark-netlist catalog "
         "(docs/CORPUS.md)",
     )
     pcor.add_argument(
         "action",
-        choices=["fetch", "list", "verify", "stats"],
-        help="fetch: materialize families into the verified store; "
-        "list: stored entries; verify: re-hash everything (vendored "
-        "corruption heals in place); stats: occupancy + manifest "
-        "checksum",
-    )
-    pcor.add_argument(
-        "--families",
-        type=str,
-        default=None,
-        metavar="A,B",
-        help="comma-separated corpus families (default: every family "
-        "the current mode can satisfy)",
-    )
-    pcor.add_argument(
-        "--offline",
-        action="store_true",
-        help="vendored fixtures only, never open a socket "
-        "(REPRO_CORPUS_OFFLINE=1 forces this everywhere)",
-    )
-    pcor.add_argument(
-        "--corpus-dir",
-        type=str,
-        default=None,
-        metavar="DIR",
-        help="corpus store root (default .repro-corpus or "
-        "REPRO_CORPUS_DIR)",
-    )
-    pcor.add_argument(
-        "--force",
-        action="store_true",
-        help="(fetch) re-ingest entries already present",
+        choices=["list", "verify"],
+        help="list: every catalog entry with its pinned digest; verify: "
+        "re-hash the packaged fixtures against their pins",
     )
     pcor.add_argument("--format", choices=["text", "json"], default="text")
 
@@ -387,14 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.cmd == "corpus":
         from .corpus.cli import run_corpus_cli
 
-        return run_corpus_cli(
-            args.action,
-            families=args.families.split(",") if args.families else None,
-            offline=args.offline,
-            corpus_dir=args.corpus_dir,
-            force=args.force,
-            fmt=args.format,
-        )
+        return run_corpus_cli(args.action, fmt=args.format)
 
     if args.cmd == "cache":
         from .cache.cli import run_cache_cli

@@ -6,14 +6,12 @@
 * :mod:`repro.corpus.frontend` — the unified streaming, error-recovering
   BENCH/Verilog parser front end (``repro.netlist.parse_bench`` and
   friends delegate here);
-* :mod:`repro.corpus.manifest` — the checked-in catalog of ISCAS'85/'89
-  and ITC'99 class netlists (URLs + blake2b checksums + vendored
-  offline fixtures);
-* :mod:`repro.corpus.store` — the content-addressed on-disk store the
-  ``repro corpus`` CLI fetches into (atomic writes, paranoid reads,
-  corruption healing — the :mod:`repro.cache` conventions);
+* :mod:`repro.corpus.manifest` — the checked-in catalog of the
+  ISCAS'85/'89 and ITC'99 class fixtures packaged in
+  ``repro/corpus/fixtures/``, each with its pinned blake2b digest;
 * :mod:`repro.corpus.loader` — parse-once circuit handles shared by
-  campaign pre-flight lint and row compute.
+  campaign pre-flight lint and row compute; a corpus circuit is read
+  in place from its fixture and refused on a digest mismatch.
 
 Import cycle note: :mod:`repro.netlist` imports this package lazily
 (inside function bodies), and this package imports :mod:`repro.netlist`
@@ -28,29 +26,18 @@ from .frontend import (
     parse_bench_recovering,
     parse_verilog_recovering,
 )
-from .manifest import (
-    CorpusEntry,
-    FAMILIES,
-    OFFLINE_FAMILIES,
-    entries_for,
-    manifest_checksum,
-)
-from .store import CorpusError, CorpusStore, default_store
-from .loader import CircuitHandle, load_circuit, preflight_report
+from .manifest import ENTRIES, FAMILIES, CorpusEntry
+from .loader import CircuitHandle, CorpusError, load_circuit, preflight_report
 
 __all__ = [
     "CircuitHandle",
     "CorpusEntry",
     "CorpusError",
-    "CorpusStore",
+    "ENTRIES",
     "FAMILIES",
-    "OFFLINE_FAMILIES",
     "ParseDiagnostic",
     "ParseResult",
-    "default_store",
-    "entries_for",
     "load_circuit",
-    "manifest_checksum",
     "parse_bench_recovering",
     "parse_verilog_recovering",
     "preflight_report",

@@ -3,7 +3,7 @@
 Writes ``BENCH_corpus.json`` (gated by ``scripts/bench_compare.py
 --only corpus``):
 
-* **per-fixture** — every vendored fixture parsed through the streaming
+* **per-fixture** — every packaged fixture parsed through the streaming
   front end, with line counts and wall-clock (informational: the files
   are tiny);
 * **synthetic** — a deterministic generated netlist large enough for a
@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 
 from .frontend import parse_bench_recovering, parse_verilog_recovering
-from .manifest import FIXTURES_DIR, entries_for
+from .manifest import ENTRIES, FIXTURES_DIR
 
 #: conservative floor for the synthetic parse (lines/second); the
 #: embedded acceptance bound bench_compare gates against
@@ -74,10 +74,10 @@ def _roundtrip_ok() -> bool:
     """parse → write → reparse → write byte-stability, every BENCH fixture."""
     from ..netlist.bench_io import parse_bench, write_bench
 
-    for entry in entries_for(offline=True):
+    for entry in ENTRIES:
         if entry.fmt != "bench":
             continue
-        text = (FIXTURES_DIR / entry.vendored).read_text()
+        text = (FIXTURES_DIR / entry.filename).read_text()
         first = write_bench(parse_bench(text, name=entry.name))
         second = write_bench(parse_bench(first, name=entry.name))
         if first != second:
@@ -115,8 +115,8 @@ def _synthetic_lines() -> list[str]:
 def run_corpus_bench(out: str = "BENCH_corpus.json", repeats: int = 5) -> int:
     """Measure, verify, and write the report; returns an exit code."""
     fixtures = []
-    for entry in sorted(entries_for(offline=True), key=lambda e: e.name):
-        path = FIXTURES_DIR / entry.vendored
+    for entry in sorted(ENTRIES, key=lambda e: e.name):
+        path = FIXTURES_DIR / entry.filename
         n_lines, elapsed, stats = _parse_fixture(path)
         fixtures.append({
             "name": entry.name,

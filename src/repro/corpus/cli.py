@@ -1,13 +1,9 @@
-"""`repro corpus` — fetch/inspect the benchmark-netlist corpus.
+"""`repro corpus` — inspect the packaged benchmark-netlist catalog.
 
-Thin shell over :class:`~repro.corpus.store.CorpusStore`:
-
-* ``fetch``  — materialize families into the store (``--offline`` or
-  ``REPRO_CORPUS_OFFLINE=1`` sticks to vendored fixtures, zero sockets);
-* ``list``   — stored entries with origin and byte counts;
-* ``verify`` — re-hash everything; vendored corruption heals in place;
-* ``stats``  — occupancy per family plus the manifest checksum (the CI
-  cache key for the store).
+* ``list``   — every catalog entry: name, family, format, fixture bytes
+  and pinned digest;
+* ``verify`` — re-hash every packaged fixture against its pin; exits 1
+  on a missing or mismatched fixture.
 """
 
 from __future__ import annotations
@@ -15,71 +11,51 @@ from __future__ import annotations
 import json
 import sys
 
-from .store import CorpusStore, default_store
+from .manifest import ENTRIES, FIXTURES_DIR, blake2b_hex
 
 
-def _resolve_store(corpus_dir: "str | None") -> CorpusStore:
-    return CorpusStore(corpus_dir) if corpus_dir else default_store()
+def _fixture_bytes(filename: str) -> "bytes | None":
+    try:
+        return (FIXTURES_DIR / filename).read_bytes()
+    except OSError:
+        return None
 
 
-def run_corpus_cli(
-    action: str,
-    families: "list[str] | None" = None,
-    offline: bool = False,
-    corpus_dir: "str | None" = None,
-    force: bool = False,
-    fmt: str = "text",
-) -> int:
+def run_corpus_cli(action: str, fmt: str = "text") -> int:
     """Execute one corpus action; returns a process exit code."""
-    store = _resolve_store(corpus_dir)
-
-    if action == "fetch":
-        try:
-            results = store.fetch(families, offline=offline, force=force)
-        except KeyError as exc:
-            print(f"corpus fetch: {exc.args[0]}", file=sys.stderr)
-            return 2
-        failed = [r for r in results if r[1].startswith("error")]
-        if fmt == "json":
-            print(json.dumps(
-                {"results": [
-                    {"name": n, "action": a} for n, a in results
-                ], "ok": not failed},
-                indent=2, sort_keys=True,
-            ))
-        else:
-            width = max((len(n) for n, _ in results), default=0)
-            for name, act in results:
-                print(f"  {name:<{width}}  {act}")
-            print(f"{len(results) - len(failed)}/{len(results)} circuit(s) ok")
-        if failed:
-            for name, act in failed:
-                print(f"corpus fetch: {name}: {act}", file=sys.stderr)
-            return 1
-        return 0
-
     if action == "list":
-        entries = store.list_entries()
-        if families:
-            wanted = set(families)
-            entries = [e for e in entries if e["family"] in wanted]
+        entries = []
+        for e in ENTRIES:
+            data = _fixture_bytes(e.filename)
+            entries.append({
+                "name": e.name, "family": e.family, "fmt": e.fmt,
+                "bytes": None if data is None else len(data),
+                "blake2b": e.blake2b,
+            })
         if fmt == "json":
             print(json.dumps({"entries": entries}, indent=2, sort_keys=True))
         else:
-            if not entries:
-                print("corpus store is empty; run `repro corpus fetch`")
-                return 0
             width = max(len(e["name"]) for e in entries)
             for e in entries:
+                size = "missing" if e["bytes"] is None else f"{e['bytes']} B"
                 print(
                     f"  {e['name']:<{width}}  {e['family']:<14} "
-                    f"{e['fmt']:<7} {e['bytes']:>8} B  {e['origin']}"
+                    f"{e['fmt']:<7} {size:>10}  {e['blake2b']}"
                 )
-            print(f"{len(entries)} circuit(s) stored")
+            print(f"{len(entries)} circuit(s) in the catalog")
         return 0
 
     if action == "verify":
-        problems = store.verify()
+        problems = []
+        for e in ENTRIES:
+            data = _fixture_bytes(e.filename)
+            if data is None:
+                problems.append(f"{e.name}: fixture {e.filename} is missing")
+            elif (got := blake2b_hex(data)) != e.blake2b:
+                problems.append(
+                    f"{e.name}: fixture {e.filename} does not match its "
+                    f"pin (pinned {e.blake2b}, got {got})"
+                )
         if fmt == "json":
             print(json.dumps(
                 {"problems": problems, "ok": not problems},
@@ -91,21 +67,7 @@ def run_corpus_cli(
             print("corpus verify: "
                   + ("clean" if not problems
                      else f"{len(problems)} problem(s)"))
-        # healed entries are not failures; only unrecovered ones are
-        return 1 if any("refetch required" in p for p in problems) else 0
-
-    if action == "stats":
-        stats = store.stats()
-        if fmt == "json":
-            print(json.dumps(stats, indent=2, sort_keys=True))
-        else:
-            print(f"  root              {stats['root']}")
-            print(f"  entries           {stats['entries']}")
-            print(f"  bytes             {stats['bytes']}")
-            for fam, n in sorted(stats["families"].items()):
-                print(f"  family {fam:<11} {n}")
-            print(f"  manifest checksum {stats['manifest_checksum']}")
-        return 0
+        return 1 if problems else 0
 
     print(f"repro corpus: unknown action {action!r}", file=sys.stderr)
     return 2

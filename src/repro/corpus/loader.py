@@ -23,8 +23,12 @@ from .frontend import (
     parse_bench_recovering,
     parse_verilog_recovering,
 )
-from .manifest import blake2b_hex
-from .store import CorpusStore, default_store
+from .manifest import FIXTURES_DIR, blake2b_hex, find_entry
+
+
+class CorpusError(RuntimeError):
+    """A corpus circuit that cannot be served: the name is not in the
+    catalog, or its fixture bytes do not match the pinned digest."""
 
 
 @dataclass(frozen=True)
@@ -96,12 +100,20 @@ def load_circuit(path: "str | Path", name: "str | None" = None) -> CircuitHandle
     return handle
 
 
-def load_corpus_circuit(
-    name: str, store: "CorpusStore | None" = None
-) -> CircuitHandle:
-    """Handle for a circuit held in the corpus store (verified read)."""
-    s = store if store is not None else default_store()
-    return load_circuit(s.path_of(name), name=name)
+def load_corpus_circuit(name: str) -> CircuitHandle:
+    """Handle for a packaged corpus circuit, read in place from its
+    fixture and checked against the pinned digest."""
+    try:
+        entry = find_entry(name)
+    except KeyError as exc:
+        raise CorpusError(exc.args[0]) from None
+    handle = load_circuit(FIXTURES_DIR / entry.filename, name=name)
+    if handle.digest != entry.blake2b:
+        raise CorpusError(
+            f"corpus fixture {entry.filename}: checksum mismatch "
+            f"(pinned {entry.blake2b}, got {handle.digest})"
+        )
+    return handle
 
 
 def preflight_report(handle: CircuitHandle):

@@ -1,21 +1,11 @@
-"""Checked-in catalog of benchmark netlists the corpus manager knows.
+"""Checked-in catalog of the benchmark netlists shipped with the package.
 
-Each :class:`CorpusEntry` names one circuit: where to get it (a vendored
-fixture shipped inside the package, or a remote URL), which family it
-belongs to, and the blake2b checksum the stored copy must match.
-
-Checksum policy:
-
-* **vendored** entries carry a checked-in checksum — the fixture file in
-  the repo is the ground truth and a corrupted store copy heals from it;
-* **remote** entries start with ``blake2b=None`` and are pinned
-  trust-on-first-use: the first successful fetch records the digest in
-  the store index, and every later read verifies against it.  (The repo
-  is built fully offline, so upstream digests cannot be pre-computed;
-  CI never touches these entries.)
-
-The ``*-mini`` families are fully offline; ``repro corpus fetch
---offline`` (or ``REPRO_CORPUS_OFFLINE=1``) restricts fetching to them.
+Each :class:`CorpusEntry` names one circuit: its fixture file under
+:data:`FIXTURES_DIR`, the family it belongs to, and the pinned blake2b
+digest the fixture bytes must match.  The loader reads a fixture in
+place and refuses it when the bytes do not match the pin; nothing is
+copied, fetched or cached on disk.  A new circuit is one fixture file
+plus one catalog line.
 """
 
 from __future__ import annotations
@@ -27,161 +17,75 @@ from pathlib import Path
 #: digest width shared with repro.cache.keys (hex chars = 2 * size)
 DIGEST_SIZE = 16
 
-#: where the vendored fixture files live
+#: where the packaged fixture files live
 FIXTURES_DIR = Path(__file__).resolve().parent / "fixtures"
-
-_ISCAS85_URL = "https://www.pld.ttu.ee/~maksim/benchmarks/iscas85/bench"
-_ISCAS89_URL = "https://www.pld.ttu.ee/~maksim/benchmarks/iscas89/bench"
-_ITC99_URL = "https://www.cad.polito.it/downloads/tools/itc99/bench"
 
 
 @dataclass(frozen=True)
 class CorpusEntry:
     """One circuit in the corpus catalog."""
 
-    name: str  # canonical circuit name ("c432", "s27", ...)
-    family: str  # family key ("iscas85", "iscas85-mini", ...)
+    name: str  # canonical circuit name ("c17", "s27", ...)
+    family: str  # family key ("iscas85-mini", ...)
+    blake2b: str  # pinned digest of the fixture bytes
     fmt: str = "bench"  # "bench" or "verilog"
-    url: str | None = None  # remote source (None = vendored only)
-    vendored: str | None = None  # filename under FIXTURES_DIR
-    blake2b: str | None = None  # pinned digest (None = trust-on-first-use)
-    approx_gates: int | None = None  # catalog hint, informational only
 
     @property
     def filename(self) -> str:
+        """The fixture's file name under :data:`FIXTURES_DIR`."""
         ext = ".v" if self.fmt == "verilog" else ".bench"
         return f"{self.name}{ext}"
 
 
-def _remote(name: str, family: str, base: str, gates: int) -> CorpusEntry:
-    return CorpusEntry(
-        name=name,
-        family=family,
-        url=f"{base}/{name}.bench",
-        approx_gates=gates,
-    )
-
-
-#: vendored checksums are blake2b(digest_size=16) over the fixture bytes;
+#: pinned checksums are blake2b(digest_size=16) over the fixture bytes;
 #: regenerate with ``python -m repro.corpus.manifest`` after editing a
 #: fixture (the module prints the literal dict)
-_VENDORED_CHECKSUMS = {
-    "c17.bench": "ab083664cffabba7283b9159a65b23b5",
-    "c432_mini.bench": "1a15f306b48b603654731258248a2357",
-    "s27.bench": "89141c5a734db91dbb1db981fa450204",
-    "b01_mini.bench": "eb7660361cd8df3d0a0a1b49309d26f6",
-    "c17v.v": "82087db74b324a02b02a64d5dc3a2947",
+_FIXTURE_CHECKSUMS = {
+    "c17": "ab083664cffabba7283b9159a65b23b5",
+    "c432_mini": "1a15f306b48b603654731258248a2357",
+    "s27": "89141c5a734db91dbb1db981fa450204",
+    "b01_mini": "eb7660361cd8df3d0a0a1b49309d26f6",
+    "c17v": "82087db74b324a02b02a64d5dc3a2947",
 }
 
 
-def _vendored(
-    name: str, family: str, fmt: str = "bench", gates: int | None = None
-) -> CorpusEntry:
-    ext = ".v" if fmt == "verilog" else ".bench"
-    fname = f"{name}{ext}"
-    return CorpusEntry(
-        name=name,
-        family=family,
-        fmt=fmt,
-        vendored=fname,
-        blake2b=_VENDORED_CHECKSUMS.get(fname),
-        approx_gates=gates,
-    )
+def _fixture(name: str, family: str, fmt: str = "bench") -> CorpusEntry:
+    return CorpusEntry(name, family, _FIXTURE_CHECKSUMS[name], fmt)
 
 
-#: family key -> entries.  The ``*-mini`` families are the offline tier.
+#: family key -> entries, in catalog order
 FAMILIES: dict[str, tuple[CorpusEntry, ...]] = {
     "iscas85-mini": (
-        _vendored("c17", "iscas85-mini", gates=6),
-        _vendored("c432_mini", "iscas85-mini", gates=160),
+        _fixture("c17", "iscas85-mini"),
+        _fixture("c432_mini", "iscas85-mini"),
     ),
     "iscas89-mini": (
-        _vendored("s27", "iscas89-mini", gates=10),
+        _fixture("s27", "iscas89-mini"),
     ),
     "itc99-mini": (
-        _vendored("b01_mini", "itc99-mini", gates=90),
+        _fixture("b01_mini", "itc99-mini"),
     ),
     "verilog-mini": (
-        # distinct name from the BENCH c17: the store index is keyed by
-        # circuit name, and one name must map to exactly one format
-        _vendored("c17v", "verilog-mini", fmt="verilog", gates=6),
-    ),
-    "iscas85": tuple(
-        _remote(n, "iscas85", _ISCAS85_URL, g)
-        for n, g in (
-            ("c432", 160), ("c499", 202), ("c880", 383), ("c1355", 546),
-            ("c1908", 880), ("c2670", 1193), ("c3540", 1669),
-            ("c5315", 2307), ("c6288", 2416), ("c7552", 3512),
-        )
-    ),
-    "iscas89": tuple(
-        _remote(n, "iscas89", _ISCAS89_URL, g)
-        for n, g in (
-            ("s27", 10), ("s298", 119), ("s344", 160), ("s382", 158),
-            ("s420", 218), ("s526", 193), ("s641", 379), ("s820", 289),
-            ("s953", 395), ("s1196", 529), ("s1423", 657),
-            ("s5378", 2779), ("s9234", 5597), ("s13207", 7951),
-            ("s15850", 9772), ("s35932", 16065), ("s38417", 22179),
-            ("s38584", 19253),
-        )
-    ),
-    "itc99": tuple(
-        _remote(n, "itc99", _ITC99_URL, g)
-        for n, g in (
-            ("b01", 45), ("b02", 26), ("b03", 149), ("b04", 597),
-            ("b05", 927), ("b06", 49), ("b07", 382), ("b08", 168),
-            ("b09", 159), ("b10", 172), ("b11", 481), ("b12", 952),
-            ("b13", 289), ("b14", 9767), ("b15", 8367), ("b17", 30777),
-            ("b18", 111241), ("b20", 19682), ("b21", 20027),
-            ("b22", 29162),
-        )
+        # distinct name from the BENCH c17: circuits are looked up by
+        # name, and one name must map to exactly one fixture
+        _fixture("c17v", "verilog-mini", fmt="verilog"),
     ),
 }
 
-#: the families usable with zero network access
-OFFLINE_FAMILIES: tuple[str, ...] = tuple(
-    f for f in FAMILIES if f.endswith("-mini")
+#: every catalog entry, family by family
+ENTRIES: tuple[CorpusEntry, ...] = tuple(
+    entry for entries in FAMILIES.values() for entry in entries
 )
 
 
-def entries_for(families: "list[str] | tuple[str, ...] | None" = None,
-                offline: bool = False) -> list[CorpusEntry]:
-    """Flatten the catalog for a family selection.
-
-    ``families=None`` means every family (or every offline family when
-    ``offline`` is set).  Unknown family names raise ``KeyError`` naming
-    the valid keys.
-    """
-    keys = list(families) if families else list(
-        OFFLINE_FAMILIES if offline else FAMILIES
-    )
-    out: list[CorpusEntry] = []
-    for key in keys:
-        if key not in FAMILIES:
-            raise KeyError(
-                f"unknown corpus family {key!r}; known: {sorted(FAMILIES)}"
-            )
-        if offline:
-            entries = [e for e in FAMILIES[key] if e.vendored is not None]
-            if not entries:
-                raise KeyError(
-                    f"corpus family {key!r} has no vendored entries; "
-                    f"offline families: {sorted(OFFLINE_FAMILIES)}"
-                )
-            out.extend(entries)
-        else:
-            out.extend(FAMILIES[key])
-    return out
-
-
-def find_entry(name: str, families: "list[str] | None" = None) -> CorpusEntry:
-    """Look up one circuit by name (optionally within given families)."""
-    for entry in entries_for(families):
+def find_entry(name: str) -> CorpusEntry:
+    """Look up one circuit by name; ``KeyError`` names the known ones."""
+    for entry in ENTRIES:
         if entry.name == name:
             return entry
     raise KeyError(
         f"unknown corpus circuit {name!r}; known: "
-        f"{sorted({e.name for e in entries_for()})}"
+        f"{sorted(e.name for e in ENTRIES)}"
     )
 
 
@@ -190,34 +94,9 @@ def blake2b_hex(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=DIGEST_SIZE).hexdigest()
 
 
-def manifest_checksum() -> str:
-    """Digest of the whole catalog — the CI corpus-store cache key."""
-    from ..runtime.codec import canonical_dumps
-
-    payload = {
-        family: [
-            {
-                "name": e.name, "fmt": e.fmt, "url": e.url,
-                "vendored": e.vendored, "blake2b": e.blake2b,
-            }
-            for e in entries
-        ]
-        for family, entries in FAMILIES.items()
-    }
-    return blake2b_hex(canonical_dumps(payload).encode())
-
-
-def _regenerate_checksums() -> dict[str, "str | None"]:
-    """Recompute the vendored checksum dict from the files on disk."""
-    out: dict[str, str | None] = {}
-    for fname in _VENDORED_CHECKSUMS:
-        p = FIXTURES_DIR / fname
-        out[fname] = blake2b_hex(p.read_bytes()) if p.exists() else None
-    return out
-
-
 if __name__ == "__main__":  # pragma: no cover - maintenance helper
-    print("_VENDORED_CHECKSUMS = {")
-    for fname, digest in _regenerate_checksums().items():
-        print(f"    {fname!r}: {digest!r},")
+    print("_FIXTURE_CHECKSUMS = {")
+    for entry in ENTRIES:
+        digest = blake2b_hex((FIXTURES_DIR / entry.filename).read_bytes())
+        print(f"    {entry.name!r}: {digest!r},")
     print("}")

@@ -4,8 +4,9 @@ A :class:`CircuitSource` is the one place that knows how the two circuit
 sources differ.  Stand-ins are the synthetic circuits of
 :mod:`repro.bench.registry`, built at ``scale``, with the paper's
 published numbers alongside.  Corpus circuits are genuine netlists of a
-:mod:`repro.corpus` family, read from the verified store (parse-once,
-see :mod:`repro.corpus.loader`) as their full-scan combinational core;
+:mod:`repro.corpus` family, read in place from the package's fixtures
+and checked against their pinned digests (parse-once, see
+:mod:`repro.corpus.loader`), as their full-scan combinational core;
 nothing is published for them.  Harnesses ask the source for the
 selected names, the fingerprint, each circuit's locking parameters and
 its pre-flight lint report, and keep one compute function for both.
@@ -28,7 +29,7 @@ from .common import DEFAULT_SCALE
 
 class CircuitSelectionError(ValueError):
     """A selection no row can run: an unknown corpus family or circuit,
-    or a corpus circuit the store cannot provide."""
+    or a corpus fixture whose bytes do not match its pinned digest."""
 
 
 #: the paper row of a corpus circuit: nothing is published, so every
@@ -99,8 +100,8 @@ class CircuitSource:
         """A campaign fingerprint: ``params``, plus for corpus circuits
         the family and per-circuit content digests, so an updated corpus
         file is never served a stale checkpoint or cache row.  Raises
-        :class:`CircuitSelectionError` for a corpus circuit the store
-        cannot provide."""
+        :class:`CircuitSelectionError` for a corpus fixture that does not
+        match its pinned digest."""
         if self.corpus is None:
             return params
         return {
@@ -166,8 +167,7 @@ class CircuitSource:
         return [e.name for e in FAMILIES[self.corpus]]
 
     def _handle(self, name: str):
-        from ..corpus.loader import load_corpus_circuit
-        from ..corpus.store import CorpusError
+        from ..corpus.loader import CorpusError, load_corpus_circuit
 
         try:
             return load_corpus_circuit(name)

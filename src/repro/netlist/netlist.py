@@ -258,11 +258,27 @@ class Netlist:
                 if indeg[succ] == 0:
                     queue.append(succ)
         if len(order) != len(self._gates):
-            cyclic = sorted(n for n, d in indeg.items() if d > 0)
-            raise NetlistError(f"combinational cycle involving {cyclic[:8]}")
+            stuck = {n for n, d in indeg.items() if d > 0}
+            raise NetlistError(
+                f"combinational cycle involving {self._one_loop(stuck)[:8]}"
+            )
         self._topo = order
         self._fanout = fanout
         return order
+
+    def _one_loop(self, stuck: set[str]) -> list[str]:
+        """The nets of one loop among those Kahn's pass left unvisited,
+        sorted.  Each of them has an unvisited fan-in, so following
+        those fan-ins must revisit a net; nets merely downstream of the
+        loop are never on the walk's cycle."""
+        seen: dict[str, int] = {}
+        path: list[str] = []
+        net = min(stuck)
+        while net not in seen:
+            seen[net] = len(path)
+            path.append(net)
+            net = next(f for f in self._gates[net].fanin if f in stuck)
+        return sorted(path[seen[net]:])
 
     def fanout_map(self) -> Mapping[str, list[str]]:
         """Map from net name to the list of gates it feeds."""

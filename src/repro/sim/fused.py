@@ -64,12 +64,10 @@ class _Program:
     """Column-width-independent lowering of one engine's tape.
 
     ``steps`` hold *physical* arena rows (post live-range remap) in one
-    of three primitive forms::
+    of two primitive forms::
 
         ("b", ufunc, a, b, o)   o <- a op b
         ("u", s, o)             o <- ~s
-        ("z", fill, o)          o <- constant fill (defensive; tapes
-                                normally carry constants as sources)
     """
 
     __slots__ = (
@@ -135,12 +133,6 @@ def _build_program(engine: Any) -> _Program:
         gtype = group.gtype
         for j in range(group.size):
             r = group.start + j
-            if gtype is GateType.CONST0 or gtype is GateType.CONST1:
-                steps.append(
-                    ("z", _ALL_ONES if gtype is GateType.CONST1 else np.uint64(0), r)
-                )
-                loc[r] = (r, 0)
-                continue
             srcs = [int(fan[s, j]) for s in range(arity)]
             if gtype is GateType.MUX:
                 s_row, s_pol = loc[srcs[0]]
@@ -195,8 +187,6 @@ def _build_program(engine: Any) -> _Program:
     def _reads(st: tuple) -> tuple[int, ...]:
         if st[0] == "b":
             return (st[2], st[3])
-        if st[0] == "z":
-            return ()
         return (st[1],)
 
     def _write(st: tuple) -> int:
@@ -250,8 +240,6 @@ def _build_program(engine: Any) -> _Program:
         if st[0] == "b":
             _, op, a, b, o = st
             phys_steps.append(("b", op, remap[a], remap[b], remap[o]))
-        elif st[0] == "z":
-            phys_steps.append(("z", st[1], remap[st[2]]))
         else:
             phys_steps.append((st[0], remap[st[1]], remap[st[2]]))
 
@@ -291,14 +279,11 @@ class _Plan:
             V[program.const1_rows] = _ALL_ONES
         bound: list[tuple] = []
         for st in program.steps:
-            kind = st[0]
-            if kind == "b":
+            if st[0] == "b":
                 _, op, a, b, o = st
                 bound.append((op, (V[a], V[b], V[o])))
-            elif kind == "u":
+            else:  # "u"
                 bound.append((np.invert, (V[st[1]], V[st[2]])))
-            else:  # "z"
-                bound.append((np.copyto, (V[st[2]], st[1])))
         self.V = V
         self.bound = bound
 

@@ -469,12 +469,6 @@ def _eval_group(group: OpGroup, values: np.ndarray) -> None:
     gtype = group.gtype
     fan = group.fanin_idx
     out = values[group.start : group.stop]  # contiguous view, no copy
-    if gtype is GateType.CONST0:
-        out[:] = 0
-        return
-    if gtype is GateType.CONST1:
-        out[:] = _ALL_ONES
-        return
     if gtype is GateType.BUF:
         np.take(values, fan[0], axis=0, out=out)
         return

@@ -76,11 +76,9 @@ KNOWN_COUNTERS = frozenset(
         "cache.degraded",
         "telemetry.degraded",
         "checkpoint.corrupt",
-        # real-corpus ingestion (repro.corpus): parse-once memo and
-        # store corruption healing
+        # real-corpus ingestion (repro.corpus): parse-once memo
         "corpus.parse",
         "corpus.parse.cached",
-        "corpus.store.heal",
         # anomaly counters: silent fallbacks made visible
         "atpg.verdict.disagree",
         "atpg.sat.aborted",

@@ -22,7 +22,7 @@ from repro.attacks import (
     run_attack,
 )
 from repro.bench import GeneratorConfig, generate_netlist
-from repro.experiments import RunPolicy
+from repro.experiments import RunPolicy, run_table1
 from repro.locking import WLLConfig, lock_weighted
 from repro.netlist import Netlist
 from repro.runtime.budget import Budget
@@ -172,7 +172,9 @@ class TestRemovedIn120:
     and supervision no-op knobs.  1.3.0 removed the E6 arms race, the
     E8 scaling study and the SAIL attack, which served no paper
     artifact.  1.4.0 removed what 1.3.0 deprecated: CycSAT, FALL,
-    cyclic locking, TTLock and ``Netlist(allow_cycles=)``."""
+    cyclic locking, TTLock and ``Netlist(allow_cycles=)``.  1.5.0
+    removed the corpus store and the download tier: a corpus circuit is
+    read in place from its packaged fixture."""
 
     SERVICE_EXPORTS = (
         "JobSpec", "JobStatus", "execute_job", "job_content_key",
@@ -232,6 +234,20 @@ class TestRemovedIn120:
         ),
         *(
             pytest.param(
+                lambda wll, a=a: main(["corpus", *a]), SystemExit,
+                id=f"cli-corpus-{'-'.join(a)}",
+            )
+            for a in (
+                ("fetch",), ("stats",), ("list", "--corpus-dir", "d"),
+                ("list", "--offline"),
+            )
+        ),
+        pytest.param(
+            lambda wll: run_table1(corpus="iscas85"), ValueError,
+            id="run_table1-corpus=iscas85",
+        ),
+        *(
+            pytest.param(
                 lambda wll, m=m: importlib.import_module(m),
                 ModuleNotFoundError,
                 id=f"import-{m}",
@@ -244,6 +260,7 @@ class TestRemovedIn120:
                 "repro.attacks.fall",
                 "repro.locking.cyclic",
                 "repro.locking.ttlock",
+                "repro.corpus.store",
             )
         ),
         *(

@@ -1,7 +1,9 @@
-"""Corpus manager: manifest catalog, content-addressed store, loader memo.
+"""Corpus manager: manifest catalog, pinned fixtures, loader memo.
 
-Everything here runs fully offline against the vendored fixtures — the
-same guarantee the campaign-smoke CI lane enforces.
+Everything here runs against the fixtures packaged in
+``repro/corpus/fixtures/``; a corpus circuit is read in place and
+checked against its pinned digest, so nothing touches the network or
+the working directory.
 """
 
 from __future__ import annotations
@@ -18,34 +20,27 @@ from repro.corpus.loader import (
     preflight_report,
 )
 from repro.corpus.manifest import (
+    ENTRIES,
     FIXTURES_DIR,
-    OFFLINE_FAMILIES,
     blake2b_hex,
-    entries_for,
     find_entry,
-    manifest_checksum,
 )
-from repro.corpus.store import CorpusError, CorpusStore
 
 
 class TestManifest:
-    def test_offline_families_are_all_vendored(self):
-        for entry in entries_for(offline=True):
-            assert entry.vendored is not None
-            assert (FIXTURES_DIR / entry.vendored).exists()
-
     def test_vendored_checksums_match_fixture_bytes(self):
-        for entry in entries_for(offline=True):
-            data = (FIXTURES_DIR / entry.vendored).read_bytes()
+        for entry in ENTRIES:
+            data = (FIXTURES_DIR / entry.filename).read_bytes()
             assert entry.blake2b == blake2b_hex(data), entry.name
 
     def test_unknown_family_raises_with_known_keys(self):
-        with pytest.raises(KeyError, match="iscas85-mini"):
-            entries_for(["no-such-family"])
+        from repro.experiments.source import (
+            CircuitSelectionError,
+            CircuitSource,
+        )
 
-    def test_offline_rejects_remote_only_family(self):
-        with pytest.raises(KeyError, match="no vendored entries"):
-            entries_for(["itc99"], offline=True)
+        with pytest.raises(CircuitSelectionError, match="iscas85-mini"):
+            CircuitSource(corpus="no-such-family").names()
 
     def test_find_entry(self):
         assert find_entry("s27").family == "iscas89-mini"
@@ -53,86 +48,9 @@ class TestManifest:
             find_entry("nope")
 
     def test_names_unique_across_catalog_formats(self):
-        # the store index is keyed by name: a name must never map to two
-        # different formats (iscas89 s27 appears twice, same circuit)
-        fmt_of: dict[str, str] = {}
-        for entry in entries_for():
-            assert fmt_of.setdefault(entry.name, entry.fmt) == entry.fmt
-
-    def test_manifest_checksum_is_stable_hex(self):
-        first = manifest_checksum()
-        assert first == manifest_checksum()
-        int(first, 16)
-        assert len(first) == 32
-
-    def test_mini_families_are_the_offline_tier(self):
-        assert set(OFFLINE_FAMILIES) == {
-            f for f in OFFLINE_FAMILIES if f.endswith("-mini")
-        }
-        assert "iscas85-mini" in OFFLINE_FAMILIES
-
-
-class TestStore:
-    def test_offline_fetch_materializes_vendored(self, tmp_path):
-        store = CorpusStore(tmp_path / "corpus")
-        results = store.fetch(offline=True)
-        assert all(a == "vendored" for _, a in results)
-        again = store.fetch(offline=True)
-        assert all(a == "cached" for _, a in again)
-
-    def test_remote_entry_errors_offline(self, tmp_path):
-        store = CorpusStore(tmp_path / "corpus")
-        results = dict(store.fetch(["iscas85-mini", "itc99"], offline=False))
-        # vendored ones succeed; remote downloads fail in the sandbox
-        assert results["c17"] == "vendored"
-
-    def test_paranoid_read_heals_vendored_corruption(self, tmp_path):
-        store = CorpusStore(tmp_path / "corpus")
-        store.fetch(["iscas89-mini"], offline=True)
-        path = store.path_of("s27")
-        good = path.read_bytes()
-        path.write_text("MANGLED\n")
-        healed = store.path_of("s27")
-        assert healed.read_bytes() == good
-
-    def test_verify_reports_and_heals(self, tmp_path):
-        store = CorpusStore(tmp_path / "corpus")
-        store.fetch(["iscas85-mini"], offline=True)
-        store.path_of("c17").write_text("junk")
-        problems = store.verify()
-        assert any("c17" in p and "healed" in p for p in problems)
-        assert store.verify() == []
-
-    def test_unknown_circuit_raises_corpus_error(self, tmp_path):
-        store = CorpusStore(tmp_path / "corpus")
-        with pytest.raises(CorpusError):
-            store.path_of("no-such-circuit")
-
-    def test_unfetched_vendored_circuit_self_heals(self, tmp_path):
-        # path_of on an empty store still serves vendored entries
-        store = CorpusStore(tmp_path / "corpus")
-        assert store.path_of("c17").exists()
-
-    def test_version_mismatch_wipes_store(self, tmp_path):
-        root = tmp_path / "corpus"
-        store = CorpusStore(root)
-        store.fetch(offline=True)
-        (root / "VERSION").write_text("corpus/999\n")
-        reopened = CorpusStore(root)
-        assert reopened.list_entries() == []
-
-    def test_stored_file_carries_format_suffix(self, tmp_path):
-        store = CorpusStore(tmp_path / "corpus")
-        store.fetch(offline=True)
-        assert store.path_of("c17").suffix == ".bench"
-        assert store.path_of("c17v").suffix == ".v"
-
-    def test_stats_include_manifest_checksum(self, tmp_path):
-        store = CorpusStore(tmp_path / "corpus")
-        store.fetch(["iscas85-mini"], offline=True)
-        stats = store.stats()
-        assert stats["entries"] == 2
-        assert stats["manifest_checksum"] == manifest_checksum()
+        # circuits are looked up by name: one name, one fixture
+        names = [entry.name for entry in ENTRIES]
+        assert len(names) == len(set(names))
 
 
 class TestLoader:
@@ -148,10 +66,9 @@ class TestLoader:
         third = load_circuit(p)
         assert third is not first
 
-    def test_load_corpus_circuit_and_digests(self, tmp_path, monkeypatch):
+    def test_load_corpus_circuit_and_digests(self):
         from repro.experiments.source import CircuitSource
 
-        monkeypatch.setenv("REPRO_CORPUS_DIR", str(tmp_path / "corpus"))
         clear_memo()
         handle = load_corpus_circuit("s27")
         assert handle.ok
@@ -199,11 +116,10 @@ class TestRegistryBridge:
         with pytest.raises(CircuitSelectionError, match="unknown corpus"):
             CircuitSource(corpus="nope").names()
 
-    def test_build_corpus_circuit_full_scan(self, tmp_path, monkeypatch):
+    def test_build_corpus_circuit_full_scan(self):
         from repro.bench import build_paper_circuit
         from repro.experiments.source import CircuitSource
 
-        monkeypatch.setenv("REPRO_CORPUS_DIR", str(tmp_path / "corpus"))
         clear_memo()
         c = CircuitSource(corpus="iscas89-mini").circuit(
             "s27", build_paper_circuit
@@ -222,14 +138,12 @@ class TestRegistryBridge:
 
 
 @pytest.fixture
-def fresh_store(tmp_path, monkeypatch):
-    """An empty corpus store of the test's own (vendored entries heal in
-    on first read) and an empty parse memo."""
-    monkeypatch.setenv("REPRO_CORPUS_DIR", str(tmp_path / "corpus"))
+def fresh_memo():
+    """An empty parse memo, so each test parses the fixtures itself."""
     clear_memo()
 
 
-@pytest.mark.usefixtures("fresh_store")
+@pytest.mark.usefixtures("fresh_memo")
 class TestBadSelection:
     """A selection no row can run fails up front, and cleanly at the CLI."""
 
@@ -240,10 +154,11 @@ class TestBadSelection:
              "unknown circuit.*s27.*iscas85-mini"),
             (dict(circuits=["nosuch"]), "unknown circuit.*nosuch"),
             (dict(corpus="nosuch"), "unknown corpus family 'nosuch'"),
-            (dict(corpus="iscas85", circuits=["c432"]), "not fetched"),
+            (dict(corpus="iscas85", circuits=["c432"]),
+             "unknown corpus family 'iscas85'"),
         ],
         ids=["other-family", "unknown-circuit", "unknown-family",
-             "not-fetched"],
+             "removed-family"],
     )
     def test_run_table1_raises(self, kwargs, message):
         from repro.experiments import run_table1
@@ -263,7 +178,7 @@ class TestBadSelection:
             ["attacks", "--corpus", "iscas85-mini"],
         ],
         ids=["other-family", "unknown-circuit", "unknown-family",
-             "not-fetched", "no-sequential-host"],
+             "removed-family", "no-sequential-host"],
     )
     def test_cli_reports_cleanly(self, argv, capsys):
         from repro.__main__ import main
@@ -275,7 +190,7 @@ class TestBadSelection:
         assert captured.out == ""
 
 
-@pytest.mark.usefixtures("fresh_store")
+@pytest.mark.usefixtures("fresh_memo")
 class TestSingleHostHarnesses:
     def test_attack_matrix_resume_pins_corpus_digest(
         self, tmp_path, monkeypatch
@@ -307,8 +222,8 @@ class TestSingleHostHarnesses:
         real_load = loader.load_corpus_circuit
         monkeypatch.setattr(
             loader, "load_corpus_circuit",
-            lambda name, store=None: dataclasses.replace(
-                real_load(name, store), digest="0" * 32
+            lambda name: dataclasses.replace(
+                real_load(name), digest="0" * 32
             ),
         )
         again = attack_matrix.run_attack_matrix(
@@ -345,36 +260,80 @@ class TestCampaignParams:
 
 
 class TestCorpusCli:
-    def test_fetch_list_verify_stats(self, tmp_path, capsys):
+    def test_list_and_verify(self, capsys):
         from repro.corpus.cli import run_corpus_cli
 
-        root = str(tmp_path / "corpus")
-        assert run_corpus_cli("fetch", offline=True, corpus_dir=root) == 0
+        assert run_corpus_cli("list") == 0
         out = capsys.readouterr().out
-        assert "vendored" in out
-        assert run_corpus_cli("list", corpus_dir=root) == 0
-        assert run_corpus_cli("verify", corpus_dir=root) == 0
-        assert run_corpus_cli("stats", corpus_dir=root) == 0
+        assert all(entry.blake2b in out for entry in ENTRIES)
+        assert run_corpus_cli("verify") == 0
+        assert "clean" in capsys.readouterr().out
 
-    def test_stats_json_roundtrips(self, tmp_path, capsys):
+    def test_list_json_roundtrips(self, capsys):
         from repro.corpus.cli import run_corpus_cli
 
-        root = str(tmp_path / "corpus")
-        run_corpus_cli("fetch", offline=True, corpus_dir=root)
-        capsys.readouterr()
-        assert run_corpus_cli("stats", corpus_dir=root, fmt="json") == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["entries"] == len(entries_for(offline=True))
+        assert run_corpus_cli("list", fmt="json") == 0
+        listed = json.loads(capsys.readouterr().out)["entries"]
+        assert [e["name"] for e in listed] == [e.name for e in ENTRIES]
+        assert all(e["bytes"] > 0 for e in listed)
 
-    def test_unknown_family_is_a_clean_error(self, tmp_path, capsys):
-        from repro.corpus.cli import run_corpus_cli
+    def test_verify_fails_on_a_mismatched_pin(self, monkeypatch, capsys):
+        import dataclasses
 
-        code = run_corpus_cli(
-            "fetch", families=["bogus"], offline=True,
-            corpus_dir=str(tmp_path / "corpus"),
+        import repro.corpus.cli as cli
+
+        bad = dataclasses.replace(ENTRIES[0], blake2b="0" * 32)
+        monkeypatch.setattr(cli, "ENTRIES", (bad, *ENTRIES[1:]))
+        assert cli.run_corpus_cli("verify") == 1
+        assert "c17: fixture c17.bench does not match" in (
+            capsys.readouterr().out
         )
-        assert code == 2
-        assert "unknown corpus family" in capsys.readouterr().err
+
+
+class TestNothingOnDisk:
+    """A corpus circuit is read in place from its packaged fixture."""
+
+    @pytest.mark.parametrize(
+        "leftover", [".repro-corpus/notes.txt", ".repro-corpus"],
+        ids=["old-store-dir", "plain-file"],
+    )
+    def test_corpus_campaign_leaves_cwd_untouched(
+        self, leftover, tmp_path, monkeypatch, capsys
+    ):
+        from repro.__main__ import main
+
+        def snapshot():
+            return {
+                p.relative_to(tmp_path): p.is_file() and p.read_text()
+                for p in tmp_path.rglob("*")
+            }
+
+        path = tmp_path / leftover
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("keep me\n")
+        before = snapshot()
+        monkeypatch.chdir(tmp_path)
+        clear_memo()
+        assert main(["table1", "--corpus", "iscas85-mini", "--no-cache"]) == 0
+        assert snapshot() == before
+
+    def test_mismatched_fixture_is_a_selection_error(self, monkeypatch):
+        import dataclasses
+
+        import repro.corpus.loader as loader
+        from repro.experiments import run_table1
+        from repro.experiments.source import CircuitSelectionError
+
+        real_find = loader.find_entry
+        monkeypatch.setattr(
+            loader, "find_entry",
+            lambda name: dataclasses.replace(
+                real_find(name), blake2b="0" * 32
+            ),
+        )
+        clear_memo()
+        with pytest.raises(CircuitSelectionError, match="checksum mismatch"):
+            run_table1(corpus="iscas85-mini")
 
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "corpus_golden"
@@ -406,7 +365,7 @@ def _golden_runs():
 class TestCorpusHarnessGolden:
     """Every harness's corpus path, pinned to its rendered table.
 
-    The golden files are the harness output on the vendored ``*-mini``
+    The golden files are the harness output on the packaged ``*-mini``
     fixtures; a change to any shared compute path that moves a corpus
     row shows up here as a text diff.
     """
@@ -415,7 +374,7 @@ class TestCorpusHarnessGolden:
         "run", ["table1_iscas85-mini", "table2_iscas89-mini",
                 "attacks_iscas89-mini"],
     )
-    def test_rendered_table_matches_golden(self, run, fresh_store, capsys):
+    def test_rendered_table_matches_golden(self, run, fresh_memo, capsys):
         text = _golden_runs()[run]()
         capsys.readouterr()
         assert text + "\n" == (GOLDEN_DIR / f"{run}.txt").read_text()
@@ -424,7 +383,7 @@ class TestCorpusHarnessGolden:
         "run", ["table1_iscas85-mini", "table2_iscas89-mini",
                 "attacks_iscas89-mini"],
     )
-    def test_cli_stdout_matches_golden(self, run, fresh_store, capsys):
+    def test_cli_stdout_matches_golden(self, run, fresh_memo, capsys):
         from repro.__main__ import main
 
         cmd, corpus = run.split("_")

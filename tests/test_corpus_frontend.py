@@ -18,7 +18,7 @@ from repro.corpus.frontend import (
     parse_verilog_recovering,
     tokenize,
 )
-from repro.corpus.manifest import FIXTURES_DIR, entries_for
+from repro.corpus.manifest import ENTRIES, FIXTURES_DIR
 from repro.netlist.bench_io import NetlistFormatError, parse_bench, write_bench
 from repro.netlist.verilog_io import write_verilog
 from repro.netlist.verilog_reader import parse_verilog
@@ -224,11 +224,11 @@ class TestFixtureRoundTrip:
 
     @pytest.mark.parametrize(
         "entry",
-        [e for e in entries_for(offline=True) if e.fmt == "bench"],
+        [e for e in ENTRIES if e.fmt == "bench"],
         ids=lambda e: e.name,
     )
     def test_bench_fixture_roundtrip(self, entry):
-        text = (FIXTURES_DIR / entry.vendored).read_text()
+        text = (FIXTURES_DIR / entry.filename).read_text()
         circuit = parse_bench(text, name=entry.name)
         first = write_bench(circuit)
         again = parse_bench(first, name=entry.name)
@@ -243,11 +243,11 @@ class TestFixtureRoundTrip:
 
     @pytest.mark.parametrize(
         "entry",
-        [e for e in entries_for(offline=True) if e.fmt == "verilog"],
+        [e for e in ENTRIES if e.fmt == "verilog"],
         ids=lambda e: e.name,
     )
     def test_verilog_fixture_roundtrip(self, entry):
-        text = (FIXTURES_DIR / entry.vendored).read_text()
+        text = (FIXTURES_DIR / entry.filename).read_text()
         circuit = parse_verilog(text)
         first = write_verilog(circuit)
         again = parse_verilog(first)

@@ -111,6 +111,11 @@ class TestForcedLanesAgainstBitSimulator:
         _check_lanes(_with_constants(), 75, seed=2)
         _check_lanes(c17(), 5, seed=1)
 
+    def test_constants_are_never_tape_groups(self):
+        # constants are sources, filled before the tape runs
+        engine = compile_engine(_with_constants(), cache=False)
+        assert not any(group.gtype.is_source for group in engine._tape)
+
     @pytest.mark.parametrize("chunk_bytes", [1, 20000, 60000])
     def test_chunk_boundaries(self, monkeypatch, chunk_bytes):
         # 1 byte -> one lane per chunk; the others split the lanes into

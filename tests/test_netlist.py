@@ -75,6 +75,21 @@ class TestConstruction:
         with pytest.raises(NetlistError, match="cycle"):
             nl.topological_order()
 
+    def test_cycle_error_names_only_the_loop(self):
+        # the loop x <-> y feeds a chain d0 -> d1 -> d2: the chain is
+        # never visited either, but it is not part of the loop
+        nl = Netlist()
+        nl.add_input("a")
+        nl.add_gate("x", GateType.AND, ["a", "y"])
+        nl.add_gate("y", GateType.OR, ["x", "a"])
+        nl.add_gate("d0", GateType.NOT, ["y"])
+        nl.add_gate("d1", GateType.NOT, ["d0"])
+        nl.add_gate("d2", GateType.NOT, ["d1"])
+        nl.set_outputs(["d2"])
+        with pytest.raises(NetlistError, match=r"\['x', 'y'\]") as info:
+            nl.topological_order()
+        assert "'d" not in str(info.value)
+
     def test_fresh_name_unique(self, xor_circuit):
         n1 = xor_circuit.fresh_name()
         assert n1 not in xor_circuit.nets
