@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install dev lint test verify-fast verify-robust bench bench-sim bench-sim-smoke bench-telemetry bench-corpus bench-gate campaign-smoke chaos-smoke experiments examples clean
+.PHONY: install dev lint test verify-fast verify-robust bench bench-sim bench-sim-smoke bench-corpus bench-gate campaign-smoke chaos-smoke experiments examples clean
 
 install:
 	pip install -e .
@@ -41,35 +41,26 @@ verify-robust:
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only
 
-# compiled op-tape engine vs scalar simulation on the Table I workload;
+# fused lane vs the scalar BitSimulator oracle on the Table I workload;
 # writes BENCH_sim.json (see docs/PERFORMANCE.md for the format)
 bench-sim:
 	PYTHONPATH=src $(PY) -m repro bench
 
-# tiny fixed workload: fails only if the engine and the scalar oracle
+# tiny fixed workload: fails only if the fused lane and the scalar oracle
 # disagree — never on timing (safe for loaded CI boxes); cProfile stats
 # land in .bench-profile/
 bench-sim-smoke:
 	PYTHONPATH=src $(PY) -m repro bench --smoke --out BENCH_sim_smoke.json \
 		--profile .bench-profile
 
-# disabled-telemetry cost on the smoke workload: counts the dispatches
-# the workload performs, prices each primitive, and fails if the
-# projection reaches 2%; writes BENCH_telemetry.json
-bench-telemetry:
-	PYTHONPATH=src $(PY) -c "from repro.telemetry import run_overhead_cli; \
-		raise SystemExit(run_overhead_cli())"
-
-# bench regression gate: regenerate BENCH_sim.json and
-# BENCH_telemetry.json into .bench-fresh/ and diff them (plus the
-# committed BENCH_corpus.json self-check) against the repo baselines;
-# >25% slowdown on a within-run ratio, a missing metric, or an
-# engine/scalar mismatch fails the build (scripts/bench_compare.py)
+# bench regression gate: regenerate BENCH_sim.json into .bench-fresh/
+# and diff it (plus the committed BENCH_corpus.json self-check) against
+# the repo baselines; >25% slowdown on a within-run ratio or a solver
+# work counter, a missing metric, or a fused/scalar mismatch fails the
+# build (scripts/bench_compare.py)
 bench-gate:
 	rm -rf .bench-fresh && mkdir -p .bench-fresh
 	PYTHONPATH=src $(PY) -m repro bench --out .bench-fresh/BENCH_sim.json
-	PYTHONPATH=src $(PY) -c "from repro.telemetry import run_overhead_cli; \
-		raise SystemExit(run_overhead_cli(out='.bench-fresh/BENCH_telemetry.json'))"
 	PYTHONPATH=src $(PY) scripts/bench_compare.py --fresh-dir .bench-fresh
 
 # chaos harness: a --jobs 4 campaign with injected worker kills, a

@@ -1,29 +1,26 @@
 #!/usr/bin/env python
 """Bench regression gate: diff fresh bench reports against baselines.
 
-Compares freshly produced ``BENCH_sim.json`` / ``BENCH_telemetry.json`` /
-``BENCH_corpus.json`` against the copies committed at the repo root and
-fails (exit 1) on a regression:
+Compares freshly produced ``BENCH_sim.json`` / ``BENCH_corpus.json``
+against the copies committed at the repo root and fails (exit 1) on a
+regression:
 
 * **missing metrics** — a circuit, field, or whole file the baseline has
   but the fresh report lacks is always a failure (a silently shrinking
   benchmark is the classic way perf gates rot);
-* **slowdown** — a higher-is-better metric (``speedup``,
-  ``fused_speedup``, ``satattack.dips_per_solve``) dropping more than
-  ``--threshold`` percent (default 25) below baseline, a deterministic
+* **slowdown** — a higher-is-better metric (``fused_speedup``,
+  ``satattack.dips_per_solve``) dropping more than ``--threshold``
+  percent (default 25) below baseline, or a deterministic
   lower-is-better work counter (``satattack.incremental.conflicts``,
   ``satattack.incremental.n_solves``) growing more than ``--threshold``
-  percent above baseline, or a lower-is-better overhead metric growing
-  past both its baseline + threshold *and* its embedded acceptance
-  bound;
-* **correctness** — ``match: false`` in a fresh sim report or
-  ``pass: false`` in a fresh telemetry report fails regardless of
-  timing.
+  percent above baseline;
+* **correctness** — ``match: false`` in a fresh sim report fails
+  regardless of timing.
 
-Only *within-run ratios* (engine-vs-scalar speedup, projected overhead
-percentage) and machine-independent work counters are compared across
-machines — absolute wall-clock numbers from a different box are not
-comparable and are reported informationally only.
+Only *within-run ratios* (fused-vs-scalar speedup) and
+machine-independent work counters are compared across machines —
+absolute wall-clock numbers from a different box are not comparable
+and are reported informationally only.
 
 ``BENCH_corpus.json`` is gated against its own embedded floor: fresh
 report when supplied, committed-baseline self-check otherwise.
@@ -105,7 +102,7 @@ class Gate:
 
 
 def compare_sim(gate: Gate, baseline: dict, fresh: dict | None) -> None:
-    gate.lines.append("BENCH_sim.json (compiled engine vs scalar)")
+    gate.lines.append("BENCH_sim.json (fused lane vs scalar oracle)")
     if fresh is None:
         gate.fail("fresh BENCH_sim.json missing")
         return
@@ -120,15 +117,7 @@ def compare_sim(gate: Gate, baseline: dict, fresh: dict | None) -> None:
             gate.fail(f"sim: circuit {name!r} missing from fresh report")
             continue
         if fresh_row.get("match") is not True:
-            gate.fail(f"sim: {name}: engine/scalar mismatch (match != true)")
-        speedup = fresh_row.get("speedup")
-        base_speedup = base_row.get("speedup")
-        if speedup is None or base_speedup is None:
-            gate.fail(f"sim: {name}: 'speedup' metric missing")
-            continue
-        gate.check_higher_better(
-            f"sim.{name}.speedup", float(base_speedup), float(speedup)
-        )
+            gate.fail(f"sim: {name}: fused/scalar mismatch (match != true)")
         fused = fresh_row.get("fused_speedup")
         base_fused = base_row.get("fused_speedup")
         if fused is None or base_fused is None:
@@ -137,19 +126,15 @@ def compare_sim(gate: Gate, baseline: dict, fresh: dict | None) -> None:
             gate.check_higher_better(
                 f"sim.{name}.fused_speedup", float(base_fused), float(fused)
             )
-        for tput_field in (
-            "optape_key_patterns_per_s",
-            "fused_key_patterns_per_s",
-        ):
-            tput = fresh_row.get(tput_field)
-            if tput is None:
-                gate.fail(f"sim: {name}: {tput_field!r} missing")
-            else:
-                # cross-machine absolute throughput: informational only
-                gate.info(
-                    f"sim.{name}.{tput_field}  "
-                    f"fresh {float(tput):,.0f} (not gated across machines)"
-                )
+        tput = fresh_row.get("fused_key_patterns_per_s")
+        if tput is None:
+            gate.fail(f"sim: {name}: 'fused_key_patterns_per_s' missing")
+        else:
+            # cross-machine absolute throughput: informational only
+            gate.info(
+                f"sim.{name}.fused_key_patterns_per_s  "
+                f"fresh {float(tput):,.0f} (not gated across machines)"
+            )
     _compare_satattack(gate, baseline, fresh)
 
 
@@ -188,39 +173,6 @@ def _compare_satattack(gate: Gate, baseline: dict, fresh: dict) -> None:
     else:
         gate.check_higher_better(
             "sim.satattack.dips_per_solve", float(base_v), float(fresh_v)
-        )
-
-
-def compare_telemetry(gate: Gate, baseline: dict, fresh: dict | None) -> None:
-    gate.lines.append("BENCH_telemetry.json (disabled-telemetry overhead)")
-    if fresh is None:
-        gate.fail("fresh BENCH_telemetry.json missing")
-        return
-    if fresh.get("pass") is not True:
-        gate.fail("telemetry: fresh report's own threshold check failed")
-    base_pct = baseline.get("projected_overhead_pct")
-    fresh_pct = fresh.get("projected_overhead_pct")
-    bound = fresh.get("threshold_pct", 2.0)
-    if fresh_pct is None or base_pct is None:
-        gate.fail("telemetry: 'projected_overhead_pct' metric missing")
-        return
-    # overheads live near zero, so relative-to-baseline alone would flag
-    # noise; regress only when fresh exceeds both baseline+threshold and
-    # half the hard acceptance bound
-    ceiling = max(
-        float(base_pct) * (1.0 + gate.threshold_pct / 100.0),
-        float(bound) / 2.0,
-    )
-    verdict = "ok" if float(fresh_pct) <= ceiling else "REGRESSION"
-    gate.lines.append(
-        f"  telemetry.projected_overhead_pct           "
-        f"baseline {float(base_pct):>10.4f}  fresh {float(fresh_pct):>10.4f}"
-        f"  ({verdict})"
-    )
-    if float(fresh_pct) > ceiling:
-        gate.failures.append(
-            f"telemetry: projected overhead {fresh_pct}% exceeds "
-            f"ceiling {ceiling:.4f}%"
         )
 
 
@@ -294,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--only",
         action="append",
-        choices=["sim", "telemetry", "corpus"],
+        choices=["sim", "corpus"],
         metavar="NAME",
         help="restrict the gate to one report (repeatable); default: all",
     )
@@ -303,7 +255,6 @@ def main(argv: list[str] | None = None) -> int:
     gate = Gate(args.threshold)
     comparisons = (
         ("sim", "BENCH_sim.json", compare_sim),
-        ("telemetry", "BENCH_telemetry.json", compare_telemetry),
         ("corpus", "BENCH_corpus.json", compare_corpus),
     )
     for name, filename, compare in comparisons:

@@ -309,11 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     pch.add_argument("--patterns", type=int, default=None)
     pch.add_argument(
         "--workdir", type=str, default=None,
-        help="working directory for checkpoints/cache/trace",
-    )
-    pch.add_argument(
-        "--keep", action="store_true",
-        help="keep the working directory for post-mortem inspection",
+        help="working directory for checkpoints/cache/trace, kept after "
+        "the run (default: a temporary directory, removed after the run)",
     )
 
     return parser
@@ -338,7 +335,6 @@ def main(argv: list[str] | None = None) -> int:
             scale=args.scale or CHAOS_SCALE,
             n_patterns=args.patterns or CHAOS_PATTERNS,
             workdir=args.workdir,
-            keep=args.keep,
         )
 
     if args.cmd == "bench":

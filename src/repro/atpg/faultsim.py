@@ -69,17 +69,10 @@ class FaultSimulator:
         return rows, forced
 
     def detects(
-        self,
-        fault: Fault,
-        good: np.ndarray,
-        n_patterns: int,
-        early_exit: bool = False,
+        self, fault: Fault, good: np.ndarray, n_patterns: int
     ) -> np.ndarray:
-        """Word-mask of patterns detecting ``fault`` (given good values).
-
-        One forced lane; ``early_exit`` is accepted for compatibility and
-        changes nothing (the mask is always complete).
-        """
+        """Word-mask of patterns detecting ``fault`` (given good values),
+        computed on one forced lane."""
         rows, forced = self._lanes([fault], good)
         return self.sim.output_flip_masks(good, rows, forced, n_patterns)[0]
 
@@ -112,7 +105,10 @@ class FaultSimulator:
     def detects_pattern(
         self, fault: Fault, assignment: Mapping[str, int]
     ) -> bool:
-        """Scalar single-pattern check (used to validate PODEM tests)."""
+        """Scalar single-pattern check: does ``assignment`` detect
+        ``fault``?  A one-pattern :meth:`detects`; the ATPG test suite
+        uses it to confirm generated patterns (the ATPG engine itself
+        confirms them through :meth:`run`)."""
         words = {
             name: np.array(
                 [_ALL_ONES if assignment.get(name, 0) else 0], dtype=np.uint64

@@ -38,8 +38,8 @@ class CorpusEntry:
 
 
 #: pinned checksums are blake2b(digest_size=16) over the fixture bytes;
-#: regenerate with ``python -m repro.corpus.manifest`` after editing a
-#: fixture (the module prints the literal dict)
+#: after editing a fixture, ``repro corpus verify`` reports its new
+#: digest (``pinned …, got <digest>``) for the line below
 _FIXTURE_CHECKSUMS = {
     "c17": "ab083664cffabba7283b9159a65b23b5",
     "c432_mini": "1a15f306b48b603654731258248a2357",
@@ -93,10 +93,3 @@ def blake2b_hex(data: bytes) -> str:
     """The corpus digest: blake2b, same width as repro.cache keys."""
     return hashlib.blake2b(data, digest_size=DIGEST_SIZE).hexdigest()
 
-
-if __name__ == "__main__":  # pragma: no cover - maintenance helper
-    print("_FIXTURE_CHECKSUMS = {")
-    for entry in ENTRIES:
-        digest = blake2b_hex((FIXTURES_DIR / entry.filename).read_bytes())
-        print(f"    {entry.name!r}: {digest!r},")
-    print("}")

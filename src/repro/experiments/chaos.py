@@ -75,19 +75,20 @@ def run_chaos_cli(
     scale: float = CHAOS_SCALE,
     n_patterns: int = CHAOS_PATTERNS,
     workdir: str | None = None,
-    keep: bool = False,
 ) -> int:
     """Run the chaos smoke campaign; returns a process exit code.
 
-    See the module docstring for what is asserted.  ``workdir`` (kept
-    with ``keep=True``) holds the checkpoints, cache, and merged trace
-    of the injected run for post-mortem inspection.
+    See the module docstring for what is asserted.  ``workdir`` holds
+    the checkpoints, cache, and merged trace of the injected run; a
+    named workdir is kept, with whatever it held before, for post-mortem
+    inspection, while the temporary one made without it is removed.
     """
     circuits = circuits or list(DEFAULT_CHAOS_CIRCUITS)
-    root = Path(workdir) if workdir else Path(
-        tempfile.mkdtemp(prefix="repro-chaos-")
-    )
-    root.mkdir(parents=True, exist_ok=True)
+    if workdir:
+        root = Path(workdir)
+        root.mkdir(parents=True, exist_ok=True)
+    else:
+        root = Path(tempfile.mkdtemp(prefix="repro-chaos-"))
     trace_path = root / "chaos-trace.jsonl"
     fingerprint, tasks = table1._tasks(
         CircuitSource(scale), circuits, n_patterns, CHAOS_KEYS, CHAOS_SEED
@@ -235,7 +236,7 @@ def run_chaos_cli(
     finally:
         os.environ.pop(faultinject.CHAOS_ENV, None)
         faultinject.clear()
-        if keep:
+        if workdir:
             print(f"[chaos] artifacts kept in {root}")
         else:
             shutil.rmtree(root, ignore_errors=True)

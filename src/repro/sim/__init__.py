@@ -11,7 +11,6 @@ from .bitsim import (
     simulate_many,
     tail_mask,
     unpack_patterns,
-    words_for_assignment,
 )
 from .optape import (
     OpTapeEngine,
@@ -55,7 +54,6 @@ __all__ = [
     "simulate_many",
     "tail_mask",
     "unpack_patterns",
-    "words_for_assignment",
     "assignment_to_int",
     "exhaustive_words",
     "int_to_assignment",

@@ -1,13 +1,13 @@
 """``repro bench`` — corruption-simulation benchmark for the sim layer.
 
 Times the Table I corruption workload (WLL-locked circuit, many wrong
-keys, a pseudorandom pattern block) on the scalar oracle, the grouped
-``numpy`` reference evaluator and the planned ``fused`` lane, and
-writes a machine-readable ``BENCH_sim.json``.  Correctness comes first:
-every lane's :class:`CorruptionReport` is compared field for field
-against the scalar oracle, and any disagreement makes the benchmark
-*fail* — timing never does (a loaded CI box must not flake the build,
-so the smoke job asserts agreement only).
+keys, a pseudorandom pattern block) on the scalar
+:class:`~repro.sim.bitsim.BitSimulator` oracle and on the ``fused``
+lane, and writes a machine-readable ``BENCH_sim.json``.  Correctness
+comes first: the fused lane's :class:`CorruptionReport` is compared
+field for field against the scalar oracle, and any disagreement makes
+the benchmark *fail* — timing never does (a loaded CI box must not
+flake the build, so the smoke job asserts agreement only).
 
 A SAT-attack block runs the attack (one persistent solver, activation
 literal + batched DIP probing) on a fixed RLL instance and records its
@@ -49,9 +49,6 @@ SMOKE_CIRCUITS = ("s38417", "b20")
 SMOKE_SCALE = 0.02
 SMOKE_KEYS = 9
 SMOKE_PATTERNS = 777  # deliberately not a multiple of 64 (tail masking)
-
-#: benchmarked engine lanes (beyond the scalar oracle)
-STANDARD_LANES = ("numpy", "fused")
 
 
 def _best_of(
@@ -96,10 +93,9 @@ def bench_circuit(
 ) -> dict[str, Any]:
     """Benchmark one circuit; returns its result row (JSON-able dict).
 
-    Lanes timed: the scalar oracle, the grouped ``numpy`` reference
-    (reported as ``optape_s`` for baseline continuity) and the planned
-    ``fused`` lane.  ``profile_dir`` additionally records one profiled
-    pass per lane into ``bench_<circuit>.pstats``.
+    Lanes timed: the scalar oracle and the ``fused`` lane.
+    ``profile_dir`` additionally records one profiled fused pass into
+    ``bench_<circuit>.pstats``.
     """
     spec = PAPER_CIRCUITS[name]
     netlist = build_paper_circuit(name, scale=scale)
@@ -116,7 +112,7 @@ def bench_circuit(
     clear_engine_cache()
     engine = compile_engine(locked.locked)
 
-    def run(lane: str):
+    def run(strategy: str):
         return _measure(
             locked.locked,
             locked.key_inputs,
@@ -124,32 +120,24 @@ def bench_circuit(
             n_patterns,
             n_keys,
             seed,
-            lane,
+            strategy,
         )
 
-    # warm every path once (compile cache, plan cache, numpy ufunc and
+    # warm both paths once (compile cache, plan cache, numpy ufunc and
     # allocator setup), then time
     report_scalar = run("scalar")
-    reports = {lane: run(lane) for lane in STANDARD_LANES}
+    report_fused = run("batched")
     t_scalar, _ = _best_of(lambda: run("scalar"), repeats, label=f"{name}:scalar")
-    times = {
-        lane: _best_of(
-            lambda lane=lane: run(lane), repeats, label=f"{name}:{lane}"
-        )[0]
-        for lane in STANDARD_LANES
-    }
+    t_fused, _ = _best_of(lambda: run("batched"), repeats, label=f"{name}:fused")
 
     if profile_dir is not None:
         profile = cProfile.Profile()
         profile.enable()
-        for lane in STANDARD_LANES:
-            run(lane)
+        run("batched")
         profile.disable()
         _write_profile(profile, Path(profile_dir), f"bench_{name}")
 
     key_patterns = n_keys * n_patterns
-    t_optape = times["numpy"]
-    t_fused = times["fused"]
     row = {
         "circuit": name,
         "scale": scale,
@@ -159,15 +147,12 @@ def bench_circuit(
         "n_keys": n_keys,
         "n_patterns": n_patterns,
         "scalar_s": round(t_scalar, 6),
-        "optape_s": round(t_optape, 6),
         "fused_s": round(t_fused, 6),
-        "speedup": round(t_scalar / t_optape, 2) if t_optape > 0 else None,
         "fused_speedup": round(t_scalar / t_fused, 2) if t_fused > 0 else None,
         "scalar_key_patterns_per_s": round(key_patterns / t_scalar, 1),
-        "optape_key_patterns_per_s": round(key_patterns / t_optape, 1),
         "fused_key_patterns_per_s": round(key_patterns / t_fused, 1),
-        "match": all(r == report_scalar for r in reports.values()),
-        "hd_percent": round(reports["fused"].hd_percent, 4),
+        "match": report_fused == report_scalar,
+        "hd_percent": round(report_fused.hd_percent, 4),
     }
     return row
 
@@ -254,7 +239,7 @@ def run_bench(
 
     ``smoke=True`` replaces the workload with a fixed tiny one
     (including a non-multiple-of-64 pattern count) whose only assertion
-    is lane agreement.
+    is fused/scalar agreement.
     """
     if smoke:
         circuits = list(circuits or SMOKE_CIRCUITS)
@@ -277,7 +262,6 @@ def run_bench(
     ]
     satattack = bench_satattack(seed=seed)
     total_scalar = sum(r["scalar_s"] for r in rows)
-    total_optape = sum(r["optape_s"] for r in rows)
     total_fused = sum(r["fused_s"] for r in rows)
     return {
         "workload": {
@@ -289,7 +273,7 @@ def run_bench(
             "seed": seed,
             "smoke": smoke,
             "max_matrix_bytes": DEFAULT_MAX_MATRIX_BYTES,
-            "lanes": list(STANDARD_LANES),
+            "lanes": ["fused"],
         },
         "environment": {
             "python": platform.python_version(),
@@ -300,11 +284,7 @@ def run_bench(
         "satattack": satattack,
         "aggregate": {
             "scalar_s": round(total_scalar, 6),
-            "optape_s": round(total_optape, 6),
             "fused_s": round(total_fused, 6),
-            "speedup": round(total_scalar / total_optape, 2)
-            if total_optape > 0
-            else None,
             "fused_speedup": round(total_scalar / total_fused, 2)
             if total_fused > 0
             else None,
@@ -324,7 +304,7 @@ def run_bench_cli(
     profile_dir: str | None = None,
 ) -> int:
     """CLI driver: print the table, write ``out``, exit non-zero only on
-    a lane/scalar disagreement (never on timing)."""
+    a fused/scalar disagreement (never on timing)."""
     report = run_bench(
         circuits=circuits,
         scale=scale,
@@ -341,22 +321,20 @@ def run_bench_cli(
         f"(min of {w['repeats']}; lanes: {','.join(w['lanes'])})"
     )
     print(
-        f"{'circuit':>8} {'nets':>6} {'scalar':>10} {'optape':>10} "
-        f"{'fused':>10} {'speedup':>8} {'fused_x':>8} {'match':>6}"
+        f"{'circuit':>8} {'nets':>6} {'scalar':>10} "
+        f"{'fused':>10} {'fused_x':>8} {'match':>6}"
     )
     for r in report["circuits"]:
         print(
             f"{r['circuit']:>8} {r['n_nets']:>6} "
-            f"{r['scalar_s'] * 1e3:>8.1f}ms {r['optape_s'] * 1e3:>8.1f}ms "
-            f"{r['fused_s'] * 1e3:>8.1f}ms "
-            f"{r['speedup']:>7.1f}x {r['fused_speedup']:>7.1f}x "
+            f"{r['scalar_s'] * 1e3:>8.1f}ms {r['fused_s'] * 1e3:>8.1f}ms "
+            f"{r['fused_speedup']:>7.1f}x "
             f"{'ok' if r['match'] else 'FAIL':>6}"
         )
     agg = report["aggregate"]
     print(
         f"{'total':>8} {'':>6} {agg['scalar_s'] * 1e3:>8.1f}ms "
-        f"{agg['optape_s'] * 1e3:>8.1f}ms {agg['fused_s'] * 1e3:>8.1f}ms "
-        f"{agg['speedup']:>7.1f}x {agg['fused_speedup']:>7.1f}x "
+        f"{agg['fused_s'] * 1e3:>8.1f}ms {agg['fused_speedup']:>7.1f}x "
         f"{'ok' if agg['all_match'] else 'FAIL':>6}"
     )
     sat = report["satattack"]
@@ -371,6 +349,6 @@ def run_bench_cli(
     Path(out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
     if not agg["all_match"]:
-        print("ERROR: an execution lane disagrees with the scalar oracle")
+        print("ERROR: the fused lane disagrees with the scalar oracle")
         return 1
     return 0

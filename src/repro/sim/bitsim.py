@@ -235,16 +235,6 @@ def broadcast_constant(bit: int, nw: int) -> np.ndarray:
     return np.full(nw, _ALL_ONES if bit else 0, dtype=np.uint64)
 
 
-def words_for_assignment(
-    netlist: Netlist, assignment: Mapping[str, int], nw: int = 1
-) -> dict[str, np.ndarray]:
-    """Broadcast one scalar input assignment into packed-word form."""
-    return {
-        name: broadcast_constant(int(bool(assignment[name])), nw)
-        for name in netlist.inputs
-    }
-
-
 def simulate_many(
     netlist: Netlist, patterns: Iterable[Mapping[str, int]]
 ) -> list[dict[str, int]]:

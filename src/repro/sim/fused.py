@@ -28,11 +28,11 @@ the whole tape ahead of time:
 
 This is the one execution lane: :meth:`OpTapeEngine.run_outputs
 <repro.sim.optape.OpTapeEngine.run_outputs>` and
-:meth:`~repro.sim.optape.OpTapeEngine.run_keyed` call it directly.  The
-grouped evaluator in :mod:`repro.sim.optape` (``backend="numpy"``) stays
-as the reference the differential suite compares it against.  A bound
-plan owns its arena, so one engine must not run the same column width
-from two threads at once.
+:meth:`~repro.sim.optape.OpTapeEngine.run_keyed` call it directly, and
+the differential suite checks it bit for bit against the
+:class:`~repro.sim.bitsim.BitSimulator` oracle.  A bound plan owns its
+arena, so one engine must not run the same column width from two
+threads at once.
 """
 
 from __future__ import annotations

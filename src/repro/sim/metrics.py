@@ -136,8 +136,7 @@ def measure_corruption(
         if report is not None:
             return report
     report = _measure(
-        locked, key_inputs, correct_key, n_patterns, n_keys, seed,
-        "scalar" if strategy == "scalar" else "fused",
+        locked, key_inputs, correct_key, n_patterns, n_keys, seed, strategy
     )
     if store is not None and ck is not None:
         store.put(ck, _report_to_payload(report))
@@ -151,12 +150,11 @@ def _measure(
     n_patterns: int,
     n_keys: int,
     seed: int,
-    lane: str,
+    strategy: str,
 ) -> CorruptionReport:
-    """One uncached HD measurement.  ``lane`` is ``"scalar"`` (the
-    :class:`BitSimulator` oracle) or an engine ``backend=`` name —
-    ``"fused"``, or the ``"numpy"`` reference that ``repro bench``
-    times next to it."""
+    """One uncached HD measurement.  ``strategy`` is ``"scalar"`` (the
+    :class:`BitSimulator` oracle) or ``"batched"`` (key lanes on the
+    compiled engine)."""
     key_set = set(key_inputs)
     data_inputs = [i for i in locked.inputs if i not in key_set]
     if not data_inputs:
@@ -164,7 +162,7 @@ def _measure(
     data_words = random_words(len(data_inputs), n_patterns, seed=seed)
     wrong_vecs = sample_wrong_keys(key_inputs, correct_key, n_keys, seed=seed)
     correct_vec = tuple(int(bool(correct_key[k])) for k in key_inputs)
-    if lane == "scalar":
+    if strategy == "scalar":
         per_key, frac = _corruption_scalar(
             locked, key_inputs, correct_vec, wrong_vecs, data_inputs,
             data_words, n_patterns,
@@ -172,7 +170,7 @@ def _measure(
     else:
         per_key, frac = _corruption_batched(
             locked, key_inputs, correct_vec, wrong_vecs, data_inputs,
-            data_words, n_patterns, lane,
+            data_words, n_patterns,
         )
     return CorruptionReport(
         hd_percent=float(np.mean(per_key)) if per_key else 0.0,
@@ -252,7 +250,6 @@ def _corruption_batched(
     data_inputs: list[str],
     data_words: np.ndarray,
     n_patterns: int,
-    lane: str = "fused",
 ) -> tuple[list[float], float]:
     """Multi-key-lane HD reduction on the compiled op-tape engine.
 
@@ -276,9 +273,7 @@ def _corruption_batched(
     n_out = len(locked.outputs)
     for ci in range(n_chunks):
         chunk = all_vecs[bounds[ci] : bounds[ci + 1]]
-        outs = engine.run_keyed(
-            data_inputs, data_words, key_inputs, chunk, backend=lane
-        )
+        outs = engine.run_keyed(data_inputs, data_words, key_inputs, chunk)
         if ci == 0:
             golden = outs[0]  # (n_outputs, n_words)
             outs = outs[1:]

@@ -37,10 +37,10 @@ Three engineering choices keep the hot loop memory-lean:
 
 :meth:`OpTapeEngine.run_outputs` and :meth:`OpTapeEngine.run_keyed`
 execute the tape on the fused lane (:mod:`repro.sim.fused`); the grouped
-evaluator here stays as its reference (``backend="numpy"``).
-:class:`BitSimulator` stays around as the slow, obviously-correct
-cross-check oracle; the equivalence suite asserts bit-identical values
-net by net on the bundled corpus.
+evaluator here serves :meth:`OpTapeEngine.run` (the full value matrix)
+and the forced lanes.  :class:`BitSimulator` is the one reference: the
+slow, obviously-correct oracle that the differential suites compare
+every lane against bit for bit.
 """
 
 from __future__ import annotations
@@ -259,20 +259,12 @@ class OpTapeEngine:
             return self._eval_tape(values)
 
     def run_outputs(
-        self,
-        input_words: Mapping[str, np.ndarray] | np.ndarray,
-        backend: str = "fused",
+        self, input_words: Mapping[str, np.ndarray] | np.ndarray
     ) -> np.ndarray:
         """Like :meth:`run` but returns only ``(n_outputs, n_cols)`` in
-        ``netlist.outputs`` order.
-
-        ``backend`` is ``"fused"`` (the default, :mod:`repro.sim.fused`)
-        or ``"numpy"``, the grouped reference evaluator the differential
-        suite compares the fused lane against.  Both are bit-identical.
-        """
-        if _lane(backend) == "fused":
-            return fused.run_outputs(self, input_words)
-        return self.outputs_from_matrix(self.run(input_words))
+        ``netlist.outputs`` order, computed on the fused lane
+        (:mod:`repro.sim.fused`)."""
+        return fused.run_outputs(self, input_words)
 
     def count_output_flips(
         self,
@@ -394,9 +386,9 @@ class OpTapeEngine:
         data_words: np.ndarray,
         key_inputs: Sequence[str],
         key_bits: np.ndarray,
-        backend: str = "fused",
     ) -> np.ndarray:
-        """Evaluate the same pattern block under many keys in one pass.
+        """Evaluate the same pattern block under many keys in one pass,
+        on the fused lane (:mod:`repro.sim.fused`).
 
         The word axis is widened to ``n_keys * n_words``: lane ``k``
         (columns ``k*n_words .. (k+1)*n_words``) carries the packed data
@@ -411,8 +403,6 @@ class OpTapeEngine:
             key_inputs: key primary inputs, matching the columns of
                 ``key_bits``.
             key_bits: ``(n_keys, len(key_inputs))`` 0/1 array.
-            backend: ``"fused"`` (default) or the ``"numpy"``
-                reference evaluator, as in :meth:`run_outputs`.
 
         Returns:
             ``(n_keys, n_outputs, n_words)`` packed outputs, lane-major.
@@ -432,36 +422,7 @@ class OpTapeEngine:
         missing = [i for i in self.inputs if i not in driven]
         if missing:
             raise ValueError(f"missing patterns for inputs {missing!r}")
-        if _lane(backend) == "fused":
-            return fused.run_keyed(
-                self, data_inputs, data_words, key_inputs, key_bits
-            )
-        n_keys = key_bits.shape[0]
-        nw = data_words.shape[1]
-        values = self._alloc(n_keys * nw)
-        for row, name in enumerate(data_inputs):
-            values[self._index[name]] = np.tile(data_words[row], n_keys)
-        lane_words = np.where(
-            key_bits.astype(bool), _ALL_ONES, np.uint64(0)
-        )  # (n_keys, n_key_inputs)
-        for col, name in enumerate(key_inputs):
-            values[self._index[name]] = np.repeat(lane_words[:, col], nw)
-        with telemetry.span(
-            "optape.run", words=n_keys * nw, lanes=n_keys, groups=self.n_groups
-        ):
-            telemetry.counter_add("optape.words", n_keys * nw)
-            self._eval_tape(values)
-        out = values[self._output_idx]  # (n_outputs, n_keys * nw)
-        return out.reshape(len(self._output_idx), n_keys, nw).transpose(1, 0, 2)
-
-
-def _lane(backend: str) -> str:
-    """Validate an engine ``backend=`` name."""
-    if backend not in ("fused", "numpy"):
-        raise ValueError(
-            f"unknown sim backend {backend!r}; expected 'fused' or 'numpy'"
-        )
-    return backend
+        return fused.run_keyed(self, data_inputs, data_words, key_inputs, key_bits)
 
 
 def _eval_group(group: OpGroup, values: np.ndarray) -> None:

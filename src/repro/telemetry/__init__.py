@@ -50,7 +50,6 @@ from .report import (
     run_trace_cli,
     summarize_trace,
 )
-from .overhead import run_overhead_bench, run_overhead_cli
 
 __all__ = [
     "NOOP_SPAN",
@@ -80,6 +79,4 @@ __all__ = [
     "render_report",
     "run_trace_cli",
     "summarize_trace",
-    "run_overhead_bench",
-    "run_overhead_cli",
 ]

@@ -6,8 +6,8 @@ Design constraints, in priority order:
    function call plus one global check when telemetry is off — no
    timestamp reads, no allocation beyond the kwargs dict at ``span()``
    call sites (which sit at iteration/row granularity, never inside
-   per-gate or per-conflict loops).  The bench suite verifies the
-   end-to-end cost stays under 2% (``BENCH_telemetry.json``).
+   per-gate or per-conflict loops).  docs/OBSERVABILITY.md reports a
+   measured campaign, traced and untraced.
 2. **One process-global pipeline.**  Spans, counters, and gauges flow to
    a single configured :class:`Sink`.  ``threading.local`` keeps the
    span stack per-thread; a lock guards counter aggregation; JSONL

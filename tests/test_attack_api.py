@@ -6,10 +6,12 @@ from __future__ import annotations
 import dataclasses
 import importlib
 
+import numpy as np
 import pytest
 
 import repro
 from repro.__main__ import main
+from repro.atpg import Fault, FaultSimulator
 from repro.attacks import (
     AttackConfig,
     AttackResult,
@@ -26,6 +28,7 @@ from repro.experiments import RunPolicy, run_table1
 from repro.locking import WLLConfig, lock_weighted
 from repro.netlist import Netlist
 from repro.runtime.budget import Budget
+from repro.sim import compile_engine, random_words
 from repro.sim.metrics import measure_corruption
 
 
@@ -165,6 +168,22 @@ class TestCorruptionBackendKeyword:
             self._measure(wll, "vectorized")
 
 
+def _data_inputs(wll):
+    keys = set(wll.key_inputs)
+    return [i for i in wll.locked.inputs if i not in keys]
+
+
+def _words(wll):
+    return random_words(len(wll.locked.inputs), 64, seed=0)
+
+
+def _detects(wll, **kwargs):
+    fsim = FaultSimulator(wll.locked)
+    words = dict(zip(wll.locked.inputs, _words(wll)))
+    fault = Fault(wll.locked.outputs[0], None, 0)
+    return fsim.detects(fault, fsim.good_values(words), 64, **kwargs)
+
+
 class TestRemovedIn120:
     """Spellings removed in 1.2.0 and later fail the way an unknown
     spelling does, with no warning shim in between.  1.2.0 removed
@@ -174,7 +193,11 @@ class TestRemovedIn120:
     artifact.  1.4.0 removed what 1.3.0 deprecated: CycSAT, FALL,
     cyclic locking, TTLock and ``Netlist(allow_cycles=)``.  1.5.0
     removed the corpus store and the download tier: a corpus circuit is
-    read in place from its packaged fixture."""
+    read in place from its packaged fixture.  1.6.0 removed the op-tape
+    engine's ``backend=`` lane choice (the fused lane is the one lane,
+    checked against BitSimulator), the telemetry-overhead projection,
+    ``repro chaos run --keep``, ``detects(early_exit=)`` and
+    ``repro.sim.words_for_assignment``."""
 
     SERVICE_EXPORTS = (
         "JobSpec", "JobStatus", "execute_job", "job_content_key",
@@ -290,6 +313,47 @@ class TestRemovedIn120:
         pytest.param(
             lambda wll: Netlist("x", allow_cycles=True), TypeError,
             id="Netlist-allow_cycles",
+        ),
+        pytest.param(
+            lambda wll: compile_engine(wll.locked).run_outputs(
+                _words(wll), backend="numpy"
+            ),
+            TypeError,
+            id="OpTapeEngine.run_outputs-backend",
+        ),
+        pytest.param(
+            lambda wll: compile_engine(wll.locked).run_keyed(
+                _data_inputs(wll), _words(wll)[: len(_data_inputs(wll))],
+                list(wll.key_inputs),
+                np.zeros((1, len(wll.key_inputs)), dtype=np.uint8),
+                backend="numpy",
+            ),
+            TypeError,
+            id="OpTapeEngine.run_keyed-backend",
+        ),
+        pytest.param(
+            lambda wll: importlib.import_module("repro.telemetry.overhead"),
+            ModuleNotFoundError,
+            id="import-repro.telemetry.overhead",
+        ),
+        *(
+            pytest.param(
+                lambda wll, m=m, n=n: getattr(importlib.import_module(m), n),
+                AttributeError,
+                id=f"{m}.{n}",
+            )
+            for m, n in (
+                ("repro.telemetry", "run_overhead_cli"),
+                ("repro.sim", "words_for_assignment"),
+            )
+        ),
+        pytest.param(
+            lambda wll: _detects(wll, early_exit=True), TypeError,
+            id="FaultSimulator.detects-early_exit",
+        ),
+        pytest.param(
+            lambda wll: main(["chaos", "run", "--keep"]), SystemExit,
+            id="cli-chaos-run---keep",
         ),
     ]
 

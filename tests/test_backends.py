@@ -1,13 +1,12 @@
-"""Execution lanes: fused-vs-reference equivalence, the corruption
+"""Execution lanes: fused-vs-oracle equivalence, the corruption
 metric's chunking, solver persistence and the incremental SAT attack.
 
 The differential suites assert *byte-identical* packed output words
-between the fused lane, the grouped numpy reference and the bit-true
-:class:`BitSimulator` oracle — across random circuits,
-non-multiple-of-64 pattern tails and degenerate key widths — because the
-fused planner rewrites the tape aggressively (polarity absorption, De
-Morgan dual forms, live-range row reuse) and "close enough" is not a
-thing for bit vectors.
+between the fused lane and the bit-true :class:`BitSimulator` oracle —
+across random circuits, non-multiple-of-64 pattern tails and degenerate
+key widths — because the fused planner rewrites the tape aggressively
+(polarity absorption, De Morgan dual forms, live-range row reuse) and
+"close enough" is not a thing for bit vectors.
 """
 
 import numpy as np
@@ -17,7 +16,12 @@ from repro.bench import GeneratorConfig, generate_netlist
 from repro.locking import lock_random
 from repro.netlist import Netlist
 from repro.sat import Solver
-from repro.sim import BitSimulator, compile_engine, pack_patterns
+from repro.sim import (
+    BitSimulator,
+    broadcast_constant,
+    compile_engine,
+    pack_patterns,
+)
 from repro.sim.patterns import random_words
 
 
@@ -54,7 +58,7 @@ def _reference_outputs(netlist, input_words, n_patterns):
 
 
 class TestDifferential:
-    """The fused lane == the numpy reference == the scalar oracle."""
+    """The fused lane == the BitSimulator oracle, bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("n_patterns", [64, 777])
@@ -62,16 +66,14 @@ class TestDifferential:
         netlist = _circuit(seed)
         engine = compile_engine(netlist, cache=False)
         words = random_words(len(netlist.inputs), n_patterns, seed=seed)
-        ref = engine.run_outputs(words, backend="numpy")
         expected = _reference_outputs(netlist, words, n_patterns)
         mask = np.uint64(0xFFFFFFFFFFFFFFFF)
         if n_patterns % 64:
             mask = np.uint64((1 << (n_patterns % 64)) - 1)
-        assert np.array_equal(ref[:, :-1], expected[:, :-1])
-        assert np.array_equal(ref[:, -1] & mask, expected[:, -1] & mask)
-        got = engine.run_outputs(words, backend="fused")
-        assert np.array_equal(got[:, :-1], ref[:, :-1])
-        assert np.array_equal(got[:, -1] & mask, ref[:, -1] & mask)
+        got = engine.run_outputs(words)
+        assert got.shape == expected.shape
+        assert np.array_equal(got[:, :-1], expected[:, :-1])
+        assert np.array_equal(got[:, -1] & mask, expected[:, -1] & mask)
 
     @pytest.mark.parametrize("key_width", [0, 1, 67])
     def test_run_keyed_key_widths(self, key_width):
@@ -90,14 +92,17 @@ class TestDifferential:
         rng = np.random.default_rng(11)
         data_words = random_words(len(data_inputs), 130, seed=2)
         key_bits = rng.integers(0, 2, size=(5, key_width), dtype=np.uint8)
-        ref = engine.run_keyed(
-            data_inputs, data_words, key_inputs, key_bits, backend="numpy"
-        )
-        got = engine.run_keyed(
-            data_inputs, data_words, key_inputs, key_bits, backend="fused"
-        )
-        assert got.dtype == ref.dtype and got.shape == ref.shape
-        assert np.array_equal(got, ref)
+        got = engine.run_keyed(data_inputs, data_words, key_inputs, key_bits)
+        nw = data_words.shape[1]
+        assert got.dtype == np.uint64
+        assert got.shape == (5, len(locked.outputs), nw)
+        sim = BitSimulator(locked)
+        for lane, bits in enumerate(key_bits):
+            # lane k == the oracle with key k broadcast on every pattern
+            in_words = dict(zip(data_inputs, data_words))
+            for name, bit in zip(key_inputs, bits):
+                in_words[name] = broadcast_constant(int(bit), nw)
+            assert np.array_equal(got[lane], sim.run_outputs(in_words)), lane
 
 
 class TestFusedInternals:
@@ -296,29 +301,13 @@ class TestMetricsKnobs:
 
 
 class TestEngineDispatchValidation:
-    @pytest.mark.parametrize("backend", ["auto", "numba", "nonsense"])
-    def test_unknown_engine_backend_is_value_error(self, backend):
-        netlist = _circuit(19, n_inputs=5)
-        engine = compile_engine(netlist, cache=False)
-        words = random_words(len(netlist.inputs), 64, seed=0)
-        with pytest.raises(ValueError, match="unknown sim backend"):
-            engine.run_outputs(words, backend=backend)
-        with pytest.raises(ValueError, match="unknown sim backend"):
-            engine.run_keyed(
-                list(netlist.inputs), words, [], np.zeros((1, 0), np.uint8),
-                backend=backend,
-            )
-
     def test_run_keyed_validates_before_dispatch(self):
         netlist = _circuit(19, n_inputs=5)
         engine = compile_engine(netlist, cache=False)
         data_inputs = list(netlist.inputs)
         words = random_words(len(data_inputs) - 1, 64, seed=0)  # short rows
         with pytest.raises(ValueError):
-            engine.run_keyed(
-                data_inputs, words, [], np.zeros((1, 0), np.uint8),
-                backend="fused",
-            )
+            engine.run_keyed(data_inputs, words, [], np.zeros((1, 0), np.uint8))
 
     def test_fingerprint_memo_survives_copy_and_mutation(self):
         from repro.sim import netlist_fingerprint

@@ -265,3 +265,33 @@ class TestChaosSpec:
         assert faultinject.install_from_env() == 0  # second parse is a no-op
         faultinject.clear()  # re-arms eligibility
         assert faultinject.install_from_env() == 1
+
+
+class TestChaosWorkdir:
+    """``repro chaos run`` keeps a named workdir with everything it held
+    and removes only the temporary directory it made itself."""
+
+    @staticmethod
+    def _failing_runner(*args, **kwargs):
+        raise RuntimeError("runner unavailable")
+
+    def test_named_workdir_survives_a_failed_run(self, monkeypatch, tmp_path):
+        from repro.experiments import chaos
+
+        (tmp_path / "notes.txt").write_text("mine\n")
+        monkeypatch.setattr(chaos, "ExperimentRunner", self._failing_runner)
+        with pytest.raises(RuntimeError, match="runner unavailable"):
+            chaos.run_chaos_cli(workdir=str(tmp_path))
+        assert (tmp_path / "notes.txt").read_text() == "mine\n"
+
+    def test_temporary_workdir_is_removed(self, monkeypatch, tmp_path):
+        from repro.experiments import chaos
+
+        made = tmp_path / "repro-chaos-tmp"
+        monkeypatch.setattr(
+            chaos.tempfile, "mkdtemp", lambda prefix: str(made.mkdir() or made)
+        )
+        monkeypatch.setattr(chaos, "ExperimentRunner", self._failing_runner)
+        with pytest.raises(RuntimeError, match="runner unavailable"):
+            chaos.run_chaos_cli()
+        assert not made.exists()
