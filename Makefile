@@ -141,12 +141,12 @@ experiments:
 	$(PY) -m repro all
 
 examples:
-	$(PY) examples/quickstart.py
-	$(PY) examples/attack_demo.py
-	$(PY) examples/trojan_analysis.py
-	$(PY) examples/testability_study.py
-	$(PY) examples/design_space.py
-	$(PY) examples/tapeout_view.py
+	PYTHONPATH=src $(PY) examples/quickstart.py
+	PYTHONPATH=src $(PY) examples/attack_demo.py
+	PYTHONPATH=src $(PY) examples/trojan_analysis.py
+	PYTHONPATH=src $(PY) examples/testability_study.py
+	PYTHONPATH=src $(PY) examples/design_space.py
+	PYTHONPATH=src $(PY) examples/tapeout_view.py
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -11,18 +11,27 @@ Every candidate is scored at once on the op-tape engine's forced lanes
 replays the random block with candidate ``k`` inverted, and the lane's
 count of flipped output bits is its score.  One unforced pass plus a few
 chunked lane passes replace one full simulation per candidate.
+
+The finished ranking is memoized on the compiled engine, so callers that
+lock one netlist several times (Table I's key-gate doubling, the HD
+sweep, the ablations) rank it once.  Span ``locking.rank`` (attrs
+``nets``, ``cached``) wraps every call; counter ``locking.rank.cached``
+counts memo hits.
 """
 
 from __future__ import annotations
 
 import random
+import threading
+from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
 
+from .. import telemetry
 from ..netlist import Netlist
 from ..sim import random_words
-from ..sim.optape import compile_engine
+from ..sim.optape import OpTapeEngine, compile_engine
 from .base import (
     LockedCircuit,
     LockingError,
@@ -30,6 +39,13 @@ from .base import (
     insert_key_gate,
     make_key_inputs,
 )
+
+
+#: rankings kept per engine — the locking flows ask for one key per
+#: netlist; a few more cover explicit candidate lists and pattern counts
+_RANKINGS_PER_ENGINE = 4
+
+_rank_lock = threading.Lock()
 
 
 def rank_nets_by_fault_impact(
@@ -45,8 +61,43 @@ def rank_nets_by_fault_impact(
     On large circuits at most ``max_candidates`` nets are scored (a
     deterministic sample) — the ranking is a selection heuristic, not an
     exact analysis, so sampling preserves its role at much lower cost.
+
+    The result is memoized on the content-addressed compiled engine: it
+    is a pure function of the netlist's content and the arguments, so a
+    same-content netlist reuses it and a mutated one gets a new engine.
     """
     engine = compile_engine(netlist)
+    if candidates is not None:
+        candidates = tuple(candidates)
+    key = (candidates, n_patterns, seed, max_candidates)
+    with telemetry.span("locking.rank") as span:
+        with _rank_lock:
+            memo = engine.__dict__.setdefault("_rankings", OrderedDict())
+            ranking = memo.get(key)
+        cached = ranking is not None
+        if cached:
+            telemetry.counter_add("locking.rank.cached")
+        else:
+            ranking = _score(engine, netlist, candidates, n_patterns, seed,
+                             max_candidates)
+        with _rank_lock:
+            memo[key] = ranking
+            memo.move_to_end(key)
+            while len(memo) > _RANKINGS_PER_ENGINE:
+                memo.popitem(last=False)
+        span.set(nets=len(ranking), cached=cached)
+    return list(ranking)
+
+
+def _score(
+    engine: OpTapeEngine,
+    netlist: Netlist,
+    candidates: Sequence[str] | None,
+    n_patterns: int,
+    seed: int,
+    max_candidates: int,
+) -> tuple[tuple[str, float], ...]:
+    """One forced-lane pass over the candidates: the sorted ranking."""
     good = engine.run(random_words(len(netlist.inputs), n_patterns, seed=seed))
     if candidates is None:
         candidates = [
@@ -59,7 +110,7 @@ def rank_nets_by_fault_impact(
     flips = engine.count_output_flips(good, rows, ~good[rows], n_patterns)
     scores = [(net, f / n_patterns) for net, f in zip(candidates, flips.tolist())]
     scores.sort(key=lambda t: (-t[1], t[0]))
-    return scores
+    return tuple(scores)
 
 
 def lock_fault_analysis(

@@ -36,6 +36,8 @@ KNOWN_SPANS = frozenset(
         # compiled-simulation layer
         "optape.compile",
         "optape.run",
+        # lock-site ranking (repro.locking.fll), memo hits included
+        "locking.rank",
         # experiment layer
         "experiment.row",
         # supervised worker fleet (repro.runtime.supervisor)
@@ -63,6 +65,8 @@ KNOWN_COUNTERS = frozenset(
         "optape.plan.build",
         "optape.plan.hit",
         "optape.compile.shared",
+        # lock-site ranking memo on the compiled engine (repro.locking.fll)
+        "locking.rank.cached",
         "experiment.rows",
         "cache.hit",
         "cache.miss",

@@ -64,6 +64,35 @@ class TestTable1:
         assert "Table I" in text
         assert "s38417" in text
 
+    def test_traced_doubling_ranks_once(self):
+        """Every doubling step records a ``locking.rank`` span; only the
+        first runs the ranking, the rest are served by the memo."""
+        from repro import telemetry
+        from repro.sim import clear_engine_cache
+        from repro.telemetry import MemorySink, validate_record
+
+        clear_engine_cache()
+        sink = MemorySink()
+        telemetry.configure(sink)
+        try:
+            (row,) = run_table1(
+                scale=0.01, circuits=["b21"], n_patterns=512, n_keys=4
+            )
+        finally:
+            telemetry.shutdown()
+        for rec in sink.records:
+            assert validate_record(rec) is None
+        ranks = [r for r in sink.of_kind("span") if r["name"] == "locking.rank"]
+        assert len(ranks) >= 3  # at least two doubling steps
+        assert [r["attrs"]["cached"] for r in ranks] == [False] + [True] * (
+            len(ranks) - 1
+        )
+        assert len({r["attrs"]["nets"] for r in ranks}) == 1
+        counters = {
+            r["name"]: r["value"] for r in sink.of_kind("counter")
+        }
+        assert counters["locking.rank.cached"] == len(ranks) - 1
+
 
 class TestTable2:
     @pytest.fixture(scope="class")

@@ -9,6 +9,8 @@ circuits.
 """
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +18,10 @@ import pytest
 from repro.atpg import Fault, FaultSimulator, collapse_faults, full_fault_list
 from repro.bench import GeneratorConfig, c17, generate_netlist
 from repro.bench.registry import PAPER_ORDER, build_paper_circuit
+from repro.experiments.source import CircuitSource
+from repro.experiments.table1 import lock_for_table1
+from repro.locking import fll
+from repro.locking.base import insert_key_gate, make_key_inputs
 from repro.locking.fll import rank_nets_by_fault_impact
 from repro.netlist import GateType, Netlist
 from repro.sim import (
@@ -207,6 +213,132 @@ class TestRankingAgainstReference:
                                         max_candidates=40)
         assert got == _reference_rank(nl, n_patterns=130, seed=seed,
                                       max_candidates=40)
+
+
+class TestRankingMemo:
+    """The ranking is memoized on the compiled engine, keyed by content
+    and arguments; a hit runs no forced-lane pass."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        optape.clear_engine_cache()
+        yield
+        optape.clear_engine_cache()
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Forced-lane passes run, counted per ``count_output_flips`` call."""
+        calls = []
+        real = optape.OpTapeEngine.count_output_flips
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(optape.OpTapeEngine, "count_output_flips", counted)
+        return calls
+
+    def test_same_content_copy_hits(self, passes):
+        nl = _random_circuit(1)
+        first = rank_nets_by_fault_impact(nl, n_patterns=130)
+        again = rank_nets_by_fault_impact(nl.copy("other"), n_patterns=130)
+        assert len(passes) == 1
+        assert again == _reference_rank(nl, n_patterns=130)
+        assert again is not first
+
+    def test_mutating_a_result_leaves_the_memo(self, passes):
+        nl = _random_circuit(2)
+        got = rank_nets_by_fault_impact(nl)
+        expected = list(got)
+        got.reverse()
+        got.append(("bogus", 9.0))
+        assert rank_nets_by_fault_impact(nl) == expected
+        assert len(passes) == 1
+
+    def test_key_gate_insertion_misses(self, passes):
+        nl = _random_circuit(3)
+        ranking = rank_nets_by_fault_impact(nl)
+        (key_in,) = make_key_inputs(nl, 1)
+        insert_key_gate(nl, ranking[0][0], key_in, False, tag="t")
+        assert rank_nets_by_fault_impact(nl) == _reference_rank(nl)
+        assert len(passes) == 2
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n_patterns": 130},
+            {"seed": 1},
+            {"max_candidates": 40},
+            {"candidates": ["g0", "g1", "g2"]},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_each_argument_is_part_of_the_key(self, passes, change):
+        nl = _random_circuit(4)
+        rank_nets_by_fault_impact(nl)
+        got = rank_nets_by_fault_impact(nl, **change)
+        assert len(passes) == 2
+        if "candidates" in change:
+            assert sorted(n for n, _ in got) == change["candidates"]
+        else:
+            assert got == _reference_rank(nl, **change)
+
+    def test_clear_engine_cache_drops_the_memo(self, passes):
+        nl = _random_circuit(5)
+        rank_nets_by_fault_impact(nl)
+        optape.clear_engine_cache()
+        rank_nets_by_fault_impact(nl)
+        assert len(passes) == 2
+
+    def test_bound_evicts_the_oldest(self, passes):
+        nl = _random_circuit(6)
+        bound = fll._RANKINGS_PER_ENGINE
+        for seed in range(bound + 1):
+            rank_nets_by_fault_impact(nl, seed=seed)
+        assert len(passes) == bound + 1
+        rank_nets_by_fault_impact(nl, seed=bound)  # newest: kept
+        assert len(passes) == bound + 1
+        rank_nets_by_fault_impact(nl, seed=0)  # oldest: evicted
+        assert len(passes) == bound + 2
+
+    def test_concurrent_callers_agree(self):
+        """Threads hitting, missing and evicting one engine's memo at once
+        each get the right ranking, and the memo ends full, within its bound."""
+        nl = _random_circuit(7, n_gates=40)
+        bound = fll._RANKINGS_PER_ENGINE
+        seeds = range(bound + 2)  # more keys than the bound: evictions race hits
+        expected = {s: _reference_rank(nl, n_patterns=70, seed=s) for s in seeds}
+        wrong = []
+
+        def work(offset):
+            for i in range(3 * len(seeds)):
+                seed = (i + offset) % len(seeds)
+                got = rank_nets_by_fault_impact(nl, n_patterns=70, seed=seed)
+                if got != expected[seed]:
+                    wrong.append(seed)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(optape.compile_engine(nl).__dict__["_rankings"]) == bound
+
+    def test_table1_doubling_ranks_once(self, passes):
+        c = CircuitSource(0.01, None).circuit("b21", build_paper_circuit)
+        first = c.first_wll().n_key_gates
+        _, _, n_key_gates = lock_for_table1(
+            c.netlist, c.key_width, c.control_inputs, n_patterns=512, n_keys=4
+        )
+        assert n_key_gates >= 4 * first  # doubled at least twice
+        assert len(passes) == 1
 
 
 class TestFaultSimulatorAgainstReference:
