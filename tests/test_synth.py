@@ -201,3 +201,59 @@ class TestOverheadMetrics:
     def test_resynthesized_area_depth(self):
         area, depth = resynthesized_area_depth(c17())
         assert area > 0 and depth > 0
+
+
+def _structure_digest(aig: AIG) -> str:
+    """Short digest of an AIG's fan-in arrays and output literals."""
+    import hashlib
+
+    h = hashlib.blake2b(digest_size=8)
+    h.update(repr((aig.fanin0, aig.fanin1, aig.outputs)).encode())
+    return h.hexdigest()
+
+
+#: (area, depth, n_nodes, structure digest) after each pass on
+#: ``netlist_to_aig`` of the stand-ins at scale 0.02 and of one WLL-locked
+#: stand-in.  n_nodes counts dead ANDs too, so it pins the AND-creation
+#: order that strash reuse depends on; the digest pins every literal.
+_PINNED_RESYNTHESIS = {
+    's38417': {'strash': (535, 53, 569, '2dcb2c1b9cfc62ca'), 'refactor': (535, 53, 571, '6b03259193da782a'), 'rewrite': (532, 53, 566, '8f5f91d10b52db0a'), 'optimize1': (532, 53, 566, '62350f7c67d6f3bf'), 'optimize2': (532, 53, 566, '5bad593a033029a3')},
+    's38584': {'strash': (581, 53, 611, 'ad1cedf3cc2a6d32'), 'refactor': (581, 53, 615, '5ebe8a4a2eef050a'), 'rewrite': (571, 52, 601, '98d9421a99dfdc82'), 'optimize1': (572, 53, 602, 'b7c0a89ddb48967e'), 'optimize2': (571, 52, 601, '2e981d65ce3d0eae')},
+    'b17': {'strash': (1481, 67, 1511, 'f5864ac929e18ff2'), 'refactor': (1481, 67, 1527, '9004c3395d38c83d'), 'rewrite': (1479, 67, 1509, '79a3ee8493534d57'), 'optimize1': (1479, 67, 1509, '4dc0da292947b1a3'), 'optimize2': (1479, 67, 1509, 'fd21e149fcff2384')},
+    'b18': {'strash': (4860, 89, 4928, '7885b7987c2403ea'), 'refactor': (4860, 89, 4988, '35a700212afae711'), 'rewrite': (4852, 89, 4920, '3e73df1d31ccf588'), 'optimize1': (4852, 89, 4920, 'ea6b3ca09117aa6a'), 'optimize2': (4852, 89, 4920, 'fa873cc610e2bd52')},
+    'b19': {'strash': (9713, 106, 9847, '142869b851e25386'), 'refactor': (9713, 106, 9978, '929be59b8f740641'), 'rewrite': (9710, 106, 9844, '22c6f4334d87fb1f'), 'optimize1': (9709, 106, 9843, 'f8e3ed19ad2bc2f2'), 'optimize2': (9709, 106, 9843, '36d5a51ff130771a')},
+    'b20': {'strash': (1001, 78, 1012, 'd740b58768cd6b5c'), 'refactor': (1000, 78, 1019, '39f33babcf093ea7'), 'rewrite': (996, 78, 1007, '095841d4d3773437'), 'optimize1': (995, 78, 1006, '25ce23612d95d37b'), 'optimize2': (995, 78, 1006, '316befcaf8203728')},
+    'b21': {'strash': (816, 76, 827, '94c5cbf82862d41f'), 'refactor': (816, 76, 837, 'ffdc38c07184fab3'), 'rewrite': (813, 76, 824, 'fe490e4d4ee32b80'), 'optimize1': (813, 76, 824, 'cea754e52e660532'), 'optimize2': (813, 76, 824, 'b38ba16b03b7737b')},
+    'b22': {'strash': (1224, 84, 1240, '4cc726fcc8cebeac'), 'refactor': (1224, 84, 1255, '5e47802bbfb3c337'), 'rewrite': (1217, 84, 1234, '31eea9da983ee93f'), 'optimize1': (1217, 84, 1234, '55b402581b5d9c51'), 'optimize2': (1217, 84, 1233, '24526b9091a2c588')},
+    'b20_wll': {'strash': (1021, 82, 1044, '48badbc08bd2e7d5'), 'refactor': (1020, 82, 1055, 'aa333ac8ff2c75fc'), 'rewrite': (1019, 82, 1042, '753cbd1bfd3c8aa4'), 'optimize1': (1018, 82, 1041, '3c489bd2f8cc8614'), 'optimize2': (1018, 82, 1041, '35c79f56cff7a5c3')},
+}
+
+_PASSES = {
+    "strash": strash,
+    "refactor": refactor,
+    "rewrite": rewrite,
+    "optimize1": lambda aig: optimize(aig, rounds=1),
+    "optimize2": lambda aig: optimize(aig, rounds=2),
+}
+
+
+class TestPinnedResynthesis:
+    """Every pass reproduces its recorded result literal for literal."""
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_RESYNTHESIS))
+    def test_passes_match_pins(self, name):
+        from repro.bench import build_paper_circuit
+        from repro.bench.registry import scaled_key_size
+        from repro.locking import WLLConfig, lock_weighted
+
+        if name == "b20_wll":
+            cfg = WLLConfig(key_width=scaled_key_size("b20", 0.02), control_width=3)
+            nl = lock_weighted(build_paper_circuit("b20", 0.02), cfg, rng=0).locked
+        else:
+            nl = build_paper_circuit(name, 0.02)
+        aig = netlist_to_aig(nl)
+        got = {}
+        for label, pass_fn in _PASSES.items():
+            out = pass_fn(aig)
+            got[label] = (out.area(), out.depth(), out.n_nodes, _structure_digest(out))
+        assert got == _PINNED_RESYNTHESIS[name]
