@@ -115,6 +115,11 @@ class Gate:
         gtype: the driving function.
         fanin: names of the nets feeding this gate, in order (order matters
             only for MUX).
+
+    Treated as immutable once built: nothing assigns to a field after
+    ``__post_init__``.  :class:`~repro.netlist.netlist.Netlist` relies on
+    it: its mutators install a new ``Gate``, and ``Netlist.copy`` shares
+    the source's gates.
     """
 
     name: str

@@ -143,13 +143,18 @@ class Netlist:
         return f"{prefix}{i}"
 
     def copy(self, name: str | None = None) -> "Netlist":
-        """Deep copy (optionally renamed)."""
+        """Independent copy (optionally renamed).
+
+        The copy shares the source's :class:`Gate` objects: no gate is
+        ever changed in place (every mutation installs a new one), so
+        only the containers are copied.  The content hash excludes the
+        name, so the copy carries the source's memoized fingerprint.
+        """
         out = Netlist(name or self.name)
-        out._gates = {
-            n: Gate(g.name, g.gtype, g.fanin) for n, g in self._gates.items()
-        }
+        out._gates = dict(self._gates)
         out._inputs = list(self._inputs)
         out._outputs = list(self._outputs)
+        out._fingerprint = self._fingerprint
         return out
 
     # ------------------------------------------------------------------ #

@@ -11,7 +11,6 @@ complement flag.  Node 0 is constant FALSE (literal 0 = false, 1 = true).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 FALSE_LIT = 0
@@ -38,12 +37,13 @@ def lit_not(literal: int) -> int:
     return literal ^ 1
 
 
-@dataclass
 class AIG:
     """Structurally hashed AIG.
 
     Nodes are stored as parallel fan-in literal lists; node 0 is the
     constant, nodes ``1..n_pis`` are primary inputs, the rest are ANDs.
+    Node ids are topological: an AND's fan-ins have smaller ids.  Hot
+    loops write the literal helpers inline (``>> 1``, ``& 1``, ``^ 1``).
     """
 
     def __init__(self) -> None:
@@ -78,7 +78,7 @@ class AIG:
         self.fanin1.append(FALSE_LIT)
         self.pis.append(node)
         self.pi_names.append(name)
-        return lit(node)
+        return node << 1
 
     def add_and(self, a: int, b: int) -> int:
         """AND of two literals, with constant folding and strashing."""
@@ -92,33 +92,33 @@ class AIG:
             return b
         if a == b:
             return a
-        if a == lit_not(b):
+        if a == b ^ 1:
             return FALSE_LIT
         key = (a, b)
         existing = self._hash.get(key)
         if existing is not None:
-            return lit(existing)
-        node = self.n_nodes
+            return existing << 1
+        node = len(self.fanin0)
         self.fanin0.append(a)
         self.fanin1.append(b)
         self._hash[key] = node
-        return lit(node)
+        return node << 1
 
     def add_or(self, a: int, b: int) -> int:
         """OR via De Morgan on AND."""
-        return lit_not(self.add_and(lit_not(a), lit_not(b)))
+        return self.add_and(a ^ 1, b ^ 1) ^ 1
 
     def add_xor(self, a: int, b: int) -> int:
         # (a & !b) | (!a & b)
         """XOR of two literals (3 ANDs)."""
-        t1 = self.add_and(a, lit_not(b))
-        t2 = self.add_and(lit_not(a), b)
+        t1 = self.add_and(a, b ^ 1)
+        t2 = self.add_and(a ^ 1, b)
         return self.add_or(t1, t2)
 
     def add_mux(self, s: int, d0: int, d1: int) -> int:
         """2:1 multiplexer of literals."""
         t1 = self.add_and(s, d1)
-        t2 = self.add_and(lit_not(s), d0)
+        t2 = self.add_and(s ^ 1, d0)
         return self.add_or(t1, t2)
 
     def add_and_multi(self, literals: Iterable[int]) -> int:
@@ -157,40 +157,50 @@ class AIG:
     # ------------------------------------------------------------------ #
     # metrics
 
+    def live_mask(self) -> bytearray:
+        """One byte per node: 1 for AND nodes reachable from the outputs.
+
+        One reverse sweep suffices because fan-ins have smaller ids.
+        """
+        n_pis = len(self.pis)
+        live = bytearray(len(self.fanin0))
+        for o in self.outputs:
+            live[o >> 1] = 1
+        f0, f1 = self.fanin0, self.fanin1
+        for n in range(len(live) - 1, n_pis, -1):
+            if live[n]:
+                live[f0[n] >> 1] = 1
+                live[f1[n] >> 1] = 1
+        live[: n_pis + 1] = bytes(n_pis + 1)
+        return live
+
     def live_nodes(self) -> set[int]:
         """AND nodes reachable from the outputs."""
-        seen: set[int] = set()
-        stack = [lit_node(o) for o in self.outputs]
-        while stack:
-            n = stack.pop()
-            if n in seen or not self.is_and(n):
-                continue
-            seen.add(n)
-            stack.append(lit_node(self.fanin0[n]))
-            stack.append(lit_node(self.fanin1[n]))
-        return seen
+        return {n for n, v in enumerate(self.live_mask()) if v}
 
     def area(self) -> int:
         """Live AND-node count (the ABC ``print_stats`` 'and' figure)."""
-        return len(self.live_nodes())
+        return self.live_mask().count(1)
+
+    def _level_list(self) -> list[int]:
+        lev = [0] * len(self.fanin0)
+        f0, f1 = self.fanin0, self.fanin1
+        for n in range(len(self.pis) + 1, len(lev)):
+            a = lev[f0[n] >> 1]
+            b = lev[f1[n] >> 1]
+            lev[n] = (a if a > b else b) + 1
+        return lev
 
     def levels(self) -> dict[int, int]:
         """AND-level of every node (PIs/const at 0)."""
-        lev: dict[int, int] = {0: 0}
-        for p in self.pis:
-            lev[p] = 0
-        for n in range(len(self.pis) + 1, self.n_nodes):
-            lev[n] = 1 + max(
-                lev[lit_node(self.fanin0[n])], lev[lit_node(self.fanin1[n])]
-            )
-        return lev
+        return dict(enumerate(self._level_list()))
 
     def depth(self) -> int:
         """Maximum level over the outputs (the delay estimate)."""
         if not self.outputs:
             return 0
-        lev = self.levels()
-        return max(lev[lit_node(o)] for o in self.outputs)
+        lev = self._level_list()
+        return max(lev[o >> 1] for o in self.outputs)
 
     def evaluate(self, pi_values: dict[str, int]) -> dict[str, int]:
         """Reference evaluation for equivalence checks in tests."""

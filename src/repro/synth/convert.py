@@ -99,9 +99,9 @@ def aig_to_netlist(aig: AIG, name: str = "aig") -> Netlist:
             inverted[node] = inv
         return inverted[node]
 
-    live = aig.live_nodes()
+    live = aig.live_mask()
     for n in range(len(aig.pis) + 1, aig.n_nodes):
-        if n not in live:
+        if not live[n]:
             continue
         a = net_for(aig.fanin0[n])
         b = net_for(aig.fanin1[n])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import telemetry
 from ..netlist import Netlist
 from ..orap.keyregister import KeyRegister
 from ..orap.lfsr import LFSRConfig
@@ -73,11 +74,14 @@ def measure_overhead(
     ("the use of key registers is common to all logic locking
     techniques").
     """
-    a_orig, d_orig = resynthesized_area_depth(original, rounds)
-    a_prot, d_prot = resynthesized_area_depth(protected, rounds)
-    fixed = 0
-    if lfsr_config is not None:
-        fixed = KeyRegister(lfsr_config).gate_overhead()["total"]
+    with telemetry.span("synth.overhead") as span:
+        a_orig, d_orig = resynthesized_area_depth(original, rounds)
+        a_prot, d_prot = resynthesized_area_depth(protected, rounds)
+        fixed = 0
+        if lfsr_config is not None:
+            fixed = KeyRegister(lfsr_config).gate_overhead()["total"]
+        span.set(area_original=a_orig, area_protected=a_prot + fixed,
+                 depth_original=d_orig, depth_protected=d_prot)
     return OverheadReport(
         area_original=a_orig,
         area_protected=a_prot + fixed,

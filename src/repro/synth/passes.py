@@ -14,107 +14,84 @@ The paper normalizes both circuit versions with ABC's
 
 from __future__ import annotations
 
-from .aig import AIG, FALSE_LIT, lit, lit_compl, lit_node, lit_not
+from itertools import compress
 
-
-def _fanout_counts(aig: AIG) -> dict[int, int]:
-    live = aig.live_nodes()
-    counts: dict[int, int] = {}
-    for n in live:
-        for f in (aig.fanin0[n], aig.fanin1[n]):
-            counts[lit_node(f)] = counts.get(lit_node(f), 0) + 1
-    for o in aig.outputs:
-        counts[lit_node(o)] = counts.get(lit_node(o), 0) + 1
-    return counts
+from .aig import AIG, FALSE_LIT
 
 
 def _rebuild(aig: AIG, simplify: bool, balance: bool) -> AIG:
-    """Reconstruct the live cone into a fresh AIG."""
+    """Reconstruct the live cone into a fresh AIG.
+
+    Live ANDs are visited in id order.  PI ids coincide in both AIGs, so
+    ``mapping`` (old node -> new literal) starts as the identity.
+    """
     out = AIG()
-    mapping: dict[int, int] = {0: FALSE_LIT}
     for name in aig.pi_names:
-        pass_lit = out.add_pi(name)
-        mapping[lit_node(pass_lit)] = pass_lit  # placeholder; fixed below
-    # map old PI nodes to new PI literals (ids coincide by construction)
-    mapping = {0: FALSE_LIT}
-    for old_node, name in zip(aig.pis, aig.pi_names):
-        mapping[old_node] = lit(old_node)  # same id in the new AIG
+        out.add_pi(name)
+    n_pis = len(aig.pis)
+    f0, f1 = aig.fanin0, aig.fanin1
+    live = aig.live_mask()
+    order = list(compress(range(len(live)), live))
+    mapping = [n << 1 for n in range(len(live))]
 
-    fanout = _fanout_counts(aig) if balance else {}
+    if balance:
+        # fan-out of every live node, capped at 2 (only "exactly 1" matters)
+        fanout = bytearray(len(live))
+        for f in [f0[n] for n in order] + [f1[n] for n in order] + aig.outputs:
+            m = f >> 1
+            fanout[m] = 2 if fanout[m] else 1
 
-    def map_lit(old: int) -> int:
-        node = lit_node(old)
-        new = mapping[node]
-        return lit_not(new) if lit_compl(old) else new
-
-    def add_simplified(a: int, b: int) -> int:
-        if simplify:
-            # absorption / annihilation one level deep:  a & (x & y)
-            for left, right in ((a, b), (b, a)):
-                node = lit_node(right)
-                if out.is_and(node) and not lit_compl(right):
-                    x, y = out.fanin0[node], out.fanin1[node]
-                    if left == x or left == y:
-                        return right  # a & (a & y) = a & y
-                    if left == lit_not(x) or left == lit_not(y):
-                        return FALSE_LIT  # a & (!a & y) = 0
-                if out.is_and(node) and lit_compl(right):
-                    x, y = out.fanin0[node], out.fanin1[node]
-                    # a & !(a & y) = a & !y ;  a & !(!a & y) = a
-                    if left == x:
-                        return out.add_and(left, lit_not(y))
-                    if left == y:
-                        return out.add_and(left, lit_not(x))
-                    if left == lit_not(x) or left == lit_not(y):
-                        return left
-            return out.add_and(a, b)
-        return out.add_and(a, b)
-
-    live = aig.live_nodes()
-
-    def flatten(node: int, acc: list[int]) -> None:
-        """Collect leaves of a single-fanout AND tree rooted at node."""
-        for f in (aig.fanin0[node], aig.fanin1[node]):
-            fn = lit_node(f)
-            if (
-                not lit_compl(f)
-                and aig.is_and(fn)
-                and fanout.get(fn, 0) == 1
-            ):
-                flatten(fn, acc)
-            else:
-                acc.append(f)
-
-    order = [n for n in range(len(aig.pis) + 1, aig.n_nodes) if n in live]
-    skipped: set[int] = set()
     for n in order:
-        if n in skipped:
-            continue
-        if balance:
-            # if this node is an internal single-fanout AND of a larger
-            # conjunction, defer to the root (it will flatten through us)
-            pass
-        if balance and fanout.get(n, 0) != 1:
+        if balance and fanout[n] != 1:
+            # leaves of the single-fanout AND tree rooted at n, left first
             leaves: list[int] = []
-            flatten(n, leaves)
+            stack = [f1[n], f0[n]]
+            while stack:
+                f = stack.pop()
+                m = f >> 1
+                if not f & 1 and m > n_pis and fanout[m] == 1:
+                    stack.append(f1[m])
+                    stack.append(f0[m])
+                else:
+                    leaves.append(f)
             if len(leaves) > 2:
-                mapped = [map_lit(f) for f in leaves]
-                mapping[n] = out.add_and_multi(mapped)
+                mapping[n] = out.add_and_multi(
+                    [mapping[f >> 1] ^ (f & 1) for f in leaves]
+                )
                 continue
-        a = map_lit(aig.fanin0[n])
-        b = map_lit(aig.fanin1[n])
-        mapping[n] = add_simplified(a, b)
-    # internal nodes consumed by flatten still need mappings when balance
-    # skipped them: map lazily for any output referencing them
+        a = f0[n]
+        a = mapping[a >> 1] ^ (a & 1)
+        b = f1[n]
+        b = mapping[b >> 1] ^ (b & 1)
+        mapping[n] = _add_simplified(out, a, b) if simplify else out.add_and(a, b)
     for o, name in zip(aig.outputs, aig.output_names):
-        node = lit_node(o)
-        if node not in mapping:
-            # rebuild directly (rare: single-fanout node used as output)
-            a = map_lit(aig.fanin0[node])
-            b = map_lit(aig.fanin1[node])
-            mapping[node] = add_simplified(a, b)
-        out.add_output(map_lit(o), name)
+        out.add_output(mapping[o >> 1] ^ (o & 1), name)
     return out
+
+
+def _add_simplified(out: AIG, a: int, b: int) -> int:
+    """``a & b`` in ``out``, with absorption/annihilation one AND level
+    deep."""
+    n_pis = len(out.pis)
+    for left, right in ((a, b), (b, a)):
+        node = right >> 1
+        if node <= n_pis:
+            continue
+        x, y = out.fanin0[node], out.fanin1[node]
+        if not right & 1:
+            if left == x or left == y:
+                return right  # a & (a & y) = a & y
+            if left == x ^ 1 or left == y ^ 1:
+                return FALSE_LIT  # a & (!a & y) = 0
+        else:
+            # a & !(a & y) = a & !y ;  a & !(!a & y) = a
+            if left == x:
+                return out.add_and(left, y ^ 1)
+            if left == y:
+                return out.add_and(left, x ^ 1)
+            if left == x ^ 1 or left == y ^ 1:
+                return left
+    return out.add_and(a, b)
 
 
 def strash(aig: AIG) -> AIG:

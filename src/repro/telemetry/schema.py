@@ -38,6 +38,10 @@ KNOWN_SPANS = frozenset(
         "optape.run",
         # lock-site ranking (repro.locking.fll), memo hits included
         "locking.rank",
+        # WLL key-gate insertion (repro.locking.wll), ranking included
+        "locking.insert",
+        # Table I area/delay resynthesis of both circuit versions
+        "synth.overhead",
         # experiment layer
         "experiment.row",
         # supervised worker fleet (repro.runtime.supervisor)

@@ -93,6 +93,40 @@ class TestTable1:
         }
         assert counters["locking.rank.cached"] == len(ranks) - 1
 
+    def test_traced_insert_and_overhead_spans(self):
+        """Each doubling step records a ``locking.insert`` span around its
+        ``locking.rank``; the row's resynthesis records one
+        ``synth.overhead`` span carrying the measured areas and depths."""
+        from repro import telemetry
+        from repro.telemetry import MemorySink, validate_record
+
+        sink = MemorySink()
+        telemetry.configure(sink)
+        try:
+            (row,) = run_table1(
+                scale=0.005, circuits=["s38417"], n_patterns=512, n_keys=4
+            )
+        finally:
+            telemetry.shutdown()
+        for rec in sink.records:
+            assert validate_record(rec) is None
+        spans = sink.of_kind("span")
+        inserts = [r for r in spans if r["name"] == "locking.insert"]
+        ranks = [r for r in spans if r["name"] == "locking.rank"]
+        assert len(inserts) == len(ranks) >= 1
+        assert {r["parent_id"] for r in ranks} == {r["span_id"] for r in inserts}
+        assert inserts[-1]["attrs"]["key_gates"] == row.n_key_gates
+        (overhead,) = [r for r in spans if r["name"] == "synth.overhead"]
+        attrs = overhead["attrs"]
+        area = 100.0 * (attrs["area_protected"] - attrs["area_original"])
+        assert area / attrs["area_original"] == pytest.approx(
+            row.area_overhead_percent
+        )
+        delay = 100.0 * (attrs["depth_protected"] - attrs["depth_original"])
+        assert delay / attrs["depth_original"] == pytest.approx(
+            row.delay_overhead_percent
+        )
+
 
 class TestTable2:
     @pytest.fixture(scope="class")

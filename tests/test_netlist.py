@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.netlist import GateType, Netlist, NetlistError, evaluate_gate
 from repro.sat.tseitin import ClauseTemplate
-from repro.sim import BitSimulator, compile_engine
+from repro.sim import BitSimulator, compile_engine, netlist_fingerprint
 
 
 @pytest.fixture
@@ -324,3 +324,53 @@ class TestMutation:
         mapped = xor_circuit.map_nets(lambda n: f"p_{n}")
         assert "p_y" in mapped.outputs
         assert mapped.evaluate_outputs({"p_a": 1, "p_b": 1})["p_y"] == 0
+
+
+def _snapshot(nl):
+    return (
+        nl.nets,
+        [(g.name, g.gtype, g.fanin) for g in nl.gates()],
+        nl.inputs,
+        nl.outputs,
+    )
+
+
+class TestSharedGateCopy:
+    """``Netlist.copy`` shares the source's gates and fingerprint; every
+    mutation of the copy installs new gates and leaves the source alone."""
+
+    def test_copy_shares_gate_objects(self, xor_circuit):
+        cp = xor_circuit.copy()
+        for net in xor_circuit.nets:
+            assert cp.gate(net) is xor_circuit.gate(net)
+
+    def test_renamed_copy_carries_fingerprint(self, xor_circuit):
+        fp = netlist_fingerprint(xor_circuit)
+        cp = xor_circuit.copy("other")
+        assert cp._fingerprint == fp
+        assert netlist_fingerprint(cp) == fp
+        assert compile_engine(cp) is compile_engine(xor_circuit)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda nl: nl.add_gate("z", GateType.AND, ["a", "b"]),
+            lambda nl: nl.replace_gate("y", GateType.AND, ("t1", "t2")),
+            lambda nl: nl.rename_net("t1", "term_one"),
+            lambda nl: nl.remove_gate("y"),
+            lambda nl: nl.set_outputs(["t1"]),
+        ],
+        ids=["add_gate", "replace_gate", "rename_net", "remove_gate",
+             "set_outputs"],
+    )
+    def test_mutating_copy_leaves_source(self, xor_circuit, mutate):
+        fp = netlist_fingerprint(xor_circuit)
+        before = _snapshot(xor_circuit)
+        cp = xor_circuit.copy()
+        mutate(cp)
+        assert _snapshot(xor_circuit) == before
+        assert netlist_fingerprint(xor_circuit) == fp
+        # map_nets(str) rebuilds the netlist, so its digest is a fresh hash
+        assert netlist_fingerprint(xor_circuit.map_nets(str)) == fp
+        assert netlist_fingerprint(cp) != fp
+        assert netlist_fingerprint(cp) == netlist_fingerprint(cp.map_nets(str))

@@ -73,6 +73,29 @@ class TestAIGPrimitives:
         assert aig.add_and_multi([]) == TRUE_LIT
         assert aig.add_xor_multi([]) == FALSE_LIT
 
+    def test_aigs_with_different_content_differ_and_hash(self):
+        empty = AIG()
+        one_pi = AIG()
+        one_pi.add_pi("a")
+        assert empty != one_pi
+        assert len({empty, one_pi}) == 2
+
+    def test_live_mask_marks_reachable_ands_only(self):
+        aig = AIG()
+        a = aig.add_pi("a")
+        b = aig.add_pi("b")
+        c = aig.add_pi("c")
+        ab = aig.add_and(a, b)
+        aig.add_and(b, c)  # dead
+        top = aig.add_and(ab, lit_not(c))
+        aig.add_output(lit_not(top), "y")
+        aig.add_output(a, "a_out")
+        assert list(aig.live_mask()) == [0, 0, 0, 0, 1, 0, 1]
+        assert aig.live_nodes() == {ab >> 1, top >> 1}
+        assert aig.area() == 2
+        assert aig.depth() == 2
+        assert aig.levels() == {0: 0, 1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 6: 2}
+
     def test_pis_before_ands_enforced(self):
         aig = AIG()
         a = aig.add_pi("a")
