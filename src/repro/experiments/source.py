@@ -24,6 +24,7 @@ from ..bench import PAPER_CIRCUITS, PAPER_ORDER, PaperCircuit, scaled_key_size
 from ..lint import lint_netlist
 from ..locking import WLLConfig
 from ..netlist import Netlist
+from ..sim.optape import netlist_fingerprint
 from .common import DEFAULT_SCALE
 
 
@@ -31,6 +32,12 @@ class CircuitSelectionError(ValueError):
     """A selection no row can run: an unknown corpus family or circuit,
     or a corpus fixture whose bytes do not match its pinned digest."""
 
+
+#: ``((build, name, scale), netlist)`` of the last stand-in this process
+#: built (see :meth:`CircuitSource._stand_in`).  Only copies of the
+#: netlist leave it, and it is replaced whole, so it needs no lock: two
+#: threads racing cost at most one more build.
+_last_built: tuple[tuple[Callable[..., Netlist], str, float], Netlist] | None = None
 
 #: the paper row of a corpus circuit: nothing is published, so every
 #: number is zero except the control-gate fan-in, the paper's default 3
@@ -118,7 +125,7 @@ class CircuitSource:
         harness so instrumentation of its module sees the call."""
         if self.corpus is None:
             return SourceCircuit(
-                build(name, scale=self.scale),
+                self._stand_in(name, build),
                 scaled_key_size(name, self.scale),
                 PAPER_CIRCUITS[name],
             )
@@ -133,7 +140,7 @@ class CircuitSource:
         already-parsed handle instead of re-reading the file)."""
         if self.corpus is None:
             return lint_netlist(
-                build(name, scale=self.scale),
+                self._stand_in(name, build),
                 source=f"{name}@x{self.scale:g}",
             )
         from ..corpus.loader import preflight_report
@@ -155,6 +162,24 @@ class CircuitSource:
             f"corpus family {self.corpus!r} selection {', '.join(names)} "
             f"has no sequential circuit; OraP needs a scan chain to protect"
         )
+
+    def _stand_in(self, name: str, build: Callable[..., Netlist]) -> Netlist:
+        """A copy of stand-in ``name``, built by ``build`` unless it was
+        the last one built: a row's pre-flight and its compute ask for
+        the same circuit back to back.  Copies are cheap (they share the
+        immutable gates), and a row that mutates its netlist cannot leak
+        into another.  They carry the content hash, computed once here:
+        each of Table I's doubling steps copies the row's netlist again
+        and compiles the copy."""
+        global _last_built
+        key = (build, name, self.scale)
+        last = _last_built
+        if last is not None and last[0] == key:
+            return last[1].copy()
+        netlist = build(name, scale=self.scale)
+        netlist_fingerprint(netlist)
+        _last_built = (key, netlist)
+        return netlist.copy()
 
     def _family(self) -> list[str]:
         from ..corpus.manifest import FAMILIES

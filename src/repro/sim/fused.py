@@ -1,11 +1,14 @@
-"""Fused CPU lane: the op-tape lowered to straight-line ufunc calls.
+"""Fused CPU lane: a compiled netlist lowered to straight-line ufunc calls.
 
-The grouped numpy evaluator pays two costs per tape group that dominate
-its runtime on large circuits: fancy-index *gathers* (``np.take`` /
-``values[fanin_idx]`` run well below streaming bandwidth and allocate a
-``(arity, group, n_cols)`` temporary per group) and Python dispatch that
-cannot see across group boundaries.  This lane removes both by planning
-the whole tape ahead of time:
+An engine's first :meth:`~repro.sim.optape.OpTapeEngine.run_outputs` or
+:meth:`~repro.sim.optape.OpTapeEngine.run_keyed` lowers its compile-time
+gate snapshot (topological order, sources first) in one pass, without
+the grouped tape :mod:`repro.sim.optape` builds for its other entry
+points.  The grouped evaluator pays two costs per tape group that
+dominate its runtime on large circuits: fancy-index *gathers* (which run
+well below streaming bandwidth and allocate an ``(arity, group,
+n_cols)`` temporary per group) and Python dispatch that cannot see
+across group boundaries.  This lane avoids both:
 
 * **Per-gate row views, zero gathers.**  Every primitive is a single
   numpy ufunc call on contiguous arena *rows* (``op(V[a], V[b], V[o])``)
@@ -18,18 +21,18 @@ the whole tape ahead of time:
   inputs are mostly stored inverted switch to the dual reduction over
   the uncomplemented rows and flip the output polarity instead of
   materializing complements; the complements that remain are shared
-  through a per-plan cache.
+  through a per-program cache.
 * **Live-range row reuse.**  A greedy free-list allocator remaps rows
-  the moment their last reader has run, shrinking the scratch arena to
-  roughly the engine's net count even with complement rows added.
-* **Reusable arena.**  The arena and the fully bound step list are
-  cached per ``(engine, n_columns)`` — steady-state calls do zero
-  allocation beyond the output block.
+  the moment their last reader runs (a primitive may write in place
+  over an operand it reads last), shrinking the scratch arena far below
+  the net count (about a fifth of it on the Table I stand-ins).
+* **Reusable arena.**  The program is built once per engine, and the
+  arena and the fully bound step list are cached per ``(engine,
+  n_columns)`` — steady-state calls do zero allocation beyond the
+  output block.
 
-This is the one execution lane: :meth:`OpTapeEngine.run_outputs
-<repro.sim.optape.OpTapeEngine.run_outputs>` and
-:meth:`~repro.sim.optape.OpTapeEngine.run_keyed` call it directly, and
-the differential suite checks it bit for bit against the
+This is the one execution lane of ``run_outputs`` and ``run_keyed``,
+and the differential suite checks it bit for bit against the
 :class:`~repro.sim.bitsim.BitSimulator` oracle.  A bound plan owns its
 arena, so one engine must not run the same column width from two
 threads at once.
@@ -52,6 +55,20 @@ _POL = (np.uint64(0), _ALL_ONES)
 _AND = np.bitwise_and
 _OR = np.bitwise_or
 _XOR = np.bitwise_xor
+_INV = np.invert
+
+#: ``(base reduction, output inverted)`` per logic gate type; BUF and
+#: NOT have no reduction (they alias their fan-in's row)
+_LOWERED: dict[GateType, tuple[np.ufunc | None, int]] = {
+    GateType.BUF: (None, 0),
+    GateType.NOT: (None, 1),
+    GateType.AND: (_AND, 0),
+    GateType.NAND: (_AND, 1),
+    GateType.OR: (_OR, 0),
+    GateType.NOR: (_OR, 1),
+    GateType.XOR: (_XOR, 0),
+    GateType.XNOR: (_XOR, 1),
+}
 
 #: bound plans kept per engine — metrics chunking plus a bench lane or
 #: two; beyond this the least recently used arena is dropped
@@ -61,13 +78,13 @@ _plan_lock = threading.Lock()
 
 
 class _Program:
-    """Column-width-independent lowering of one engine's tape.
+    """Column-width-independent lowering of one engine's netlist.
 
-    ``steps`` hold *physical* arena rows (post live-range remap) in one
-    of two primitive forms::
+    ``steps`` hold *physical* arena rows (post live-range remap), one
+    primitive each::
 
-        ("b", ufunc, a, b, o)   o <- a op b
-        ("u", s, o)             o <- ~s
+        (op, a, b, o)           o <- a op b
+        (np.invert, s, -1, o)   o <- ~s
     """
 
     __slots__ = (
@@ -80,7 +97,7 @@ class _Program:
 
     def __init__(
         self,
-        steps: list[tuple],
+        steps: list[tuple[np.ufunc, int, int, int]],
         n_rows: int,
         out_pairs: list[tuple[int, int]],
         const0_rows: np.ndarray,
@@ -94,171 +111,129 @@ class _Program:
 
 
 def _build_program(engine: Any) -> _Program:
-    """Lower the engine tape to abstract primitives, then remap rows."""
-    n_sources = engine._n_sources
-    loc: dict[int, tuple[int, int]] = {i: (i, 0) for i in range(n_sources)}
+    """Lower the engine's gate snapshot to primitives, then remap rows.
 
-    next_row = engine.n_nets
-    steps: list[tuple] = []
+    Abstract rows ``0 .. n_nets - 1`` are the snapshot's nets in its
+    topological order (sources first, so they keep the engine's source
+    rows); complement rows and the one MUX temp row follow.
+    """
+    gates = engine._gates
+    n_sources = engine._n_sources
+    n_nets = len(gates)
+    row_of = {g.name: i for i, g in enumerate(gates)}
+    # where each net's value lives: storage row, and 1 if stored inverted
+    loc_row = list(range(n_nets))
+    loc_pol = [0] * n_nets
+    # abstract primitives (op, a, b, o): o <- op(a, b), or o <- ~a when
+    # op is np.invert and b is -1
+    prims: list[tuple[np.ufunc, int, int, int]] = []
+    emit = prims.append
     comp_of: dict[int, int] = {}
-    tmp_row: int | None = None
+    next_row = n_nets
+    tmp_row = -1
 
     def comp(sr: int) -> int:
         """Materialized complement of a storage row (cached)."""
         nonlocal next_row
-        cached = comp_of.get(sr)
-        if cached is not None:
-            return cached
-        c = next_row
-        next_row += 1
-        steps.append(("u", sr, c))
-        comp_of[sr] = c
+        c = comp_of.get(sr)
+        if c is None:
+            c = comp_of[sr] = next_row
+            next_row += 1
+            emit((_INV, sr, -1, c))
         return c
 
-    def tmp() -> int:
-        nonlocal tmp_row, next_row
-        if tmp_row is None:
-            tmp_row = next_row
-            next_row += 1
-        return tmp_row
-
-    def emit_chain(op: np.ufunc, eff: list[int], dest: int) -> None:
-        steps.append(("b", op, eff[0], eff[1], dest))
+    for r in range(n_sources, n_nets):
+        g = gates[r]
+        gtype = g.gtype
+        srcs = [row_of[f] for f in g.fanin]
+        if gtype is GateType.MUX:
+            s_row, s_pol = loc_row[srcs[0]], loc_pol[srcs[0]]
+            d0, p0 = loc_row[srcs[1]], loc_pol[srcs[1]]
+            d1, p1 = loc_row[srcs[2]], loc_pol[srcs[2]]
+            if s_pol:  # MUX(~s, d0, d1) == MUX(s, d1, d0)
+                d0, p0, d1, p1 = d1, p1, d0, p0
+            if p0:
+                d0 = comp(d0)
+            if p1:
+                d1 = comp(d1)
+            if tmp_row < 0:
+                tmp_row = next_row
+                next_row += 1
+            emit((_INV, s_row, -1, tmp_row))
+            emit((_AND, d0, tmp_row, tmp_row))
+            emit((_AND, d1, s_row, r))
+            emit((_OR, r, tmp_row, r))
+            continue
+        base, inv = _LOWERED[gtype]
+        if base is None or len(srcs) == 1:  # BUF/NOT, or a 1-input gate
+            loc_row[r] = loc_row[srcs[0]]
+            loc_pol[r] = loc_pol[srcs[0]] ^ inv
+            continue
+        pols = [loc_pol[s] for s in srcs]
+        n_inverted = sum(pols)
+        if base is _XOR:
+            op = _XOR
+            pol = inv ^ (n_inverted & 1)
+            eff = [loc_row[s] for s in srcs]
+        elif 2 * n_inverted > len(srcs):
+            # dual form: op(x...) == ~dual(~x...); most inputs are
+            # already stored inverted, so this minimizes complement
+            # materializations
+            op = _OR if base is _AND else _AND
+            pol = 1 ^ inv
+            eff = [loc_row[s] if p else comp(loc_row[s]) for s, p in zip(srcs, pols)]
+        else:
+            op = base
+            pol = inv
+            eff = [comp(loc_row[s]) if p else loc_row[s] for s, p in zip(srcs, pols)]
+        emit((op, eff[0], eff[1], r))
         for e in eff[2:]:
-            steps.append(("b", op, dest, e, dest))
+            emit((op, r, e, r))
+        loc_pol[r] = pol
 
-    for group in engine._tape:
-        fan = group.fanin_idx
-        arity = fan.shape[0]
-        gtype = group.gtype
-        for j in range(group.size):
-            r = group.start + j
-            srcs = [int(fan[s, j]) for s in range(arity)]
-            if gtype is GateType.MUX:
-                s_row, s_pol = loc[srcs[0]]
-                d0, p0 = loc[srcs[1]]
-                d1, p1 = loc[srcs[2]]
-                if s_pol:  # MUX(~s, d0, d1) == MUX(s, d1, d0)
-                    d0, p0, d1, p1 = d1, p1, d0, p0
-                if p0:
-                    d0 = comp(d0)
-                if p1:
-                    d1 = comp(d1)
-                t = tmp()
-                steps.append(("u", s_row, t))
-                steps.append(("b", _AND, d0, t, t))
-                steps.append(("b", _AND, d1, s_row, r))
-                steps.append(("b", _OR, r, t, r))
-                loc[r] = (r, 0)
-                continue
-            if arity == 1 or gtype is GateType.BUF or gtype is GateType.NOT:
-                sa, pa = loc[srcs[0]]
-                loc[r] = (sa, pa ^ (1 if gtype.is_inverting else 0))
-                continue
-            pairs = [loc[s] for s in srcs]
-            if gtype is GateType.XOR or gtype is GateType.XNOR:
-                pol = 1 if gtype.is_inverting else 0
-                for _, p in pairs:
-                    pol ^= p
-                op: np.ufunc = _XOR
-                eff = [sr for sr, _ in pairs]
-            else:
-                base = _AND if gtype in (GateType.AND, GateType.NAND) else _OR
-                inv = 1 if gtype.is_inverting else 0
-                n_inverted = sum(p for _, p in pairs)
-                if 2 * n_inverted > arity:
-                    # dual form: op(x...) == ~dual(~x...); most inputs
-                    # are already stored inverted, so this minimizes
-                    # complement materializations
-                    op = _OR if base is _AND else _AND
-                    need = [(sr, 1 - p) for sr, p in pairs]
-                    pol = 1 ^ inv
-                else:
-                    op = base
-                    need = pairs
-                    pol = inv
-                eff = [sr if p == 0 else comp(sr) for sr, p in need]
-            emit_chain(op, eff, r)
-            loc[r] = (r, pol)
-
-    out_abstract = [loc[int(i)] for i in engine._output_idx]
+    out_abstract = [(loc_row[i], loc_pol[i]) for i in map(row_of.get, engine.outputs)]
 
     # ---- live-range remap: greedy free-list reuse of dead rows ---- #
-    def _reads(st: tuple) -> tuple[int, ...]:
-        if st[0] == "b":
-            return (st[2], st[3])
-        return (st[1],)
+    last_read = [-1] * next_row
+    for i, (_, a, b, _) in enumerate(prims):
+        last_read[a] = i
+        if b >= 0:
+            last_read[b] = i
+    # sources, output storage rows and the MUX temp row are never reused
+    pinned = bytearray(next_row)
+    pinned[:n_sources] = b"\x01" * n_sources
+    for sr, _ in out_abstract:
+        pinned[sr] = 1
+    if tmp_row >= 0:
+        pinned[tmp_row] = 1
 
-    def _write(st: tuple) -> int:
-        return st[-1]
-
-    reserved = set(range(n_sources))
-    pinned = set(reserved)
-    pinned.update(sr for sr, _ in out_abstract)
-    if tmp_row is not None:
-        pinned.add(tmp_row)
-
-    last_read: dict[int, int] = {}
-    for i, st in enumerate(steps):
-        for rr in _reads(st):
-            last_read[rr] = i
-
-    remap: dict[int, int] = {}
+    # sources are read before any write and keep their rows
+    remap = list(range(n_sources)) + [-1] * (next_row - n_sources)
     free: list[int] = []
-    next_fresh = 0
-
-    def fresh() -> int:
-        nonlocal next_fresh
-        while next_fresh in reserved:
-            next_fresh += 1
-        v = next_fresh
-        next_fresh += 1
-        return v
-
-    for i, st in enumerate(steps):
-        reads = _reads(st)
-        for rr in reads:
-            if rr not in remap:
-                remap[rr] = rr  # read-before-write: sources
-        w = _write(st)
-        if w not in remap:
-            if w in reserved:
-                remap[w] = w
+    next_fresh = n_sources
+    steps: list[tuple[np.ufunc, int, int, int]] = []
+    for i, (op, a, b, o) in enumerate(prims):
+        # an operand this primitive reads last may become its own output
+        # row: every primitive is one elementwise ufunc, safe in place
+        if last_read[a] == i and not pinned[a] and a != o:
+            free.append(remap[a])
+        if b >= 0 and b != a and b != o and last_read[b] == i and not pinned[b]:
+            free.append(remap[b])
+        w = remap[o]
+        if w < 0:
+            if free:
+                w = remap[o] = free.pop()
             else:
-                remap[w] = free.pop() if free else fresh()
-        # rows whose last reader just ran become reusable from the next
-        # primitive on (never within one: chain continuations must keep
-        # reading the original operand rows)
-        for rr in set(reads) | {w}:
-            if rr in pinned:
-                continue
-            if last_read.get(rr, -1) == i:
-                free.append(remap[rr])
-
-    phys_steps: list[tuple] = []
-    for st in steps:
-        if st[0] == "b":
-            _, op, a, b, o = st
-            phys_steps.append(("b", op, remap[a], remap[b], remap[o]))
-        else:
-            phys_steps.append((st[0], remap[st[1]], remap[st[2]]))
-
-    max_row = n_sources - 1
-    for rid in remap.values():
-        if rid > max_row:
-            max_row = rid
-    for rr in reserved:
-        if rr > max_row:
-            max_row = rr
-    out_pairs = [(remap.get(sr, sr), pol) for sr, pol in out_abstract]
-    for sr, _ in out_pairs:
-        if sr > max_row:
-            max_row = sr
+                w = remap[o] = next_fresh
+                next_fresh += 1
+        steps.append((op, remap[a], remap[b] if b >= 0 else -1, w))
+        if last_read[o] == i and not pinned[o]:
+            free.append(w)
 
     return _Program(
-        steps=phys_steps,
-        n_rows=max_row + 1,
-        out_pairs=out_pairs,
+        steps=steps,
+        n_rows=next_fresh,
+        out_pairs=[(remap[sr], pol) for sr, pol in out_abstract],
         const0_rows=np.array(engine._const0_idx, dtype=np.int64),
         const1_rows=np.array(engine._const1_idx, dtype=np.int64),
     )
@@ -277,15 +252,12 @@ class _Plan:
             V[program.const0_rows] = 0
         if program.const1_rows.size:
             V[program.const1_rows] = _ALL_ONES
-        bound: list[tuple] = []
-        for st in program.steps:
-            if st[0] == "b":
-                _, op, a, b, o = st
-                bound.append((op, (V[a], V[b], V[o])))
-            else:  # "u"
-                bound.append((np.invert, (V[st[1]], V[st[2]])))
         self.V = V
-        self.bound = bound
+        rows = list(V)  # one view per arena row, shared by every step
+        self.bound = [
+            (op, (rows[a], rows[o]) if b < 0 else (rows[a], rows[b], rows[o]))
+            for op, a, b, o in program.steps
+        ]
 
     def execute(self) -> None:
         for f, args in self.bound:
@@ -300,14 +272,29 @@ class _Plan:
         return outs
 
 
-def _plan_for(engine: Any, n_cols: int) -> _Plan:
-    """Fetch (or build) the bound plan for an engine at a column width."""
+def program_for(engine: Any) -> _Program:
+    """The engine's fused program, lowered from its gate snapshot once,
+    on first use (or ahead of it: supervised workers pre-warm with it)."""
+    program = engine.__dict__.get("_fused_program")
+    if program is not None:
+        return program
     with _plan_lock:
         program = engine.__dict__.get("_fused_program")
         if program is None:
-            program = _build_program(engine)
+            with telemetry.span(
+                "optape.lower", lowering="fused", nets=engine.n_nets
+            ) as sp:
+                program = _build_program(engine)
+                sp.set(steps=len(program.steps))
             engine.__dict__["_fused_program"] = program
             telemetry.counter_add("optape.plan.build")
+        return program
+
+
+def _plan_for(engine: Any, n_cols: int) -> _Plan:
+    """Fetch (or build) the bound plan for an engine at a column width."""
+    program = program_for(engine)
+    with _plan_lock:
         plans: "OrderedDict[int, _Plan]" = engine.__dict__.setdefault(
             "_fused_plans", OrderedDict()
         )
@@ -333,7 +320,7 @@ def run_outputs(
     plan = _plan_for(engine, nw)
     for row, words in fills:
         np.copyto(plan.V[row], words)
-    with telemetry.span("optape.run", words=nw, groups=engine.n_groups):
+    with telemetry.span("optape.run", words=nw, steps=len(plan.bound)):
         telemetry.counter_add("optape.words", nw)
         plan.execute()
         return plan.extract()
@@ -347,7 +334,7 @@ def run_keyed(
     key_bits: np.ndarray,
 ) -> np.ndarray:
     """Packed ``(n_keys, n_outputs, n_words)`` lane-major outputs."""
-    index = engine._index
+    index = engine._source_idx
     n_keys = key_bits.shape[0]
     nw = data_words.shape[1]
     plan = _plan_for(engine, n_keys * nw)
@@ -358,7 +345,7 @@ def run_keyed(
     for col, name in enumerate(key_inputs):
         np.copyto(V[index[name]].reshape(n_keys, nw), lane_words[:, col][:, None])
     with telemetry.span(
-        "optape.run", words=n_keys * nw, lanes=n_keys, groups=engine.n_groups
+        "optape.run", words=n_keys * nw, lanes=n_keys, steps=len(plan.bound)
     ):
         telemetry.counter_add("optape.words", n_keys * nw)
         plan.execute()

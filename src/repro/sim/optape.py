@@ -3,44 +3,53 @@
 :class:`~repro.sim.bitsim.BitSimulator` evaluates one gate per Python
 iteration — fine for a handful of runs, but the paper's Table I workload
 ("a few hundreds of thousands of patterns" per circuit, repeated per wrong
-key) executes that loop tens of thousands of times.  This module compiles
-a netlist once into an **op-tape**: gates are grouped by
-``(level, gate type, fan-in arity)`` — with a latest-join relaxation
-that lets a gate join the most recent compatible group at or after its
-ready level — and each group carries precomputed ``int64`` index arrays,
-so it evaluates as a single vectorized numpy bitwise reduction.  The
-number of Python-level operations per pass drops from *#gates* to
-*#groups* (typically one to two orders of magnitude fewer).
+key) executes that loop tens of thousands of times.  Compiling a netlist
+(:func:`compile_engine`) only snapshots it: its inputs, outputs, and its
+gates in topological order with the sources first.  Each way of running
+the engine lowers that snapshot once, on first use, and most netlists
+only ever need one of the two lowerings:
 
-Three engineering choices keep the hot loop memory-lean:
+* **The fused program** (:mod:`repro.sim.fused`) serves
+  :meth:`OpTapeEngine.run_outputs` and :meth:`OpTapeEngine.run_keyed`:
+  straight-line ufunc calls over a small reusable arena.
+* **The grouped tape** serves :meth:`OpTapeEngine.run` (the full value
+  matrix) and the forced lanes: gates are grouped by ``(level, gate
+  type, fan-in arity)`` — with a latest-join relaxation that lets a gate
+  join the most recent compatible group at or after its ready level —
+  and each group carries precomputed ``int64`` index arrays, so it
+  evaluates as a single vectorized numpy bitwise reduction.  The number
+  of Python-level operations per pass drops from *#gates* to *#groups*.
 
-* **Group-contiguous row order** — the value matrix is laid out so every
-  group's output nets fill one contiguous row slice.  Each group's
-  reduction writes *directly into the matrix* (``out=`` views) instead of
-  gather-compute-scatter, eliminating one full copy per group.  Row
-  indices therefore differ from :class:`BitSimulator`'s topological
-  order; always map through :meth:`OpTapeEngine.net_index`.
-* **Key lanes** — :meth:`OpTapeEngine.run_keyed` widens the word axis to
-  ``n_keys * n_words``: lane ``k`` holds the same packed input patterns
-  with key ``k`` broadcast as constant words.  One pass computes the
-  outputs under every key simultaneously; Hamming distance then reduces
-  per lane (see :func:`repro.sim.metrics.measure_corruption`).
-* **Forced lanes** — :meth:`OpTapeEngine.count_output_flips` is the
-  dual of key lanes: lane ``k`` shares the unforced pass's input words
-  but overrides one row with its own forced words, and the pass reports
-  per lane how many output bits moved.  Lock-site ranking (flip one net
-  per lane) and stuck-at fault simulation (one fault per lane) both run
-  on it, a few chunked passes instead of one pass per net or fault.
+Both lowerings give the sources the same rows (``0 .. n_sources - 1``).
+Further engineering choices:
+
+* **Group-contiguous row order** — the grouped tape lays the value
+  matrix out so every group's output nets fill one contiguous row
+  slice.  Each group's reduction writes *directly into the matrix*
+  (``out=`` views) instead of gather-compute-scatter, eliminating one
+  full copy per group.  Row indices therefore differ from
+  :class:`BitSimulator`'s topological order; always map through
+  :meth:`OpTapeEngine.net_index`.
+* **Key lanes** — :meth:`OpTapeEngine.run_keyed` (fused) widens the
+  word axis to ``n_keys * n_words``: lane ``k`` holds the same packed
+  input patterns with key ``k`` broadcast as constant words.  One pass
+  computes the outputs under every key simultaneously; Hamming distance
+  then reduces per lane (see :func:`repro.sim.metrics.measure_corruption`).
+* **Forced lanes** — :meth:`OpTapeEngine.count_output_flips` (grouped)
+  is the dual of key lanes: lane ``k`` shares the unforced pass's input
+  words but overrides one row with its own forced words, and the pass
+  reports per lane how many output bits moved.  Lock-site ranking (flip
+  one net per lane) and stuck-at fault simulation (one fault per lane)
+  both run on it, a few chunked passes instead of one pass per net or
+  fault.
 * **Compile cache** — :func:`compile_engine` memoizes engines by netlist
   *content hash*, so repeated experiment rows, the lock-site ranking and
-  the fault simulator reuse the tape instead of recompiling.
+  the fault simulator reuse the engine and its lowerings instead of
+  recompiling.
 
-:meth:`OpTapeEngine.run_outputs` and :meth:`OpTapeEngine.run_keyed`
-execute the tape on the fused lane (:mod:`repro.sim.fused`); the grouped
-evaluator here serves :meth:`OpTapeEngine.run` (the full value matrix)
-and the forced lanes.  :class:`BitSimulator` is the one reference: the
-slow, obviously-correct oracle that the differential suites compare
-every lane against bit for bit.
+:class:`BitSimulator` is the one reference: the slow, obviously-correct
+oracle that the differential suites compare both lowerings against bit
+for bit.
 """
 
 from __future__ import annotations
@@ -54,11 +63,18 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .. import telemetry
-from ..netlist import GateType, Netlist
+from ..netlist import Gate, GateType, Netlist
 from . import fused
 from .bitsim import popcount_lanes, tail_mask
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: engine attributes the grouped lowering sets, built on first access
+_GROUPED_ATTRS = frozenset({"_index", "_output_idx", "_tape"})
+
+#: makes each engine build its grouped tape once (the fused program has
+#: :mod:`repro.sim.fused`'s plan lock)
+_lower_lock = threading.Lock()
 
 #: value-matrix bytes per forced-lane chunk: small enough that a chunk's
 #: matrix and its gather temporaries stay cache-resident and peak memory
@@ -87,11 +103,6 @@ class OpGroup:
     stop: int
     fanin_idx: np.ndarray
 
-    @property
-    def size(self) -> int:
-        """Number of gates evaluated by this tape entry."""
-        return self.stop - self.start
-
 
 class OpTapeEngine:
     """Compiled levelized evaluator for one netlist.
@@ -99,89 +110,108 @@ class OpTapeEngine:
     The constructor snapshots everything it needs from the netlist and
     keeps no reference to it: :func:`compile_engine` shares one engine
     between every netlist with the same content hash, so an engine must
-    not observe later mutations of the netlist it was compiled from.
+    not observe later mutations of the netlist it was compiled from
+    (``lock_weighted`` inserts key gates into the very netlist it has
+    just ranked).  Gates are never changed in place, so the snapshot is
+    one list of them.
+
+    Compiling lowers nothing: each lowering is built once, on first use,
+    from the snapshot — the grouped tape (``_index``, ``_output_idx``,
+    ``_tape``) by :meth:`run`, the forced lanes, :meth:`net_index`,
+    :meth:`outputs_from_matrix` or :attr:`n_groups`; the fused program
+    (:mod:`repro.sim.fused`) by :meth:`run_outputs` or :meth:`run_keyed`.
+    Most netlists only ever run on one of them.
     """
+
+    #: the grouped lowering, built together by :meth:`_lower_grouped`
+    _index: dict[str, int]
+    _output_idx: np.ndarray
+    _tape: list[OpGroup]
 
     def __init__(self, netlist: Netlist) -> None:
         #: primary inputs in netlist order, frozen at compile time
         self.inputs: tuple[str, ...] = tuple(netlist.inputs)
-        topo = netlist.topological_order()
+        #: primary outputs in netlist order, frozen at compile time
+        self.outputs: tuple[str, ...] = tuple(netlist.outputs)
+        gate = netlist.gate
+        sources: list[Gate] = []
+        logic: list[Gate] = []
+        for n in netlist.topological_order():
+            g = gate(n)
+            (sources if g.gtype.is_source else logic).append(g)
+        #: every gate in topological order, sources first: rows
+        #: ``0 .. n_sources - 1`` of both lowerings are the sources
+        self._gates: list[Gate] = sources + logic
+        self._n_sources = len(sources)
+        self._source_idx = {g.name: i for i, g in enumerate(sources)}
+        self._input_idx = [self._source_idx[i] for i in self.inputs]
+        self._const0_idx = [
+            i for i, g in enumerate(sources) if g.gtype is GateType.CONST0
+        ]
+        self._const1_idx = [
+            i for i, g in enumerate(sources) if g.gtype is GateType.CONST1
+        ]
 
+    def __getattr__(self, name: str) -> object:
+        # reached only for attributes not set yet: the grouped lowering
+        if name not in _GROUPED_ATTRS:
+            raise AttributeError(name)
+        with _lower_lock:
+            if "_tape" not in self.__dict__:
+                self._lower_grouped()
+        return self.__dict__[name]
+
+    def _lower_grouped(self) -> None:
+        """Build the grouped tape from the snapshot (under
+        ``_lower_lock``, once)."""
         # Relaxed (latest-join) levelization: a gate is *ready* one slot
         # after its deepest fan-in, but may join any group of its
         # (type, arity) scheduled at-or-after that slot — merging what
         # strict per-level grouping would fragment.  New groups always
         # open after every existing one, so creation order is execution
         # order.
-        slot_of: dict[str, int] = {}
-        latest: dict[tuple[GateType, int], int] = {}
-        group_names: dict[int, list[str]] = {}
-        group_type: dict[int, GateType] = {}
-        sources: list[str] = []
-        next_slot = 0
-        for n in topo:
-            g = netlist.gate(n)
-            if g.gtype.is_source:
-                slot_of[n] = 0
-                sources.append(n)
-                continue
-            ready = 1 + max(slot_of[f] for f in g.fanin)
-            key = (g.gtype, len(g.fanin))
-            s = latest.get(key, -1)
-            if s < ready:
-                next_slot += 1
-                s = next_slot
-                latest[key] = s
-                group_names[s] = []
-                group_type[s] = g.gtype
-            slot_of[n] = s
-            group_names[s].append(n)
+        logic = self._gates[self._n_sources :]
+        with telemetry.span("optape.lower", lowering="grouped", nets=self.n_nets) as sp:
+            slot_of = dict.fromkeys(self._source_idx, 0)
+            latest: dict[tuple[GateType, int], int] = {}
+            groups: list[list[Gate]] = []
+            for g in logic:
+                ready = 1 + max(slot_of[f] for f in g.fanin)
+                key = (g.gtype, len(g.fanin))
+                s = latest.get(key, -1)
+                if s < ready:
+                    groups.append([])
+                    s = latest[key] = len(groups)
+                slot_of[g.name] = s
+                groups[s - 1].append(g)
 
-        schedule: list[tuple[int, GateType, list[str]]] = [
-            (s, group_type[s], group_names[s]) for s in sorted(group_names)
-        ]
-
-        order: list[str] = list(sources)
-        for _lv, _gt, names in schedule:
-            order.extend(names)
-        self._order = order
-        self._index = {n: i for i, n in enumerate(order)}
-        self._input_idx = [self._index[i] for i in self.inputs]
-        self._output_idx = np.array(
-            [self._index[o] for o in netlist.outputs], dtype=np.int64
-        )
-        self._const0_idx = [
-            self._index[n]
-            for n in sources
-            if netlist.gate(n).gtype is GateType.CONST0
-        ]
-        self._const1_idx = [
-            self._index[n]
-            for n in sources
-            if netlist.gate(n).gtype is GateType.CONST1
-        ]
-        self._n_sources = len(sources)
-
-        self._tape: list[OpGroup] = []
-        row = len(sources)
-        for lv, gtype, names in schedule:
-            fanin_idx = np.array(
-                [
-                    [self._index[f] for f in netlist.gate(n).fanin]
-                    for n in names
-                ],
-                dtype=np.int64,
-            ).T
-            self._tape.append(OpGroup(lv, gtype, row, row + len(names), fanin_idx))
-            row += len(names)
+            order = list(self._source_idx)
+            for members in groups:
+                order.extend(g.name for g in members)
+            index = {n: i for i, n in enumerate(order)}
+            tape: list[OpGroup] = []
+            row = self._n_sources
+            for slot, members in enumerate(groups, 1):
+                fanin_idx = np.array(
+                    [[index[f] for f in g.fanin] for g in members], dtype=np.int64
+                ).T
+                tape.append(
+                    OpGroup(slot, members[0].gtype, row, row + len(members), fanin_idx)
+                )
+                row += len(members)
+            sp.set(groups=len(tape))
+        self._index = index
+        self._output_idx = np.array([index[o] for o in self.outputs], dtype=np.int64)
+        self._tape = tape  # last: its presence marks the lowering built
 
     # ------------------------------------------------------------------ #
     # introspection
 
     @property
     def n_nets(self) -> int:
-        """Number of nets in the compiled order."""
-        return len(self._order)
+        """Number of nets in the compiled netlist (rows of :meth:`run`'s
+        value matrix)."""
+        return len(self._gates)
 
     @property
     def n_groups(self) -> int:
@@ -234,10 +264,10 @@ class OpTapeEngine:
         if not arrays:
             raise ValueError("no input patterns supplied")
         fills = []
-        for name in self.inputs:
+        for name, row in zip(self.inputs, self._input_idx):
             if name not in input_words:
                 raise ValueError(f"missing patterns for input {name!r}")
-            fills.append((self._index[name], input_words[name]))
+            fills.append((row, input_words[name]))
         return arrays[0].shape[0], fills
 
     def _eval_tape(self, values: np.ndarray) -> np.ndarray:
@@ -538,7 +568,7 @@ def compile_engine(netlist: Netlist, cache: bool = True) -> OpTapeEngine:
     cache even across distinct :class:`Netlist` objects.
     """
     if not cache:
-        with telemetry.span("optape.compile", nets=len(netlist.nets), cached=False):
+        with telemetry.span("optape.compile", nets=len(netlist), cached=False):
             return OpTapeEngine(netlist)
     key = netlist_fingerprint(netlist)
     with _cache_lock:
@@ -548,7 +578,7 @@ def compile_engine(netlist: Netlist, cache: bool = True) -> OpTapeEngine:
             telemetry.counter_add("optape.cache.hit")
             return engine
     telemetry.counter_add("optape.cache.miss")
-    with telemetry.span("optape.compile", nets=len(netlist.nets), cached=True):
+    with telemetry.span("optape.compile", nets=len(netlist), cached=True):
         engine = OpTapeEngine(netlist)
     with _cache_lock:
         _engine_cache[key] = engine

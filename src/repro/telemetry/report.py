@@ -3,9 +3,14 @@
 Reads a JSONL trace produced by :mod:`repro.telemetry` (possibly merged
 from many worker processes) and renders:
 
-* a per-span-name **phase breakdown** — count, total, mean, and max
-  duration, sorted by total time, which is the "where did the campaign's
-  wall clock go" table;
+* a per-span-name **phase breakdown** — count, total, self, mean, and
+  max duration, sorted by total time, which is the "where did the
+  campaign's wall clock go" table.  *Self* time is a span's duration
+  minus that of its direct children in the same process (found through
+  the recorded ``parent_id``/``span_id`` links), so nested layers are
+  not counted twice.  A pool worker's spans name the span that forked
+  it as their parent, but they run beside it, not inside its time, so
+  they are not subtracted;
 * the **top-N slowest rows** (``experiment.row`` spans) with their keys
   and statuses — the first thing to look at when one cell of a matrix
   dominates a run;
@@ -29,6 +34,9 @@ class SpanStats:
 
     count: int = 0
     total_s: float = 0.0
+    #: ``total_s`` minus the duration of every direct child span in the
+    #: same process
+    self_s: float = 0.0
     max_s: float = 0.0
 
     @property
@@ -54,6 +62,11 @@ def summarize_trace(path: str | Path) -> TraceSummary:
     """Parse and aggregate a trace file into a :class:`TraceSummary`."""
     summary = TraceSummary()
     counters: dict[str, int] = defaultdict(int)
+    # span id -> (its stats, its pid); (parent span id, child pid) ->
+    # summed child durations (children are written before their
+    # parent, so settle at the end)
+    stats_of: dict[str, tuple[SpanStats, Any]] = {}
+    child_s: dict[tuple[str, Any], float] = defaultdict(float)
     for _lineno, record in iter_trace(path):
         summary.n_records += 1
         pid = record.get("pid")
@@ -66,7 +79,12 @@ def summarize_trace(path: str | Path) -> TraceSummary:
             dur = float(record.get("dur_s", 0.0))
             stats.count += 1
             stats.total_s += dur
+            stats.self_s += dur
             stats.max_s = max(stats.max_s, dur)
+            stats_of[str(record.get("span_id"))] = (stats, pid)
+            parent = record.get("parent_id")
+            if parent is not None:
+                child_s[(str(parent), pid)] += dur
             if name == "experiment.row":
                 summary.rows.append(record)
         elif kind == "counter":
@@ -77,6 +95,11 @@ def summarize_trace(path: str | Path) -> TraceSummary:
             )
         elif kind == "meta":
             summary.meta.append(record)
+    for (parent, pid), dur in child_s.items():
+        # the parent may be lost with a crashed worker
+        stats, parent_pid = stats_of.get(parent, (None, None))
+        if stats is not None and parent_pid == pid:
+            stats.self_s -= dur
     summary.counters = dict(counters)
     return summary
 
@@ -96,7 +119,8 @@ def render_report(path: str | Path, top: int = 10) -> str:
     if summary.spans:
         lines.append("per-phase time breakdown (by total duration)")
         lines.append(
-            f"{'span':<28} {'count':>7} {'total':>10} {'mean':>10} {'max':>10}"
+            f"{'span':<28} {'count':>7} {'total':>10} {'self':>10} "
+            f"{'mean':>10} {'max':>10}"
         )
         ordered = sorted(
             summary.spans.items(), key=lambda kv: -kv[1].total_s
@@ -105,6 +129,7 @@ def render_report(path: str | Path, top: int = 10) -> str:
             lines.append(
                 f"{name:<28} {stats.count:>7} "
                 f"{stats.total_s * 1e3:>8.1f}ms "
+                f"{stats.self_s * 1e3:>8.1f}ms "
                 f"{stats.mean_s * 1e3:>8.2f}ms "
                 f"{stats.max_s * 1e3:>8.1f}ms"
             )

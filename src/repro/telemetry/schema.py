@@ -33,8 +33,10 @@ KNOWN_SPANS = frozenset(
         "attack.doubledip.iteration",
         "attack.hillclimb.restart",
         "attack.sensitization.round",
-        # compiled-simulation layer
+        # compiled-simulation layer: compile snapshots a netlist, each
+        # lowering (grouped tape or fused program) is built on first use
         "optape.compile",
+        "optape.lower",
         "optape.run",
         # lock-site ranking (repro.locking.fll), memo hits included
         "locking.rank",

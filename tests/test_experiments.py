@@ -128,6 +128,101 @@ class TestTable1:
         )
 
 
+class TestOneBuildPerRow:
+    """A stand-in row's pre-flight lint and its compute share one build."""
+
+    @staticmethod
+    def _count_builds(monkeypatch, module):
+        from repro.bench import build_paper_circuit
+
+        calls = []
+
+        def build(name, scale=1.0, seed=None):
+            calls.append(name)
+            return build_paper_circuit(name, scale=scale, seed=seed)
+
+        monkeypatch.setattr(module, "build_paper_circuit", build)
+        return calls
+
+    @pytest.mark.parametrize("harness", ["table1", "table2"])
+    def test_build_called_once_per_row(self, monkeypatch, harness):
+        from repro.experiments import table1, table2
+        from repro.experiments.runner import ExperimentRunner
+
+        module = {"table1": table1, "table2": table2}[harness]
+        builds = self._count_builds(monkeypatch, module)
+        preflights = []
+        run_preflight = ExperimentRunner._run_preflight
+
+        def counted(self, key, *args, **kwargs):
+            preflights.append(key)
+            return run_preflight(self, key, *args, **kwargs)
+
+        monkeypatch.setattr(ExperimentRunner, "_run_preflight", counted)
+        circuits = ["s38417", "b20"]
+        if harness == "table1":
+            rows = run_table1(
+                scale=0.005, circuits=circuits, n_patterns=256, n_keys=4
+            )
+        else:
+            rows = run_table2(
+                scale=0.005, circuits=circuits, n_random_patterns=128
+            )
+        assert [r.circuit for r in rows] == circuits
+        assert preflights == circuits
+        assert builds == circuits
+
+    def test_preflight_verdicts_unchanged(self):
+        from repro.bench import PAPER_ORDER, build_paper_circuit
+        from repro.experiments.source import CircuitSource
+        from repro.lint import lint_netlist
+
+        source = CircuitSource(0.005)
+        for name in PAPER_ORDER:
+            want = lint_netlist(
+                build_paper_circuit(name, scale=0.005), source=f"{name}@x0.005"
+            )
+            # a fresh build, then the memoized one the compute reuses
+            assert source.preflight(name, build_paper_circuit) == want
+            source.circuit(name, build_paper_circuit)
+            assert source.preflight(name, build_paper_circuit) == want
+
+    def test_rows_get_independent_copies(self):
+        from repro.bench import build_paper_circuit
+        from repro.experiments.source import CircuitSource
+        from repro.netlist import GateType
+        from repro.sim import netlist_fingerprint
+
+        source = CircuitSource(0.005)
+        first = source.circuit("b20", build_paper_circuit).netlist
+        first.add_gate("extra", GateType.NOT, [first.outputs[0]])
+        first.add_output("extra")
+        second = source.circuit("b20", build_paper_circuit).netlist
+        assert second is not first and "extra" not in second
+        # the copy carries the content hash: compiling it re-hashes nothing
+        assert second._fingerprint is not None
+        assert netlist_fingerprint(second) == netlist_fingerprint(
+            build_paper_circuit("b20", scale=0.005)
+        )
+
+    def test_prewarm_builds_the_fused_program(self):
+        # supervised workers pre-warm each row's first locked netlist;
+        # compiling only snapshots it, so the pre-warm must lower it too
+        from repro.experiments.runner import RunPolicy, _run_prewarm
+        from repro.experiments.source import CircuitSource
+        from repro.experiments.table1 import _prewarm
+        from repro.sim import clear_engine_cache, compile_engine, engine_cache_info
+
+        clear_engine_cache()
+        args = ("b20", CircuitSource(0.005), 0)
+        _run_prewarm(RunPolicy(prewarm=((_prewarm, args),)))
+        cached = engine_cache_info()["size"]
+        engine = compile_engine(_prewarm(*args))
+        assert engine_cache_info()["size"] == cached  # the pre-warmed one
+        assert "_fused_program" in engine.__dict__
+        assert "_tape" not in engine.__dict__  # HD runs fused only
+
+
 class TestTable2:
     @pytest.fixture(scope="class")
     def rows(self):

@@ -284,6 +284,136 @@ class TestCompileCache:
         assert engine_cache_info()["size"] == 0
 
 
+class TestLazyLowering:
+    """Compiling snapshots the netlist; each lowering (grouped tape,
+    fused program) is built once, on first use, from that snapshot."""
+
+    @staticmethod
+    def _count_lowerings(monkeypatch):
+        """Record ``(kind, engine)`` for every lowering built."""
+        from repro.sim import fused, optape
+
+        built = []
+        grouped, program = optape.OpTapeEngine._lower_grouped, fused._build_program
+
+        def lower_grouped(engine):
+            built.append(("grouped", engine))
+            return grouped(engine)
+
+        def build_program(engine):
+            built.append(("fused", engine))
+            return program(engine)
+
+        monkeypatch.setattr(optape.OpTapeEngine, "_lower_grouped", lower_grouped)
+        monkeypatch.setattr(fused, "_build_program", build_program)
+        return built
+
+    def test_compile_lowers_nothing(self, monkeypatch):
+        built = self._count_lowerings(monkeypatch)
+        engine = compile_engine(mini_alu(4), cache=False)
+        assert built == []
+        assert engine.n_nets == len(mini_alu(4))
+        assert "_tape" not in engine.__dict__
+        assert "_fused_program" not in engine.__dict__
+
+    def test_table1_row_lowers_each_netlist_once(self, monkeypatch):
+        # the ranked original only runs grouped (ranking), every locked
+        # netlist only runs fused (HD), and nothing is lowered twice
+        from repro.experiments.source import CircuitSource
+        from repro.experiments.table1 import _compute
+
+        clear_engine_cache()
+        built = self._count_lowerings(monkeypatch)
+        row = _compute("b21", CircuitSource(0.01), 512, 4, 0)
+        original = compile_engine(build_paper_circuit("b21", scale=0.01))
+        kinds = {}
+        for kind, engine in built:
+            kinds.setdefault(id(engine), []).append(kind)
+        assert kinds.pop(id(original)) == ["grouped"]
+        first = max(1, scaled_key_size("b21", 0.01) // row.control_inputs)
+        steps = (row.n_key_gates // first).bit_length()  # 1 + doublings
+        assert steps >= 3
+        assert sorted(kinds.values()) == [["fused"]] * steps
+
+    @staticmethod
+    def _mutate(nl):
+        """Edit gates the way locking and resynthesis do."""
+        gates = [g for g in nl.gates() if not g.gtype.is_source]
+        key = nl.add_input("keyinput0")
+        nl.rename_net(gates[0].name, "renamed")
+        nl.add_gate("kg", GateType.XOR, ["renamed", key])
+        for g in gates[1:]:
+            if "renamed" in g.fanin:
+                nl.replace_gate(
+                    g.name, g.gtype, ["kg" if f == "renamed" else f for f in g.fanin]
+                )
+        target = gates[-1]
+        nl.replace_gate(target.name, GateType.NAND, [nl.inputs[0], nl.inputs[1]])
+
+    @pytest.mark.parametrize("first", ["fused", "grouped"])
+    def test_lowering_after_mutation_matches_compile_time(self, first):
+        nl = generate_netlist(
+            GeneratorConfig(
+                n_inputs=9, n_outputs=7, n_gates=70, depth=6, seed=5, name="m"
+            )
+        )
+        before = nl.copy()
+        engine = compile_engine(nl, cache=False)
+        self._mutate(nl)
+        assert netlist_fingerprint(nl) != netlist_fingerprint(before)
+        words = random_words(len(before.inputs), 150, seed=4)
+        want_values = BitSimulator(before).run(words)
+        want = BitSimulator(before).outputs_from_matrix(want_values)
+        runs = {
+            "fused": lambda: engine.run_outputs(words),
+            "grouped": lambda: engine.outputs_from_matrix(engine.run(words)),
+        }
+        for kind in (first, "grouped" if first == "fused" else "fused"):
+            assert np.array_equal(runs[kind](), want), kind
+        assert "renamed" not in engine._index
+        assert engine.outputs == tuple(before.outputs)
+
+    def test_six_threads_first_call_build_once(self, monkeypatch):
+        import sys
+        import threading
+
+        built = self._count_lowerings(monkeypatch)
+        nl = build_paper_circuit("b21", scale=0.01)
+        engine = compile_engine(nl, cache=False)
+        words = random_words(len(nl.inputs), 6 * 64, seed=9)
+        want_values = BitSimulator(nl).run(words)
+        want = BitSimulator(nl).outputs_from_matrix(want_values)
+        barrier = threading.Barrier(6)
+        got: dict[int, tuple] = {}
+
+        def work(k):
+            barrier.wait()
+            values = engine.run(words)
+            barrier.wait()
+            # each thread its own column width: a bound plan owns its
+            # arena, so two threads may not share one
+            fused_out = engine.run_outputs(words[:, : k + 1])
+            got[k] = (fused_out, values)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(got) == list(range(6))
+        for k, (fused_out, values) in got.items():
+            assert np.array_equal(fused_out, want[:, : k + 1])
+            assert np.array_equal(engine.outputs_from_matrix(values), want)
+            assert np.array_equal(values, got[0][1])
+        assert sorted(kind for kind, _ in built) == ["fused", "grouped"]
+
+
 class TestPopcountParity:
     def test_table_matches_fast_path(self):
         rng = np.random.default_rng(0)

@@ -317,3 +317,45 @@ class TestReportCli:
 
     def test_cli_missing_file(self, tmp_path):
         assert run_trace_cli("report", str(tmp_path / "none.jsonl")) == 2
+
+    @staticmethod
+    def _span(name, span_id, parent_id, dur_s, pid=1):
+        return {
+            "kind": "span", "name": name, "ts": 1.0, "dur_s": dur_s,
+            "pid": pid, "span_id": span_id, "parent_id": parent_id,
+            "attrs": {},
+        }
+
+    def test_self_time_subtracts_direct_children_only(self, tmp_path, capsys):
+        # pid 1: row 10 s -> insert 6 s -> rank 4 s -> compile 1 s, and
+        # row -> a second rank 2 s; pid 2: a rank 3 s whose parent was
+        # never written (its worker died); pid 3: a forked worker's row
+        # 8 s that names pid 1's row as its parent but ran beside it.
+        # Children come first, as the sink writes them on exit.
+        records = [
+            self._span("optape.compile", "1-4", "1-3", 1.0),
+            self._span("locking.rank", "1-3", "1-2", 4.0),
+            self._span("locking.insert", "1-2", "1-1", 6.0),
+            self._span("locking.rank", "1-5", "1-1", 2.0),
+            self._span("experiment.row", "3-1", "1-1", 8.0, pid=3),
+            self._span("experiment.row", "1-1", None, 10.0),
+            self._span("locking.rank", "2-1", "2-9", 3.0, pid=2),
+        ]
+        path = tmp_path / "nested.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        spans = summarize_trace(path).spans
+        got = {name: (st.total_s, st.self_s) for name, st in spans.items()}
+        assert got == {
+            "experiment.row": (18.0, 10.0),  # (10 - insert 6 - rank 2) + 8
+            "locking.insert": (6.0, 2.0),    # 6 - rank 4 (not compile)
+            "locking.rank": (9.0, 8.0),      # (4 - 1) + 2 + 3
+            "optape.compile": (1.0, 1.0),
+        }
+        # every second of each process is charged to exactly one span
+        assert sum(self_s for _, self_s in got.values()) == 10.0 + 3.0 + 8.0
+        assert run_trace_cli("report", str(path)) == 0
+        out = capsys.readouterr().out
+        header = next(line for line in out.splitlines() if line.startswith("span"))
+        assert header.split() == ["span", "count", "total", "self", "mean", "max"]
+        row = next(line for line in out.splitlines() if line.startswith("locking.rank"))
+        assert row.split()[1:4] == ["3", "9000.0ms", "8000.0ms"]
