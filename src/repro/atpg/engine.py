@@ -82,9 +82,36 @@ def run_atpg(
             per fault simulated, PODEM charges backtracks, and the SAT
             arbiter's conflicts count against it; a violation raises out
             of this function (harnesses catch via run_guarded).
+
+    Span ``atpg.run`` (attrs ``faults``, ``random_detected``,
+    ``detected``) wraps every call.
     """
     if deterministic not in ("podem", "sat", "podem+sat"):
         raise ValueError(f"unknown deterministic engine {deterministic!r}")
+    with telemetry.span("atpg.run") as span:
+        report = _run_atpg(
+            netlist, n_random_patterns, max_backtracks, seed, collect_patterns,
+            deterministic, sat_conflict_budget, budget,
+        )
+        span.set(
+            faults=report.n_faults,
+            random_detected=report.n_random_detected,
+            detected=report.n_detected,
+        )
+    return report
+
+
+def _run_atpg(
+    netlist: Netlist,
+    n_random_patterns: int,
+    max_backtracks: int,
+    seed: int,
+    collect_patterns: bool,
+    deterministic: str,
+    sat_conflict_budget: int | None,
+    budget: Budget | None,
+) -> ATPGReport:
+    """:func:`run_atpg`'s body, inside its span."""
     faults = collapse_faults(netlist)
     simulator = FaultSimulator(netlist)
 

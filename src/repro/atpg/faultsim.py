@@ -1,16 +1,20 @@
 """Bit-parallel stuck-at fault simulator (HOPE-class role).
 
 Fault-parallel × pattern-parallel: the good machine is simulated once per
-pattern block on the compiled op-tape engine, then every fault of the
+pattern block on the compiled engine's materialized program
+(:meth:`~repro.sim.optape.OpTapeEngine.run`), then every fault of the
 list becomes one *forced lane* of
 :meth:`~repro.sim.optape.OpTapeEngine.count_output_flips` — lane ``k``
-replays the block with fault ``k``'s site overridden.  A stem fault
+replays the block with fault ``k``'s site overridden, and each chunk of
+lanes evaluates only the fanout cones of its sites.  A stem fault
 forces its net to the stuck constant; a pin fault forces the gate's
 output to the gate re-evaluated from good values with that one input
-stuck.  A fault is detected when its lane flips at least one valid
-output bit.  64 patterns per word and many faults per pass — the same
-engineering trade HOPE [28] makes with parallel patterns, widened across
-faults.
+stuck, batched per gate type and arity on the fused planner's own
+primitives (:func:`~repro.sim.fused.eval_gate`).  A fault is detected
+when its lane flips at least one valid output bit.  64 patterns per
+word and many faults per pass — the same engineering trade HOPE [28]
+makes with parallel patterns, widened across faults.  Span
+``atpg.faultsim`` wraps every :meth:`FaultSimulator.run`.
 """
 
 from __future__ import annotations
@@ -19,10 +23,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .. import telemetry
 from ..netlist import GateType, Netlist
 from ..runtime import faultinject
 from ..runtime.budget import Budget
-from ..sim.optape import _eval_gathered, compile_engine
+from ..sim.fused import eval_gate
+from ..sim.optape import compile_engine
 from .faults import Fault
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -51,7 +57,8 @@ class FaultSimulator:
         forced = np.zeros((len(faults), good.shape[1]), dtype=np.uint64)
         forced[[bool(f.stuck_at) for f in faults]] = _ALL_ONES
         # pin faults, batched per (gate type, arity): gather the fan-in
-        # good values, stick the faulty pin, re-evaluate the gate
+        # good values, stick the faulty pin, re-evaluate the gate with
+        # the planner's own primitives
         pin_lanes: dict[tuple[GateType, int], list[int]] = {}
         for k, f in enumerate(faults):
             if f.pin is not None:
@@ -65,7 +72,7 @@ class FaultSimulator:
             slots = good[fan]  # (arity, len(ks), n_words)
             pins = [faults[k].pin for k in ks]
             slots[pins, np.arange(len(ks))] = forced[ks]
-            forced[ks] = _eval_gathered(gtype, list(slots))
+            forced[ks] = eval_gate(gtype, list(slots))
         return rows, forced
 
     def detects(
@@ -90,17 +97,25 @@ class FaultSimulator:
         same granularity, all before the block is simulated — so a
         budget trips at a fault count that does not depend on how the
         faults are chunked into lanes.
+
+        Span ``atpg.faultsim`` (attrs ``faults``, ``patterns``,
+        ``detected``) wraps every call.
         """
-        good = self.good_values(input_words)
         faults = list(faults)
-        for _fault in faults:
-            if faultinject.enabled:
-                faultinject.fire("faultsim.fault")
-            if budget is not None:
-                budget.charge_patterns(n_patterns)
-        rows, forced = self._lanes(faults, good)
-        flips = self.sim.count_output_flips(good, rows, forced, n_patterns)
-        return {f for f, c in zip(faults, flips.tolist()) if c}
+        with telemetry.span(
+            "atpg.faultsim", faults=len(faults), patterns=n_patterns
+        ) as span:
+            good = self.good_values(input_words)
+            for _fault in faults:
+                if faultinject.enabled:
+                    faultinject.fire("faultsim.fault")
+                if budget is not None:
+                    budget.charge_patterns(n_patterns)
+            rows, forced = self._lanes(faults, good)
+            flips = self.sim.count_output_flips(good, rows, forced, n_patterns)
+            detected = {f for f, c in zip(faults, flips.tolist()) if c}
+            span.set(detected=len(detected))
+        return detected
 
     def detects_pattern(
         self, fault: Fault, assignment: Mapping[str, int]

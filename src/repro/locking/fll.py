@@ -6,11 +6,14 @@ random patterns and count output-bit corruptions.  This is the
 fault-analysis ranking of Rajendran et al. — the same quantity, measured
 the same way (a stuck-at-like perturbation).
 
-Every candidate is scored at once on the op-tape engine's forced lanes
+Every candidate is scored at once on the compiled engine's forced lanes
 (:meth:`~repro.sim.optape.OpTapeEngine.count_output_flips`): lane ``k``
 replays the random block with candidate ``k`` inverted, and the lane's
 count of flipped output bits is its score.  One unforced pass plus a few
-chunked lane passes replace one full simulation per candidate.
+chunked lane passes replace one full simulation per candidate; lanes
+are sorted by net, and each chunk evaluates only the union of its
+candidates' fanout cones on a reused-row arena
+(:func:`~repro.sim.fused.forced_lane_diffs`).
 
 The finished ranking is memoized on the compiled engine, so callers that
 lock one netlist several times (Table I's key-gate doubling, the HD

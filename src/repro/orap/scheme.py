@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+from .. import telemetry
 from ..locking import LockedCircuit, WLLConfig, lock_weighted
 from ..netlist import FlipFlop, Netlist, SequentialCircuit
 from .chip import ProtectedChip, TrojanHooks
@@ -245,9 +246,27 @@ def protect(
             3-input control gates).
         rng: seed or Random for all secret draws.
         unlock_pi_values: primary-input hold values during unlock.
+
+    Span ``orap.protect`` (attrs ``variant``, ``key_width``) wraps every
+    call, its locking included.
     """
-    rng = rng if isinstance(rng, random.Random) else random.Random(rng)
     orap = orap or OraPConfig()
+    with telemetry.span("orap.protect", variant=orap.variant) as span:
+        protected = _protect(design, locking, orap, wll, rng, unlock_pi_values)
+        span.set(key_width=len(protected.locked.key_inputs))
+    return protected
+
+
+def _protect(
+    design: SequentialCircuit,
+    locking: LockedCircuit | Callable[..., LockedCircuit] | None,
+    orap: OraPConfig,
+    wll: WLLConfig | None,
+    rng: random.Random | int | None,
+    unlock_pi_values: Mapping[str, int] | None,
+) -> OraPDesign:
+    """:func:`protect`'s body, inside its span."""
+    rng = rng if isinstance(rng, random.Random) else random.Random(rng)
     if orap.variant not in ("basic", "modified"):
         raise ValueError(f"unknown OraP variant {orap.variant!r}")
     if not design.scan_chains:

@@ -36,6 +36,7 @@ import numpy as np
 from .. import telemetry
 from ..bench.registry import PAPER_CIRCUITS, build_paper_circuit, scaled_key_size
 from ..locking import WLLConfig, lock_weighted
+from .fused import program_for
 from .metrics import DEFAULT_MAX_MATRIX_BYTES, _measure
 from .optape import clear_engine_cache, compile_engine
 
@@ -142,7 +143,7 @@ def bench_circuit(
         "circuit": name,
         "scale": scale,
         "n_nets": engine.n_nets,
-        "n_groups": engine.n_groups,
+        "n_steps": len(program_for(engine).steps),
         "key_width": key_width,
         "n_keys": n_keys,
         "n_patterns": n_patterns,

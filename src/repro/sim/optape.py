@@ -1,54 +1,45 @@
-"""Levelized op-tape simulation engine.
+"""Compiled simulation engine.
 
 :class:`~repro.sim.bitsim.BitSimulator` evaluates one gate per Python
 iteration — fine for a handful of runs, but the paper's Table I workload
 ("a few hundreds of thousands of patterns" per circuit, repeated per wrong
 key) executes that loop tens of thousands of times.  Compiling a netlist
 (:func:`compile_engine`) only snapshots it: its inputs, outputs, and its
-gates in topological order with the sources first.  Each way of running
-the engine lowers that snapshot once, on first use, and most netlists
-only ever need one of the two lowerings:
+gates in topological order with the sources first.  The fused planner
+(:mod:`repro.sim.fused`) lowers that snapshot into two programs, each
+once, on first use, and most netlists only ever need one of them:
 
-* **The fused program** (:mod:`repro.sim.fused`) serves
-  :meth:`OpTapeEngine.run_outputs` and :meth:`OpTapeEngine.run_keyed`:
-  straight-line ufunc calls over a small reusable arena.
-* **The grouped tape** serves :meth:`OpTapeEngine.run` (the full value
-  matrix) and the forced lanes: gates are grouped by ``(level, gate
-  type, fan-in arity)`` — with a latest-join relaxation that lets a gate
-  join the most recent compatible group at or after its ready level —
-  and each group carries precomputed ``int64`` index arrays, so it
-  evaluates as a single vectorized numpy bitwise reduction.  The number
-  of Python-level operations per pass drops from *#gates* to *#groups*.
+* **The fused program** serves :meth:`OpTapeEngine.run_outputs` and
+  :meth:`OpTapeEngine.run_keyed`: it tracks BUF/NOT as row aliases with
+  a polarity and keeps only what the outputs need.
+* **The materialized program** stores every net: :meth:`OpTapeEngine.run`
+  returns the full value matrix, one row per net in snapshot order
+  (:meth:`OpTapeEngine.net_index` is the snapshot position), and the
+  forced lanes run it on a reused-row arena.
 
-Both lowerings give the sources the same rows (``0 .. n_sources - 1``).
-Further engineering choices:
+Both programs give the sources the same rows (``0 .. n_sources - 1``).
+The entry points:
 
-* **Group-contiguous row order** — the grouped tape lays the value
-  matrix out so every group's output nets fill one contiguous row
-  slice.  Each group's reduction writes *directly into the matrix*
-  (``out=`` views) instead of gather-compute-scatter, eliminating one
-  full copy per group.  Row indices therefore differ from
-  :class:`BitSimulator`'s topological order; always map through
-  :meth:`OpTapeEngine.net_index`.
-* **Key lanes** — :meth:`OpTapeEngine.run_keyed` (fused) widens the
-  word axis to ``n_keys * n_words``: lane ``k`` holds the same packed
-  input patterns with key ``k`` broadcast as constant words.  One pass
-  computes the outputs under every key simultaneously; Hamming distance
-  then reduces per lane (see :func:`repro.sim.metrics.measure_corruption`).
-* **Forced lanes** — :meth:`OpTapeEngine.count_output_flips` (grouped)
-  is the dual of key lanes: lane ``k`` shares the unforced pass's input
-  words but overrides one row with its own forced words, and the pass
-  reports per lane how many output bits moved.  Lock-site ranking (flip
-  one net per lane) and stuck-at fault simulation (one fault per lane)
-  both run on it, a few chunked passes instead of one pass per net or
-  fault.
+* **Key lanes** — :meth:`OpTapeEngine.run_keyed` widens the word axis to
+  ``n_keys * n_words``: lane ``k`` holds the same packed input patterns
+  with key ``k`` broadcast as constant words.  One pass computes the
+  outputs under every key simultaneously; Hamming distance then reduces
+  per lane (see :func:`repro.sim.metrics.measure_corruption`).
+* **Forced lanes** — :meth:`OpTapeEngine.count_output_flips` is the dual
+  of key lanes: lane ``k`` shares the unforced pass's input words but
+  overrides one net with its own forced words, and the pass reports per
+  lane how many output bits moved.  Lanes are sorted by net and chunked
+  by arena size, and each chunk evaluates only its lanes' fanout cones.
+  Lock-site ranking (flip one net per lane) and stuck-at fault
+  simulation (one fault per lane) both run on it, a few chunked passes
+  instead of one pass per net or fault.
 * **Compile cache** — :func:`compile_engine` memoizes engines by netlist
   *content hash*, so repeated experiment rows, the lock-site ranking and
-  the fault simulator reuse the engine and its lowerings instead of
+  the fault simulator reuse the engine and its programs instead of
   recompiling.
 
 :class:`BitSimulator` is the one reference: the slow, obviously-correct
-oracle that the differential suites compare both lowerings against bit
+oracle that the differential suites compare both programs against bit
 for bit.
 """
 
@@ -57,7 +48,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -65,47 +56,16 @@ import numpy as np
 from .. import telemetry
 from ..netlist import Gate, GateType, Netlist
 from . import fused
-from .bitsim import popcount_lanes, tail_mask
+from .bitsim import popcount_lanes
 
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-#: engine attributes the grouped lowering sets, built on first access
-_GROUPED_ATTRS = frozenset({"_index", "_output_idx", "_tape"})
-
-#: makes each engine build its grouped tape once (the fused program has
-#: :mod:`repro.sim.fused`'s plan lock)
-_lower_lock = threading.Lock()
-
-#: value-matrix bytes per forced-lane chunk: small enough that a chunk's
-#: matrix and its gather temporaries stay cache-resident and peak memory
-#: does not move, large enough that the per-group dispatch is amortized
-#: over many lanes
+#: reused-row arena bytes per forced-lane chunk: small enough that a
+#: chunk's arena stays cache-resident and peak memory does not move,
+#: large enough that each step's dispatch is amortized over many lanes
 _LANE_CHUNK_BYTES = 2 << 20
 
 
-@dataclass(frozen=True)
-class OpGroup:
-    """One tape entry: same-type, same-arity gates sharing a schedule slot.
-
-    Attributes:
-        level: schedule slot of the group — every fan-in of every member
-            lives in an earlier slot.
-        gtype: the shared gate function.
-        start: first output row of the group (rows are contiguous).
-        stop: one past the last output row.
-        fanin_idx: ``(arity, n)`` int64 row indices of the fan-ins;
-            ``fanin_idx[s][g]`` feeds slot ``s`` of gate ``g``.
-    """
-
-    level: int
-    gtype: GateType
-    start: int
-    stop: int
-    fanin_idx: np.ndarray
-
-
 class OpTapeEngine:
-    """Compiled levelized evaluator for one netlist.
+    """Compiled evaluator for one netlist.
 
     The constructor snapshots everything it needs from the netlist and
     keeps no reference to it: :func:`compile_engine` shares one engine
@@ -115,18 +75,12 @@ class OpTapeEngine:
     just ranked).  Gates are never changed in place, so the snapshot is
     one list of them.
 
-    Compiling lowers nothing: each lowering is built once, on first use,
-    from the snapshot — the grouped tape (``_index``, ``_output_idx``,
-    ``_tape``) by :meth:`run`, the forced lanes, :meth:`net_index`,
-    :meth:`outputs_from_matrix` or :attr:`n_groups`; the fused program
-    (:mod:`repro.sim.fused`) by :meth:`run_outputs` or :meth:`run_keyed`.
-    Most netlists only ever run on one of them.
+    Compiling lowers nothing: each program is built once, on first use,
+    from the snapshot — the materialized program by :meth:`run` and the
+    forced lanes, the fused program by :meth:`run_outputs` or
+    :meth:`run_keyed` (:mod:`repro.sim.fused`).  Most netlists only ever
+    run on one of them.
     """
-
-    #: the grouped lowering, built together by :meth:`_lower_grouped`
-    _index: dict[str, int]
-    _output_idx: np.ndarray
-    _tape: list[OpGroup]
 
     def __init__(self, netlist: Netlist) -> None:
         #: primary inputs in netlist order, frozen at compile time
@@ -140,7 +94,7 @@ class OpTapeEngine:
             g = gate(n)
             (sources if g.gtype.is_source else logic).append(g)
         #: every gate in topological order, sources first: rows
-        #: ``0 .. n_sources - 1`` of both lowerings are the sources
+        #: ``0 .. n_sources - 1`` of both programs are the sources
         self._gates: list[Gate] = sources + logic
         self._n_sources = len(sources)
         self._source_idx = {g.name: i for i, g in enumerate(sources)}
@@ -152,57 +106,10 @@ class OpTapeEngine:
             i for i, g in enumerate(sources) if g.gtype is GateType.CONST1
         ]
 
-    def __getattr__(self, name: str) -> object:
-        # reached only for attributes not set yet: the grouped lowering
-        if name not in _GROUPED_ATTRS:
-            raise AttributeError(name)
-        with _lower_lock:
-            if "_tape" not in self.__dict__:
-                self._lower_grouped()
-        return self.__dict__[name]
-
-    def _lower_grouped(self) -> None:
-        """Build the grouped tape from the snapshot (under
-        ``_lower_lock``, once)."""
-        # Relaxed (latest-join) levelization: a gate is *ready* one slot
-        # after its deepest fan-in, but may join any group of its
-        # (type, arity) scheduled at-or-after that slot — merging what
-        # strict per-level grouping would fragment.  New groups always
-        # open after every existing one, so creation order is execution
-        # order.
-        logic = self._gates[self._n_sources :]
-        with telemetry.span("optape.lower", lowering="grouped", nets=self.n_nets) as sp:
-            slot_of = dict.fromkeys(self._source_idx, 0)
-            latest: dict[tuple[GateType, int], int] = {}
-            groups: list[list[Gate]] = []
-            for g in logic:
-                ready = 1 + max(slot_of[f] for f in g.fanin)
-                key = (g.gtype, len(g.fanin))
-                s = latest.get(key, -1)
-                if s < ready:
-                    groups.append([])
-                    s = latest[key] = len(groups)
-                slot_of[g.name] = s
-                groups[s - 1].append(g)
-
-            order = list(self._source_idx)
-            for members in groups:
-                order.extend(g.name for g in members)
-            index = {n: i for i, n in enumerate(order)}
-            tape: list[OpGroup] = []
-            row = self._n_sources
-            for slot, members in enumerate(groups, 1):
-                fanin_idx = np.array(
-                    [[index[f] for f in g.fanin] for g in members], dtype=np.int64
-                ).T
-                tape.append(
-                    OpGroup(slot, members[0].gtype, row, row + len(members), fanin_idx)
-                )
-                row += len(members)
-            sp.set(groups=len(tape))
-        self._index = index
-        self._output_idx = np.array([index[o] for o in self.outputs], dtype=np.int64)
-        self._tape = tape  # last: its presence marks the lowering built
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """Snapshot position of every net (built on first use)."""
+        return {g.name: i for i, g in enumerate(self._gates)}
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -213,35 +120,18 @@ class OpTapeEngine:
         value matrix)."""
         return len(self._gates)
 
-    @property
-    def n_groups(self) -> int:
-        """Number of tape entries (Python-level ops per pass)."""
-        return len(self._tape)
-
     def net_index(self, name: str) -> int:
-        """Row index of a net in the value matrix (engine order — NOT
-        the topological order :class:`BitSimulator` uses)."""
+        """Row of a net in :meth:`run`'s value matrix: its position in
+        the compile-time snapshot (sources first, then topological
+        order — NOT the order :class:`BitSimulator` uses)."""
         return self._index[name]
 
     def outputs_from_matrix(self, values: np.ndarray) -> np.ndarray:
         """Slice the output rows out of a full value matrix."""
-        return values[self._output_idx]
+        return values[[self._index[o] for o in self.outputs]]
 
     # ------------------------------------------------------------------ #
     # evaluation
-
-    def _alloc(self, n_cols: int) -> np.ndarray:
-        """Fresh value matrix: only rows that may be read before being
-        written (constants) need pre-clearing."""
-        return self._preset(np.empty((self.n_nets, n_cols), dtype=np.uint64))
-
-    def _preset(self, values: np.ndarray) -> np.ndarray:
-        """Write the rows of ``values`` that are read before written."""
-        if self._const0_idx:
-            values[self._const0_idx] = 0
-        if self._const1_idx:
-            values[self._const1_idx] = _ALL_ONES
-        return values
 
     def input_fills(
         self, input_words: Mapping[str, np.ndarray] | np.ndarray
@@ -270,29 +160,19 @@ class OpTapeEngine:
             fills.append((row, input_words[name]))
         return arrays[0].shape[0], fills
 
-    def _eval_tape(self, values: np.ndarray) -> np.ndarray:
-        for group in self._tape:
-            _eval_group(group, values)
-        return values
-
     def run(self, input_words: Mapping[str, np.ndarray] | np.ndarray) -> np.ndarray:
         """Simulate packed patterns; returns the ``(n_nets, n_cols)``
         value matrix — same semantics as :meth:`BitSimulator.run` but
-        with rows in engine order: index via :meth:`net_index`.
+        with rows in snapshot order: index via :meth:`net_index`.
+        Computed by the materialized program (:mod:`repro.sim.fused`).
         """
-        nw, fills = self.input_fills(input_words)
-        values = self._alloc(nw)
-        for row, words in fills:
-            values[row] = words
-        with telemetry.span("optape.run", words=nw, groups=self.n_groups):
-            telemetry.counter_add("optape.words", nw)
-            return self._eval_tape(values)
+        return fused.run_values(self, input_words)
 
     def run_outputs(
         self, input_words: Mapping[str, np.ndarray] | np.ndarray
     ) -> np.ndarray:
         """Like :meth:`run` but returns only ``(n_outputs, n_cols)`` in
-        ``netlist.outputs`` order, computed on the fused lane
+        ``netlist.outputs`` order, computed by the fused program
         (:mod:`repro.sim.fused`)."""
         return fused.run_outputs(self, input_words)
 
@@ -303,20 +183,22 @@ class OpTapeEngine:
         forced_words: np.ndarray,
         n_patterns: int,
     ) -> np.ndarray:
-        """Per-lane output corruption when one row is forced per lane.
+        """Per-lane output corruption when one net is forced per lane.
 
         Lane ``k`` re-simulates the patterns of ``good`` with row
         ``rows[k]`` overridden by ``forced_words[k]`` — the semantics of
         :meth:`BitSimulator.run` with ``forced={net: forced_words[k]}``.
         Lanes are laid side by side on the word axis (like
-        :meth:`run_keyed`) and evaluated in chunks of at most
-        ``_LANE_CHUNK_BYTES`` of value matrix.
+        :meth:`run_keyed`), sorted by row and evaluated in chunks whose
+        reused-row arena holds at most ``_LANE_CHUNK_BYTES``; a chunk
+        evaluates only the union of its lanes' fanout cones.
 
         Args:
             good: the unforced ``(n_nets, n_words)`` value matrix, as
-                returned by :meth:`run` (it supplies every lane's input
-                words and the reference outputs).
-            rows: ``(L,)`` engine row per lane (see :meth:`net_index`).
+                returned by :meth:`run` (it supplies every lane's
+                unforced values and the reference outputs).
+            rows: ``(L,)`` net row per lane (see :meth:`net_index`), in
+                any order, repeats allowed.
             forced_words: ``(L, n_words)`` value each lane forces.
             n_patterns: valid patterns; bits past it in the last word
                 are not counted.
@@ -326,10 +208,10 @@ class OpTapeEngine:
             patterns) that differ from the unforced pass, per lane.
         """
         counts = np.zeros(len(rows), dtype=np.int64)
-        for lo, hi, diff in self._forced_lane_diffs(
+        for lanes, diff in self._forced_lane_diffs(
             good, rows, forced_words, n_patterns
         ):
-            counts[lo:hi] = popcount_lanes(diff.transpose(1, 0, 2))
+            counts[lanes] = popcount_lanes(diff.transpose(1, 0, 2))
         return counts
 
     def output_flip_masks(
@@ -343,10 +225,10 @@ class OpTapeEngine:
         pattern masks: bit ``i`` of lane ``k`` is set when pattern ``i``
         flips at least one output under lane ``k``'s force."""
         masks = np.zeros((len(rows), good.shape[1]), dtype=np.uint64)
-        for lo, hi, diff in self._forced_lane_diffs(
+        for lanes, diff in self._forced_lane_diffs(
             good, rows, forced_words, n_patterns
         ):
-            np.bitwise_or.reduce(diff, axis=0, out=masks[lo:hi])
+            masks[lanes] = np.bitwise_or.reduce(diff, axis=0)
         return masks
 
     def _forced_lane_diffs(
@@ -355,10 +237,9 @@ class OpTapeEngine:
         rows: Sequence[int] | np.ndarray,
         forced_words: np.ndarray,
         n_patterns: int,
-    ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Yield ``(lo, hi, diff)`` per lane chunk: ``diff`` is the
-        tail-masked ``(n_outputs, hi - lo, n_words)`` XOR of each lane's
-        outputs against the unforced outputs."""
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Validate the lanes, then :func:`repro.sim.fused.forced_lane_diffs`
+        at today's ``_LANE_CHUNK_BYTES``."""
         rows = np.asarray(rows, dtype=np.int64)
         forced_words = np.asarray(forced_words, dtype=np.uint64)
         n_lanes = rows.shape[0]
@@ -367,48 +248,9 @@ class OpTapeEngine:
             raise ValueError(
                 f"forced_words must be ({n_lanes}, {nw}), got {forced_words.shape}"
             )
-        # tape position after which each lane's override is re-written;
-        # -1 for source rows (written once, before the tape)
-        stops = np.array([g.stop for g in self._tape], dtype=np.int64)
-        group_of = np.where(
-            rows < self._n_sources, -1, np.searchsorted(stops, rows, side="right")
+        return fused.forced_lane_diffs(
+            self, good, rows, forced_words, n_patterns, _LANE_CHUNK_BYTES
         )
-        good_in = good[self._input_idx][:, None, :]
-        good_out = good[self._output_idx][:, None, :]
-        mask = tail_mask(n_patterns)
-        chunk = max(1, _LANE_CHUNK_BYTES // (self.n_nets * nw * 8))
-        # one buffer serves every chunk, so peak memory holds one matrix
-        buf = np.empty(self.n_nets * min(chunk, n_lanes) * nw, dtype=np.uint64)
-        with telemetry.span(
-            "optape.run", words=n_lanes * nw, lanes=n_lanes, groups=self.n_groups
-        ):
-            telemetry.counter_add("optape.words", n_lanes * nw)
-            for lo in range(0, n_lanes, chunk):
-                hi = min(lo + chunk, n_lanes)
-                lane_rows = rows[lo:hi]
-                lane_words = forced_words[lo:hi]
-                values = self._preset(
-                    buf[: self.n_nets * (hi - lo) * nw].reshape(self.n_nets, -1)
-                )
-                v3 = values.reshape(self.n_nets, hi - lo, nw)
-                v3[self._input_idx] = good_in
-                # every force lands before the tape, the only write a
-                # forced source row gets; a gate row is re-forced after
-                # its group below
-                v3[lane_rows, np.arange(hi - lo)] = lane_words
-                after: dict[int, list[int]] = {}
-                for lane, gi in enumerate(group_of[lo:hi].tolist()):
-                    if gi >= 0:
-                        after.setdefault(gi, []).append(lane)
-                for gi, group in enumerate(self._tape):
-                    _eval_group(group, values)
-                    hit = after.get(gi)
-                    if hit is not None:
-                        v3[lane_rows[hit], hit] = lane_words[hit]
-                diff = v3[self._output_idx]
-                np.bitwise_xor(diff, good_out, out=diff)
-                diff[:, :, -1] &= mask
-                yield lo, hi, diff
 
     def run_keyed(
         self,
@@ -418,7 +260,7 @@ class OpTapeEngine:
         key_bits: np.ndarray,
     ) -> np.ndarray:
         """Evaluate the same pattern block under many keys in one pass,
-        on the fused lane (:mod:`repro.sim.fused`).
+        on the fused program (:mod:`repro.sim.fused`).
 
         The word axis is widened to ``n_keys * n_words``: lane ``k``
         (columns ``k*n_words .. (k+1)*n_words``) carries the packed data
@@ -453,64 +295,6 @@ class OpTapeEngine:
         if missing:
             raise ValueError(f"missing patterns for inputs {missing!r}")
         return fused.run_keyed(self, data_inputs, data_words, key_inputs, key_bits)
-
-
-def _eval_group(group: OpGroup, values: np.ndarray) -> None:
-    """Evaluate one tape entry straight into its output row slice."""
-    gtype = group.gtype
-    fan = group.fanin_idx
-    out = values[group.start : group.stop]  # contiguous view, no copy
-    if gtype is GateType.BUF:
-        np.take(values, fan[0], axis=0, out=out)
-        return
-    if gtype is GateType.NOT:
-        np.take(values, fan[0], axis=0, out=out)
-        np.invert(out, out=out)
-        return
-    if gtype is GateType.MUX:
-        s = values[fan[0]]
-        np.bitwise_and(s, values[fan[2]], out=out)  # s & d1
-        np.invert(s, out=s)
-        np.bitwise_and(s, values[fan[1]], out=s)  # ~s & d0
-        np.bitwise_or(out, s, out=out)
-        return
-    op = _REDUCE_OP[gtype]
-    if fan.shape[0] == 2:
-        np.take(values, fan[0], axis=0, out=out)
-        op(out, values[fan[1]], out=out)
-    else:
-        # one fused gather + ufunc reduction beats a per-slot loop
-        op.reduce(values[fan], axis=0, out=out)
-    if gtype.is_inverting:
-        np.invert(out, out=out)
-
-
-def _eval_gathered(gtype: GateType, slots: list[np.ndarray]) -> np.ndarray:
-    """Out-of-place group evaluation on pre-gathered fan-in slots."""
-    if gtype is GateType.BUF:
-        return slots[0]
-    if gtype is GateType.NOT:
-        return ~slots[0]
-    if gtype is GateType.MUX:
-        s, d0, d1 = slots
-        return (s & d1) | (~s & d0)
-    op = _REDUCE_OP[gtype]
-    acc = slots[0]
-    for extra in slots[1:]:
-        op(acc, extra, out=acc)
-    if gtype.is_inverting:
-        np.invert(acc, out=acc)
-    return acc
-
-
-_REDUCE_OP = {
-    GateType.AND: np.bitwise_and,
-    GateType.NAND: np.bitwise_and,
-    GateType.OR: np.bitwise_or,
-    GateType.NOR: np.bitwise_or,
-    GateType.XOR: np.bitwise_xor,
-    GateType.XNOR: np.bitwise_xor,
-}
 
 
 # --------------------------------------------------------------------- #

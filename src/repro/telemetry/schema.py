@@ -24,7 +24,11 @@ KNOWN_SPANS = frozenset(
     {
         # sat layer
         "sat.solve",
-        # ATPG layer: one span per SAT-ATPG fault (repro.atpg.sattest)
+        # ATPG layer: one span per run_atpg call, per fault-simulated
+        # pattern block (repro.atpg.faultsim) and per SAT-ATPG fault
+        # (repro.atpg.sattest)
+        "atpg.run",
+        "atpg.faultsim",
         "atpg.sat",
         # attack layer — one span per algorithm iteration
         "attack.run",
@@ -34,7 +38,7 @@ KNOWN_SPANS = frozenset(
         "attack.hillclimb.restart",
         "attack.sensitization.round",
         # compiled-simulation layer: compile snapshots a netlist, each
-        # lowering (grouped tape or fused program) is built on first use
+        # program (materialized or fused) is built on first use
         "optape.compile",
         "optape.lower",
         "optape.run",
@@ -44,6 +48,8 @@ KNOWN_SPANS = frozenset(
         "locking.insert",
         # Table I area/delay resynthesis of both circuit versions
         "synth.overhead",
+        # OraP elaboration of a design (repro.orap.scheme.protect)
+        "orap.protect",
         # experiment layer
         "experiment.row",
         # supervised worker fleet (repro.runtime.supervisor)
@@ -71,6 +77,8 @@ KNOWN_COUNTERS = frozenset(
         "optape.plan.build",
         "optape.plan.hit",
         "optape.compile.shared",
+        # steps the forced lanes' cone cut did not run (repro.sim.fused)
+        "optape.forced.steps_skipped",
         # lock-site ranking memo on the compiled engine (repro.locking.fll)
         "locking.rank.cached",
         "experiment.rows",

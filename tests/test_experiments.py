@@ -220,7 +220,7 @@ class TestOneBuildPerRow:
         engine = compile_engine(_prewarm(*args))
         assert engine_cache_info()["size"] == cached  # the pre-warmed one
         assert "_fused_program" in engine.__dict__
-        assert "_tape" not in engine.__dict__  # HD runs fused only
+        assert "_materialized_program" not in engine.__dict__  # HD runs fused only
 
 
 class TestTable2:

@@ -117,10 +117,17 @@ class TestForcedLanesAgainstBitSimulator:
         _check_lanes(_with_constants(), 75, seed=2)
         _check_lanes(c17(), 5, seed=1)
 
-    def test_constants_are_never_tape_groups(self):
-        # constants are sources, filled before the tape runs
+    def test_no_step_writes_a_constant_row(self):
+        # constants are sources, filled before the first step runs
+        from repro.sim import fused
+
         engine = compile_engine(_with_constants(), cache=False)
-        assert not any(group.gtype.is_source for group in engine._tape)
+        consts = {engine.net_index("zero"), engine.net_index("one")}
+        program = fused.materialized_for(engine)
+        assert not any(program.net_steps[c] for c in consts)
+        logic = range(engine._n_sources, engine.n_nets)
+        assert not consts & {program.phys[r] for r in logic}
+        assert not consts & {o for *_, o in fused.program_for(engine).steps}
 
     @pytest.mark.parametrize("chunk_bytes", [1, 20000, 60000])
     def test_chunk_boundaries(self, monkeypatch, chunk_bytes):

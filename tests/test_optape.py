@@ -1,7 +1,7 @@
 """Equivalence and regression tests for the compiled op-tape engine.
 
 The scalar :class:`BitSimulator` is the oracle throughout: every engine
-path (leveled groups, multi-key lanes)
+path (the materialized and fused programs, multi-key lanes)
 must be bit-exact against it, and the batched multi-key HD reduction
 must reproduce the looped per-key measurement report for report.
 """
@@ -285,8 +285,8 @@ class TestCompileCache:
 
 
 class TestLazyLowering:
-    """Compiling snapshots the netlist; each lowering (grouped tape,
-    fused program) is built once, on first use, from that snapshot."""
+    """Compiling snapshots the netlist; each program (materialized,
+    fused) is built once, on first use, from that snapshot."""
 
     @staticmethod
     def _count_lowerings(monkeypatch):
@@ -294,17 +294,17 @@ class TestLazyLowering:
         from repro.sim import fused, optape
 
         built = []
-        grouped, program = optape.OpTapeEngine._lower_grouped, fused._build_program
+        materialized, program = fused._Materialized, fused._build_program
 
-        def lower_grouped(engine):
-            built.append(("grouped", engine))
-            return grouped(engine)
+        def build_materialized(engine):
+            built.append(("materialized", engine))
+            return materialized(engine)
 
         def build_program(engine):
             built.append(("fused", engine))
             return program(engine)
 
-        monkeypatch.setattr(optape.OpTapeEngine, "_lower_grouped", lower_grouped)
+        monkeypatch.setattr(fused, "_Materialized", build_materialized)
         monkeypatch.setattr(fused, "_build_program", build_program)
         return built
 
@@ -313,11 +313,11 @@ class TestLazyLowering:
         engine = compile_engine(mini_alu(4), cache=False)
         assert built == []
         assert engine.n_nets == len(mini_alu(4))
-        assert "_tape" not in engine.__dict__
+        assert "_materialized_program" not in engine.__dict__
         assert "_fused_program" not in engine.__dict__
 
     def test_table1_row_lowers_each_netlist_once(self, monkeypatch):
-        # the ranked original only runs grouped (ranking), every locked
+        # the ranked original only runs materialized (ranking), every locked
         # netlist only runs fused (HD), and nothing is lowered twice
         from repro.experiments.source import CircuitSource
         from repro.experiments.table1 import _compute
@@ -329,7 +329,7 @@ class TestLazyLowering:
         kinds = {}
         for kind, engine in built:
             kinds.setdefault(id(engine), []).append(kind)
-        assert kinds.pop(id(original)) == ["grouped"]
+        assert kinds.pop(id(original)) == ["materialized"]
         first = max(1, scaled_key_size("b21", 0.01) // row.control_inputs)
         steps = (row.n_key_gates // first).bit_length()  # 1 + doublings
         assert steps >= 3
@@ -350,7 +350,7 @@ class TestLazyLowering:
         target = gates[-1]
         nl.replace_gate(target.name, GateType.NAND, [nl.inputs[0], nl.inputs[1]])
 
-    @pytest.mark.parametrize("first", ["fused", "grouped"])
+    @pytest.mark.parametrize("first", ["fused", "materialized"])
     def test_lowering_after_mutation_matches_compile_time(self, first):
         nl = generate_netlist(
             GeneratorConfig(
@@ -366,9 +366,9 @@ class TestLazyLowering:
         want = BitSimulator(before).outputs_from_matrix(want_values)
         runs = {
             "fused": lambda: engine.run_outputs(words),
-            "grouped": lambda: engine.outputs_from_matrix(engine.run(words)),
+            "materialized": lambda: engine.outputs_from_matrix(engine.run(words)),
         }
-        for kind in (first, "grouped" if first == "fused" else "fused"):
+        for kind in (first, "materialized" if first == "fused" else "fused"):
             assert np.array_equal(runs[kind](), want), kind
         assert "renamed" not in engine._index
         assert engine.outputs == tuple(before.outputs)
@@ -411,7 +411,7 @@ class TestLazyLowering:
             assert np.array_equal(fused_out, want[:, : k + 1])
             assert np.array_equal(engine.outputs_from_matrix(values), want)
             assert np.array_equal(values, got[0][1])
-        assert sorted(kind for kind, _ in built) == ["fused", "grouped"]
+        assert sorted(kind for kind, _ in built) == ["fused", "materialized"]
 
 
 class TestPopcountParity:
