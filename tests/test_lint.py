@@ -5,6 +5,7 @@ the CLI driver, and the ExperimentRunner pre-flight integration."""
 import copy
 import io
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -709,6 +710,101 @@ class TestCli:
         p.write_text("INPUT(a)\nOUTPUT(o)\n")
         assert main(["lint", str(p)]) == 1
         assert "NL003" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------------ #
+# pinned findings: what the pre-flight and `repro lint` report today
+
+
+BAD_CORPUS = Path(__file__).parent / "data" / "corpus_bad"
+
+#: error and warning findings per malformed file, as
+#: (rule, severity, object, source file name, line)
+PINNED_BAD = {
+    "bad_statement.v": {("IO001", "error", "", "bad_statement.v", 6)},
+    "combinational_loop.bench": {
+        ("NL001", "error", "x", "combinational_loop.bench", 4),
+    },
+    "duplicate_driver.bench": {
+        ("NL011", "error", "y", "duplicate_driver.bench", 6),
+    },
+    "illegal_chars.bench": {
+        ("NL002", "error", "y", "illegal_chars.bench", 5),
+        ("NL005", "warning", "a", "illegal_chars.bench", 2),
+        ("NL005", "warning", "b", "illegal_chars.bench", 3),
+        ("NL007", "warning", "y", "illegal_chars.bench", 5),
+    },
+    "no_module.v": {("IO001", "error", "", "no_module.v", 3)},
+    "truncated.v": {("IO001", "error", "", "truncated.v", 7)},
+    "unbalanced_paren.bench": {
+        ("NL002", "error", "y", "unbalanced_paren.bench", 6),
+        ("NL005", "warning", "a", "unbalanced_paren.bench", 2),
+        ("NL005", "warning", "b", "unbalanced_paren.bench", 3),
+        ("NL007", "warning", "y", "unbalanced_paren.bench", 6),
+    },
+    "undeclared_output.bench": {
+        ("NL003", "error", "nowhere", "undeclared_output.bench", 4),
+        ("NL004", "warning", "n1", "undeclared_output.bench", 5),
+    },
+    "undefined_net.bench": {("NL002", "error", "y", "undefined_net.bench", 4)},
+    "unknown_op.bench": {
+        ("NL002", "error", "y", "unknown_op.bench", 6),
+        ("NL005", "warning", "a", "unknown_op.bench", 2),
+        ("NL005", "warning", "b", "unknown_op.bench", 3),
+        ("NL007", "warning", "y", "unknown_op.bench", 6),
+        ("NL012", "error", "n1", "unknown_op.bench", 5),
+    },
+}
+
+#: subjects of the default `repro lint` corpus, in report order
+PINNED_CORPUS_SUBJECTS = [
+    *(f"{n}@x0.02" for n in (
+        "s38417", "s38584", "b17", "b18", "b19", "b20", "b21", "b22",
+    )),
+    "c17", "adder4", "eq4", "alu4", "parity8", "maj3", "s27_like",
+    "orap-basic(orap_preflight_orap)", "orap-modified(orap_preflight_orap)",
+]
+
+
+def _pinned_view(report):
+    """Error and warning findings as (rule, severity, object, file, line);
+    a source under the bad corpus is shortened to its file name."""
+    out = set()
+    for d in report:
+        if d.severity not in (Severity.ERROR, Severity.WARNING):
+            continue
+        source = d.location.source
+        if source.startswith(str(BAD_CORPUS)):
+            source = Path(source).name
+        out.add(
+            (d.rule_id, d.severity.value, d.location.obj, source,
+             d.location.line_no)
+        )
+    return out
+
+
+class TestPinnedFindings:
+    """Error and warning findings of the default corpus and of every
+    malformed file, and the exit codes `repro lint` derives from them.
+    Recorded before the lint package was cut down; must pass unedited."""
+
+    def test_default_corpus_has_no_findings(self):
+        reports = lint_paper_benchmarks() + lint_orap_chips()
+        assert [r.subject for r in reports] == PINNED_CORPUS_SUBJECTS
+        for report in reports:
+            assert _pinned_view(report) == set(), report.format()
+
+    @pytest.mark.parametrize("name", sorted(PINNED_BAD))
+    def test_bad_file_findings(self, name):
+        assert _pinned_view(lint_path(BAD_CORPUS / name)) == PINNED_BAD[name]
+
+    def test_strict_default_corpus_exits_zero(self):
+        assert run_lint(strict=True, out=io.StringIO()) == 0
+
+    def test_bad_corpus_exits_one(self):
+        paths = [str(BAD_CORPUS / name) for name in sorted(PINNED_BAD)]
+        assert run_lint(paths=paths, out=io.StringIO()) == 1
+        assert run_lint(paths=paths, strict=True, out=io.StringIO()) == 1
 
 
 # ------------------------------------------------------------------ #
