@@ -14,7 +14,7 @@ test:
 	PYTHONPATH=src $(PY) -m pytest tests/
 
 # static analysis: ruff + mypy over the Python sources, then the project's
-# own netlist/CNF/scheme linter over every bundled artifact.  The external
+# own netlist/scheme linter over every bundled artifact.  The external
 # tools are skipped with a notice when not installed (`make dev` gets them);
 # `repro lint` always runs.
 lint:
@@ -94,7 +94,8 @@ bench-corpus:
 #          runs (actions/cache): byte-identical.
 # Both traces must be schema-valid and both caches must verify.  Every
 # malformed netlist in tests/data/corpus_bad/ must then yield structured
-# diagnostics, and a fresh BENCH_corpus.json is gated.
+# diagnostics from the parser and an error from `repro lint`'s file driver,
+# and a fresh BENCH_corpus.json is gated.
 # .repro-cache-smoke is NOT wiped: stale entries self-invalidate via
 # CACHE_VERSION salts.
 SMOKE_ENV = PYTHONPATH=src

@@ -4,10 +4,12 @@
 Every file under ``tests/data/corpus_bad/`` is deliberately broken.
 The streaming front end must turn each of them into **structured
 diagnostics** — at least one :class:`ParseDiagnostic` carrying a real
-line number — and must never raise.  A traceback here means a malformed
-real-world netlist would crash a campaign instead of surfacing a lint
-finding, which is exactly the failure mode the recovering parser exists
-to prevent.
+line number — and must never raise.  ``repro lint``'s file driver
+(:func:`repro.lint.cli.lint_path`) must likewise report at least one
+error for each file without raising.  A traceback here means a malformed
+real-world netlist would crash a campaign or ``repro lint`` instead of
+surfacing a lint finding, which is exactly the failure mode the
+recovering parser exists to prevent.
 
 Usage::
 
@@ -30,6 +32,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.corpus.frontend import parse_path_recovering
+    from repro.lint.cli import lint_path
 
     files = sorted(
         p for p in args.dir.iterdir()
@@ -60,9 +63,21 @@ def main(argv: "list[str] | None" = None) -> int:
                   f"line number")
             failures += 1
             continue
+        try:
+            report = lint_path(path)
+        except Exception:
+            print(f"  {path.name}: FAIL — repro lint raised:")
+            traceback.print_exc()
+            failures += 1
+            continue
+        if not report.has_errors:
+            print(f"  {path.name}: FAIL — repro lint reported no error")
+            failures += 1
+            continue
         first = located[0]
         print(f"  {path.name}: ok — {len(result.errors)} diagnostic(s), "
-              f"first at line {first.line_no}: {first.message}")
+              f"first at line {first.line_no}: {first.message}; "
+              f"lint: {len(report.errors)} error(s)")
 
     print(f"corpus robustness: {len(files) - failures}/{len(files)} "
           f"malformed file(s) handled structurally")

@@ -260,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     pl = sub.add_parser(
-        "lint", help="static-analysis pre-flight over netlists/schemes/CNF"
+        "lint", help="static-analysis pre-flight over netlists and OraP schemes"
     )
     pl.add_argument(
-        "paths", nargs="*", help=".bench/.v/.cnf/.dimacs files to lint"
+        "paths", nargs="*", help=".bench/.v files to lint"
     )
     pl.add_argument(
         "--benchmarks",
@@ -282,9 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pl.add_argument(
         "--rules", action="store_true", help="print the rule catalog and exit"
-    )
-    pl.add_argument(
-        "--no-info", action="store_true", help="hide info-level findings"
     )
 
     pch = sub.add_parser(
@@ -381,7 +378,6 @@ def main(argv: list[str] | None = None) -> int:
             scale=args.scale,
             fmt=args.format,
             strict=args.strict,
-            show_info=not args.no_info,
             list_rules=args.rules,
         )
 

@@ -400,11 +400,30 @@ def parse_bench_strict(
     ).raise_first()
 
 
+def _load_streaming(path: str | Path, parse) -> ParseResult:
+    """Stream a file's lines into a recovering ``parse``.  A file that is
+    not text gets one diagnostic at its first undecodable line."""
+    p = Path(path)
+    try:
+        with open(p, "r") as fh:
+            return parse(fh, name=p.stem, source=str(p))
+    except UnicodeDecodeError as exc:
+        line_no = 0
+        with open(p, "rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode(exc.encoding)
+                except UnicodeDecodeError:
+                    break
+        message = f"not {exc.encoding} text ({exc.reason})"
+        return ParseResult(
+            None, [ParseDiagnostic(message, source=str(p), line_no=line_no)]
+        )
+
+
 def load_bench_streaming(path: str | Path) -> ParseResult:
     """Recovering parse of a BENCH file, streamed (no whole-file read)."""
-    p = Path(path)
-    with open(p, "r") as fh:
-        return parse_bench_recovering(fh, name=p.stem, source=str(p))
+    return _load_streaming(path, parse_bench_recovering)
 
 
 # ------------------------------------------------------------------ #
@@ -732,9 +751,7 @@ def parse_verilog_strict(
 
 def load_verilog_streaming(path: str | Path) -> ParseResult:
     """Recovering parse of a Verilog file, streamed."""
-    p = Path(path)
-    with open(p, "r") as fh:
-        return parse_verilog_recovering(fh, name=p.stem, source=str(p))
+    return _load_streaming(path, parse_verilog_recovering)
 
 
 def parse_path_recovering(path: str | Path) -> ParseResult:

@@ -122,22 +122,14 @@ def preflight_report(handle: CircuitHandle):
     Parse diagnostics flow in as IO001; when the parse was clean the
     full netlist rule set runs over the already-parsed circuit.
     """
-    from ..lint.api import _subject_of
-    from ..lint.diagnostics import LintReport
-    from ..lint.registry import run_rules
-    from ..lint.api import DEFAULT_CONFIG
+    from ..lint import LintReport, lint_netlist
 
+    if not handle.errors and handle.circuit is not None:
+        return lint_netlist(handle.circuit, handle.path)
     report = LintReport(subject=handle.path)
     kind = "verilog" if handle.path.endswith(".v") else "netlist"
     for diag in handle.errors:
         report.add(diag.to_lint(kind))
-    if not handle.errors and handle.circuit is not None:
-        run_rules(
-            "netlist",
-            _subject_of(handle.circuit, handle.path),
-            DEFAULT_CONFIG,
-            report,
-        )
     return report
 
 

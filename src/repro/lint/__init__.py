@@ -1,4 +1,4 @@
-"""Static analysis over the repo's three IRs: netlists, schemes, CNF.
+"""Static analysis over the repo's netlists, locking schemes and OraP designs.
 
 A rule-registry lint subsystem (see :mod:`repro.lint.registry`): each
 rule is a decorated checker that yields structured
@@ -6,41 +6,28 @@ rule is a decorated checker that yields structured
 severity, object location, and a fix hint — plus file/line provenance
 when the subject came from a BENCH or Verilog file.
 
-Exposed as the ``repro lint`` CLI subcommand and as a cheap pre-flight
-hook inside :class:`repro.experiments.runner.ExperimentRunner` (a lint
-error turns the row into an ``error`` outcome instead of wasting a
-solver budget on a malformed circuit).
+It guards the campaigns: :class:`repro.experiments.runner.ExperimentRunner`
+runs a cheap pre-flight per row (``CircuitSource.preflight`` for Table I
+and II, :func:`lint_orap` for the attack matrix), and a lint error turns
+the row into an ``error`` outcome instead of spending a solver budget on
+a malformed circuit.  ``repro lint`` is the command-line face.
 """
 
 from .api import (
-    DEFAULT_CONFIG,
     lint_bench_path,
     lint_bench_text,
-    lint_cnf,
-    lint_dimacs_path,
-    lint_locked,
     lint_netlist,
     lint_orap,
     lint_paper_benchmarks,
     lint_verilog_path,
 )
-from .cnf_rules import CnfSubject
-from .diagnostics import (
-    Diagnostic,
-    LintReport,
-    Location,
-    Severity,
-    merge_reports,
-)
+from .diagnostics import Diagnostic, LintReport, Location, Severity
 from .netlist_rules import NetlistSubject
 from .registry import (
     ANALYZERS,
-    LintConfig,
     LintRule,
-    Waiver,
     all_rules,
     get_rule,
-    iter_catalog,
     rule,
     rules_for,
     run_rules,
@@ -49,30 +36,21 @@ from .scheme_rules import SchemeSubject
 
 __all__ = [
     "ANALYZERS",
-    "CnfSubject",
-    "DEFAULT_CONFIG",
     "Diagnostic",
-    "LintConfig",
     "LintReport",
     "LintRule",
     "Location",
     "NetlistSubject",
     "SchemeSubject",
     "Severity",
-    "Waiver",
     "all_rules",
     "get_rule",
-    "iter_catalog",
     "lint_bench_path",
     "lint_bench_text",
-    "lint_cnf",
-    "lint_dimacs_path",
-    "lint_locked",
     "lint_netlist",
     "lint_orap",
     "lint_paper_benchmarks",
     "lint_verilog_path",
-    "merge_reports",
     "rule",
     "rules_for",
     "run_rules",

@@ -1,21 +1,21 @@
 """Analyzer drivers: turn repo objects and files into lint reports.
 
-Entry points, one per IR plus composites:
+Entry points:
 
 * :func:`lint_netlist` — a :class:`~repro.netlist.Netlist` or
   :class:`~repro.netlist.SequentialCircuit`;
 * :func:`lint_bench_text` / :func:`lint_bench_path` — BENCH source,
   scanned tolerantly so *all* problems are reported (the strict parser
   stops at the first);
-* :func:`lint_cnf` / :func:`lint_dimacs_path` — CNF formulas;
-* :func:`lint_locked` — a locked circuit (scheme + netlist rules);
+* :func:`lint_verilog_path` — structural Verilog, through the corpus
+  front end's recovering parser;
 * :func:`lint_orap` — a full OraP design (orap + scheme + netlist rules);
 * :func:`lint_paper_benchmarks` — every bundled benchmark stand-in and
   fixture, the corpus ``repro lint`` checks by default.
 
-``IO001`` is the one driver-level diagnostic: a file the strict parser
-cannot model at all (bad Verilog, unreadable DIMACS).  It is emitted
-directly rather than through the registry because no subject exists yet.
+``IO001`` is the one driver-level diagnostic: a file that cannot be
+modelled at all (unreadable, bad Verilog).  It is emitted directly rather
+than through the registry because no subject exists yet.
 """
 
 from __future__ import annotations
@@ -23,24 +23,13 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-from ..locking import LockedCircuit
 from ..netlist import Netlist, NetlistError, SequentialCircuit
 from ..netlist.gates import BENCH_TYPES, GateType
 from ..orap.scheme import OraPDesign
-from ..sat.cnf import CNF
-from .cnf_rules import CnfSubject
-from .diagnostics import Diagnostic, LintReport, Location, Severity
+from .diagnostics import LintReport
 from .netlist_rules import _BENCH_DEF_RE, NetlistSubject
-from .registry import LintConfig, run_rules
+from .registry import run_rules
 from .scheme_rules import SchemeSubject
-
-#: default config used when callers pass None
-DEFAULT_CONFIG = LintConfig()
-
-
-def _cfg(config: LintConfig | None) -> LintConfig:
-    return config if config is not None else DEFAULT_CONFIG
-
 
 # ------------------------------------------------------------------ #
 # netlist / sequential
@@ -60,14 +49,11 @@ def _subject_of(
 
 
 def lint_netlist(
-    circuit: Netlist | SequentialCircuit,
-    source: str = "",
-    config: LintConfig | None = None,
+    circuit: Netlist | SequentialCircuit, source: str = ""
 ) -> LintReport:
     """Run the netlist analyzer over a circuit object."""
     subject = _subject_of(circuit, source)
-    report = LintReport(subject=subject.source)
-    return run_rules("netlist", subject, _cfg(config), report)
+    return run_rules("netlist", subject, LintReport(subject=subject.source))
 
 
 # ------------------------------------------------------------------ #
@@ -145,26 +131,19 @@ def _tolerant_bench_subject(text: str, source: str) -> NetlistSubject:
     )
 
 
-def lint_bench_text(
-    text: str, source: str = "<string>", config: LintConfig | None = None
-) -> LintReport:
+def lint_bench_text(text: str, source: str = "<string>") -> LintReport:
     """Lint BENCH source text (tolerant: reports every finding at once)."""
     subject = _tolerant_bench_subject(text, source)
-    report = LintReport(subject=source)
-    return run_rules("netlist", subject, _cfg(config), report)
+    return run_rules("netlist", subject, LintReport(subject=source))
 
 
-def lint_bench_path(
-    path: str | Path, config: LintConfig | None = None
-) -> LintReport:
+def lint_bench_path(path: str | Path) -> LintReport:
     """Lint a BENCH file from disk."""
     p = Path(path)
-    return lint_bench_text(p.read_text(), source=str(p), config=config)
+    return lint_bench_text(p.read_text(), source=str(p))
 
 
-def lint_verilog_path(
-    path: str | Path, config: LintConfig | None = None
-) -> LintReport:
+def lint_verilog_path(path: str | Path) -> LintReport:
     """Lint a structural Verilog file (recovering parse, then rules).
 
     Every scan-level parse diagnostic becomes one IO001 (the recovering
@@ -181,73 +160,19 @@ def lint_verilog_path(
             report.add(diag.to_lint("verilog"))
         return report
     assert result.circuit is not None
-    return run_rules(
-        "netlist", _subject_of(result.circuit, str(p)), _cfg(config), report
-    )
+    return run_rules("netlist", _subject_of(result.circuit, str(p)), report)
 
 
 # ------------------------------------------------------------------ #
-# CNF
+# OraP composite
 
 
-def lint_cnf(
-    cnf: CNF,
-    key_vars: Sequence[int] = (),
-    source: str = "",
-    config: LintConfig | None = None,
-) -> LintReport:
-    """Run the CNF analyzer over a formula."""
-    subject = CnfSubject(cnf=cnf, key_vars=tuple(key_vars), source=source)
-    report = LintReport(subject=source or "cnf")
-    return run_rules("cnf", subject, _cfg(config), report)
-
-
-def lint_dimacs_path(
-    path: str | Path, config: LintConfig | None = None
-) -> LintReport:
-    """Lint a DIMACS file from disk."""
-    p = Path(path)
-    report = LintReport(subject=str(p))
-    try:
-        cnf = CNF.from_dimacs(p.read_text())
-    except (ValueError, OSError) as exc:
-        report.add(
-            Diagnostic(
-                rule_id="IO001",
-                severity=Severity.ERROR,
-                message=f"cannot parse DIMACS: {exc}",
-                location=Location(source=str(p)),
-            )
-        )
-        return report
-    return run_rules(
-        "cnf", CnfSubject(cnf=cnf, source=str(p)), _cfg(config), report
-    )
-
-
-# ------------------------------------------------------------------ #
-# locking scheme / OraP composites
-
-
-def lint_locked(
-    locked: LockedCircuit, config: LintConfig | None = None
-) -> LintReport:
-    """Scheme rules plus netlist rules over the locked core."""
-    cfg = _cfg(config)
-    report = LintReport(subject=locked.locked.name)
-    run_rules("scheme", SchemeSubject(locked=locked), cfg, report)
-    run_rules("netlist", _subject_of(locked.locked), cfg, report)
-    return report
-
-
-def lint_orap(design: OraPDesign, config: LintConfig | None = None) -> LintReport:
+def lint_orap(design: OraPDesign) -> LintReport:
     """The full OraP pre-flight: orap + scheme + netlist analyzers."""
-    cfg = _cfg(config)
     report = LintReport(subject=design.design.name)
-    run_rules("orap", design, cfg, report)
-    run_rules("scheme", SchemeSubject(locked=design.locked), cfg, report)
-    run_rules("netlist", _subject_of(design.design), cfg, report)
-    return report
+    run_rules("orap", design, report)
+    run_rules("scheme", SchemeSubject(locked=design.locked), report)
+    return run_rules("netlist", _subject_of(design.design), report)
 
 
 # ------------------------------------------------------------------ #
@@ -255,10 +180,7 @@ def lint_orap(design: OraPDesign, config: LintConfig | None = None) -> LintRepor
 
 
 def lint_paper_benchmarks(
-    scale: float | None = None,
-    circuits: Sequence[str] | None = None,
-    config: LintConfig | None = None,
-    include_fixtures: bool = True,
+    scale: float | None = None, circuits: Sequence[str] | None = None
 ) -> list[LintReport]:
     """Lint every bundled benchmark stand-in (and the genuine fixtures).
 
@@ -281,11 +203,8 @@ def lint_paper_benchmarks(
     reports: list[LintReport] = []
     for name in circuits or PAPER_ORDER:
         netlist = build_paper_circuit(name, scale=eff_scale)
-        reports.append(
-            lint_netlist(netlist, source=f"{name}@x{eff_scale:g}", config=config)
-        )
-    if include_fixtures:
-        for fixture in (c17(), ripple_adder(), equality_checker(), mini_alu(),
-                        parity_tree(), majority(), s27_like()):
-            reports.append(lint_netlist(fixture, config=config))
+        reports.append(lint_netlist(netlist, source=f"{name}@x{eff_scale:g}"))
+    for fixture in (c17(), ripple_adder(), equality_checker(), mini_alu(),
+                    parity_tree(), majority(), s27_like()):
+        reports.append(lint_netlist(fixture))
     return reports

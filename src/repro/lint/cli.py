@@ -1,11 +1,11 @@
 """``repro lint`` — the command-line face of the static analyzer.
 
 Kept separate from :mod:`repro.__main__` so the CLI glue is unit-testable
-without argparse and so the experiment runner can reuse
-:func:`lint_orap_chips` for its own pre-flight corpus.
+without argparse: :func:`run_lint` takes keyword arguments and an output
+stream and returns the exit code.
 
-Exit codes follow compiler convention: 0 when no (non-waived) errors, 1
-when any subject has errors — or warnings under ``--strict``.
+Exit codes follow compiler convention: 0 when no errors, 1 when any
+subject has errors — or warnings under ``--strict``.
 """
 
 from __future__ import annotations
@@ -16,62 +16,55 @@ from typing import Callable, Sequence, TextIO
 
 from .api import (
     lint_bench_path,
-    lint_dimacs_path,
     lint_paper_benchmarks,
     lint_orap,
     lint_verilog_path,
 )
 from .diagnostics import Diagnostic, LintReport, Location, Severity
-from .registry import LintConfig, all_rules
+from .registry import all_rules
 
 #: file suffix -> path linter
-_SUFFIX_LINTERS: dict[str, Callable[[Path, LintConfig | None], LintReport]] = {
+_SUFFIX_LINTERS: dict[str, Callable[[Path], LintReport]] = {
     ".bench": lint_bench_path,
     ".v": lint_verilog_path,
-    ".cnf": lint_dimacs_path,
-    ".dimacs": lint_dimacs_path,
 }
 
 
-def lint_path(path: str | Path, config: LintConfig | None = None) -> LintReport:
+def _io_error(p: Path, message: str) -> LintReport:
+    report = LintReport(subject=str(p))
+    report.add(
+        Diagnostic(
+            rule_id="IO001",
+            severity=Severity.ERROR,
+            message=message,
+            location=Location(source=str(p)),
+        )
+    )
+    return report
+
+
+def lint_path(path: str | Path) -> LintReport:
     """Dispatch one file to the right analyzer by suffix.
 
-    Unknown suffixes produce an ``IO001`` error report instead of raising,
-    so a mixed file list still yields one report per path.
+    An unknown suffix, or a file that cannot be read as text (missing,
+    a directory, not UTF-8), produces one ``IO001`` error report instead
+    of raising, so a mixed file list still yields one report per path.
     """
     p = Path(path)
     linter = _SUFFIX_LINTERS.get(p.suffix.lower())
     if linter is None:
-        report = LintReport(subject=str(p))
-        report.add(
-            Diagnostic(
-                rule_id="IO001",
-                severity=Severity.ERROR,
-                message=(
-                    f"unsupported file type {p.suffix!r} "
-                    f"(expected one of {sorted(_SUFFIX_LINTERS)})"
-                ),
-                location=Location(source=str(p)),
-            )
+        return _io_error(
+            p,
+            f"unsupported file type {p.suffix!r} "
+            f"(expected one of {sorted(_SUFFIX_LINTERS)})",
         )
-        return report
-    if not p.exists():
-        report = LintReport(subject=str(p))
-        report.add(
-            Diagnostic(
-                rule_id="IO001",
-                severity=Severity.ERROR,
-                message="file does not exist",
-                location=Location(source=str(p)),
-            )
-        )
-        return report
-    return linter(p, config)
+    try:
+        return linter(p)
+    except (OSError, UnicodeDecodeError) as exc:
+        return _io_error(p, f"cannot read file: {exc}")
 
 
-def lint_orap_chips(
-    config: LintConfig | None = None, seed: int = 7
-) -> list[LintReport]:
+def lint_orap_chips() -> list[LintReport]:
     """Protect a deterministic sequential design both ways and lint it.
 
     This is the ``repro lint --orap`` corpus: one basic and one modified
@@ -88,7 +81,7 @@ def lint_orap_chips(
                 n_inputs=12,
                 n_outputs=20,
                 n_gates=150,
-                seed=seed,
+                seed=7,
                 name="orap_preflight",
             ),
             n_flops=8,
@@ -100,9 +93,9 @@ def lint_orap_chips(
             seq,
             orap=OraPConfig(variant=variant),
             wll=WLLConfig(key_width=16, n_key_gates=6),
-            rng=seed,
+            rng=7,
         )
-        report = lint_orap(design, config)
+        report = lint_orap(design)
         report.subject = f"orap-{variant}({report.subject})"
         reports.append(report)
     return reports
@@ -129,9 +122,7 @@ def run_lint(
     scale: float | None = None,
     fmt: str = "text",
     strict: bool = False,
-    show_info: bool = True,
     list_rules: bool = False,
-    config: LintConfig | None = None,
     out: TextIO | None = None,
 ) -> int:
     """Drive one lint invocation; returns the process exit code.
@@ -150,21 +141,19 @@ def run_lint(
     if not paths and not benchmarks and not orap:
         benchmarks = orap = True
 
-    reports: list[LintReport] = []
-    for path in paths:
-        reports.append(lint_path(path, config))
+    reports = [lint_path(path) for path in paths]
     if benchmarks:
-        reports.extend(lint_paper_benchmarks(scale=scale, config=config))
+        reports.extend(lint_paper_benchmarks(scale=scale))
     if orap:
-        reports.extend(lint_orap_chips(config))
+        reports.extend(lint_orap_chips())
 
     if fmt == "json":
         print(json.dumps([r.to_dict() for r in reports], indent=2), file=stream)
     else:
         for report in reports:
-            if len(report.active()) == 0:
+            if len(report) == 0:
                 print(f"{report.subject}: clean", file=stream)
             else:
-                print(report.format(show_info=show_info), file=stream)
+                print(report.format(), file=stream)
     failed = any(not r.is_clean(strict=strict) for r in reports)
     return 1 if failed else 0

@@ -1,20 +1,20 @@
 """Structured diagnostics for the static-analysis subsystem.
 
 A :class:`Diagnostic` is one finding: a rule id, a severity, a free-form
-message, and an optional :class:`Location` naming the net/gate/clause (and
-the file/line when bench provenance exists — the same contract as
+message, and an optional :class:`Location` naming the net/gate (and the
+file/line when bench provenance exists — the same contract as
 :class:`~repro.netlist.bench_io.NetlistFormatError`).  A
 :class:`LintReport` collects the findings of one lint run and knows how to
-render them as text or JSON and how to answer the only question callers
-usually have: "is this input safe to spend hours of compute on?".
+render them as text or a JSON-able dict and how to answer the only
+question callers usually have: "is this input safe to spend hours of
+compute on?".
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 
 class Severity(enum.Enum):
@@ -23,19 +23,17 @@ class Severity(enum.Enum):
     * ``ERROR`` — the input is structurally unsound; running an experiment
       on it produces wrong numbers or hangs.  Errors fail pre-flight.
     * ``WARNING`` — suspicious structure that is usually a mistake
-      (dead logic, degenerate gates) but does not invalidate results.
-    * ``INFO`` — statistical anomalies worth a look (fanout/depth outliers
-      versus benchmark norms).
+      (dead logic, degenerate gates) but does not invalidate results;
+      fails only ``repro lint --strict``.
     """
 
     ERROR = "error"
     WARNING = "warning"
-    INFO = "info"
 
     @property
     def rank(self) -> int:
         """Ordering key: errors sort first."""
-        return {"error": 0, "warning": 1, "info": 2}[self.value]
+        return 0 if self is Severity.ERROR else 1
 
 
 @dataclass(frozen=True)
@@ -43,8 +41,8 @@ class Location:
     """Where a finding points.
 
     Attributes:
-        obj: the offending object — a net/gate name, ``"clause[i]"``,
-            a flip-flop name, or an LFSR cell like ``"cell 7"``.
+        obj: the offending object — a net/gate name, a flip-flop name,
+            or an LFSR cell like ``"cell 7"``.
         source: file name (or synthetic label) when provenance exists.
         line_no: 1-based source line, 0 when unknown.
     """
@@ -72,8 +70,6 @@ class Diagnostic:
         message: what is wrong, in one sentence.
         location: what the finding points at.
         hint: how to fix it (shown after the message).
-        waived: True when a configured waiver matched; waived findings are
-            kept for transparency but never count as errors.
     """
 
     rule_id: str
@@ -81,15 +77,13 @@ class Diagnostic:
     message: str
     location: Location = field(default_factory=Location)
     hint: str = ""
-    waived: bool = False
 
     def format(self) -> str:
         """Render as a compiler-style one-liner."""
         where = str(self.location)
         prefix = f"{where}: " if where else ""
         tail = f" (hint: {self.hint})" if self.hint else ""
-        waived = " [waived]" if self.waived else ""
-        return f"{prefix}{self.severity.value}[{self.rule_id}]{waived} {self.message}{tail}"
+        return f"{prefix}{self.severity.value}[{self.rule_id}] {self.message}{tail}"
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-able form (checkpoint rows, ``--format json``)."""
@@ -101,7 +95,6 @@ class Diagnostic:
             "source": self.location.source,
             "line": self.location.line_no,
             "hint": self.hint,
-            "waived": self.waived,
         }
 
 
@@ -118,40 +111,29 @@ class LintReport:
         """Append one finding."""
         self.diagnostics.append(diag)
 
-    def extend(self, other: "LintReport") -> None:
-        """Merge another report's findings and rule coverage."""
-        self.diagnostics.extend(other.diagnostics)
-        for r in other.rules_run:
-            if r not in self.rules_run:
-                self.rules_run.append(r)
-
     def __iter__(self) -> Iterator[Diagnostic]:
         return iter(self.diagnostics)
 
     def __len__(self) -> int:
         return len(self.diagnostics)
 
-    def active(self) -> list[Diagnostic]:
-        """Findings that were not waived."""
-        return [d for d in self.diagnostics if not d.waived]
-
     def by_severity(self, severity: Severity) -> list[Diagnostic]:
-        """Non-waived findings at one severity."""
-        return [d for d in self.active() if d.severity is severity]
+        """Findings at one severity."""
+        return [d for d in self.diagnostics if d.severity is severity]
 
     @property
     def errors(self) -> list[Diagnostic]:
-        """Non-waived error findings."""
+        """Error findings."""
         return self.by_severity(Severity.ERROR)
 
     @property
     def warnings(self) -> list[Diagnostic]:
-        """Non-waived warning findings."""
+        """Warning findings."""
         return self.by_severity(Severity.WARNING)
 
     @property
     def has_errors(self) -> bool:
-        """True when any non-waived error exists (pre-flight fails)."""
+        """True when any error exists (pre-flight fails)."""
         return bool(self.errors)
 
     def is_clean(self, strict: bool = False) -> bool:
@@ -167,27 +149,18 @@ class LintReport:
             key=lambda d: (d.severity.rank, d.rule_id, str(d.location)),
         )
 
-    def format(self, show_info: bool = True) -> str:
+    def format(self) -> str:
         """Multi-line text rendering plus a one-line summary."""
-        lines = [
-            d.format()
-            for d in self.sorted()
-            if show_info or d.severity is not Severity.INFO
-        ]
+        lines = [d.format() for d in self.sorted()]
         lines.append(self.summary())
         return "\n".join(lines)
 
     def summary(self) -> str:
-        """``subject: E errors, W warnings, I infos (K waived)``."""
-        n_err = len(self.errors)
-        n_warn = len(self.warnings)
-        n_info = len(self.by_severity(Severity.INFO))
-        n_waived = sum(1 for d in self.diagnostics if d.waived)
+        """``subject: E error(s), W warning(s)``."""
         head = f"{self.subject}: " if self.subject else ""
-        tail = f" ({n_waived} waived)" if n_waived else ""
         return (
-            f"{head}{n_err} error(s), {n_warn} warning(s), "
-            f"{n_info} info(s){tail}"
+            f"{head}{len(self.errors)} error(s), "
+            f"{len(self.warnings)} warning(s)"
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -199,15 +172,3 @@ class LintReport:
             "errors": len(self.errors),
             "warnings": len(self.warnings),
         }
-
-    def to_json(self) -> str:
-        """Pretty JSON rendering (``repro lint --format json``)."""
-        return json.dumps(self.to_dict(), indent=2)
-
-
-def merge_reports(subject: str, reports: Iterable[LintReport]) -> LintReport:
-    """Fold several reports into one under a new subject label."""
-    merged = LintReport(subject=subject)
-    for r in reports:
-        merged.extend(r)
-    return merged

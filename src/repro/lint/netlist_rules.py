@@ -8,8 +8,9 @@ problem.  The wrapper therefore rebuilds fanout and reachability maps
 tolerantly (skipping undefined references) instead of calling
 :meth:`Netlist.topological_order`.
 
-Rule ids are ``NL0xx``; bench-text-level rules (``NL011``/``NL012``) live
-in :mod:`repro.lint.api` where the tolerant BENCH scan happens.
+Rule ids are ``NL0xx``; the bench-text-level rules (``NL011``/``NL012``)
+read the raw source that the tolerant BENCH scan in :mod:`repro.lint.api`
+keeps on the subject.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterator, Mapping
 
 from ..netlist import GateType, Netlist
 from .diagnostics import Diagnostic, Location, Severity
-from .registry import LintConfig, rule
+from .registry import rule
 
 #: net names following the repo-wide key-input naming convention
 KEY_INPUT_RE = re.compile(r"^keyinput\d+(_\d+x)?$")
@@ -149,7 +150,7 @@ class NetlistSubject:
     "A combinational loop makes simulation order-dependent and hangs "
     "topological evaluation.",
 )
-def check_cycle(subject: NetlistSubject, config: LintConfig) -> Iterator[Diagnostic]:
+def check_cycle(subject: NetlistSubject) -> Iterator[Diagnostic]:
     loop = subject.find_cycle()
     if loop is not None:
         shown = " -> ".join(loop[:9]) + (" ..." if len(loop) > 9 else "")
@@ -170,9 +171,7 @@ def check_cycle(subject: NetlistSubject, config: LintConfig) -> Iterator[Diagnos
     "A gate reading a net nobody drives evaluates garbage; the strict "
     "model only reports the first such net, lint reports them all.",
 )
-def check_undefined_fanin(
-    subject: NetlistSubject, config: LintConfig
-) -> Iterator[Diagnostic]:
+def check_undefined_fanin(subject: NetlistSubject) -> Iterator[Diagnostic]:
     for gate_name, missing in subject.undefined_references():
         yield Diagnostic(
             rule_id="NL002",
@@ -191,9 +190,7 @@ def check_undefined_fanin(
     "An OUTPUT naming a net with no driver silently reads as X; every "
     "HD%% measured through it is meaningless.",
 )
-def check_undriven_output(
-    subject: NetlistSubject, config: LintConfig
-) -> Iterator[Diagnostic]:
+def check_undriven_output(subject: NetlistSubject) -> Iterator[Diagnostic]:
     nl = subject.netlist
     for o in nl.outputs:
         if not nl.has_net(o):
@@ -214,7 +211,7 @@ def check_undriven_output(
     "Logic feeding nothing inflates gate counts (and therefore the "
     "paper's overhead percentages) without affecting any output.",
 )
-def check_dead_net(subject: NetlistSubject, config: LintConfig) -> Iterator[Diagnostic]:
+def check_dead_net(subject: NetlistSubject) -> Iterator[Diagnostic]:
     nl = subject.netlist
     fan = subject.fanout()
     outputs = set(nl.outputs) | subject.pseudo_outputs
@@ -240,9 +237,7 @@ def check_dead_net(subject: NetlistSubject, config: LintConfig) -> Iterator[Diag
     "A primary input feeding no gate cannot influence any output — "
     "usually a generator or locking bug (e.g. an orphaned key input).",
 )
-def check_unused_input(
-    subject: NetlistSubject, config: LintConfig
-) -> Iterator[Diagnostic]:
+def check_unused_input(subject: NetlistSubject) -> Iterator[Diagnostic]:
     nl = subject.netlist
     fan = subject.fanout()
     outputs = set(nl.outputs) | subject.pseudo_outputs
@@ -268,9 +263,7 @@ def check_unused_input(
     "A gate listing the same net twice is degenerate (XOR(a,a)=0, "
     "AND(a,a)=a) — almost always a netlist-construction slip.",
 )
-def check_duplicate_fanin(
-    subject: NetlistSubject, config: LintConfig
-) -> Iterator[Diagnostic]:
+def check_duplicate_fanin(subject: NetlistSubject) -> Iterator[Diagnostic]:
     for g in subject.netlist.gates():
         if g.gtype is GateType.MUX:
             continue  # MUX(s, a, a) is a legal (if odd) constant-select
@@ -296,9 +289,7 @@ def check_duplicate_fanin(
     "An output with no primary input in its cone is stuck at a constant; "
     "it dilutes Hamming-distance and fault-coverage measurements.",
 )
-def check_constant_output(
-    subject: NetlistSubject, config: LintConfig
-) -> Iterator[Diagnostic]:
+def check_constant_output(subject: NetlistSubject) -> Iterator[Diagnostic]:
     nl = subject.netlist
     if not nl.inputs:
         return  # fully constant blocks are out of scope
@@ -323,9 +314,7 @@ def check_constant_output(
     "key-named net that is not a primary input breaks every attack's "
     "key-input discovery.",
 )
-def check_key_convention(
-    subject: NetlistSubject, config: LintConfig
-) -> Iterator[Diagnostic]:
+def check_key_convention(subject: NetlistSubject) -> Iterator[Diagnostic]:
     nl = subject.netlist
     inputs = set(nl.inputs)
     for g in nl.gates():
@@ -340,65 +329,6 @@ def check_key_convention(
                 location=subject.loc(g.name),
                 hint="rename the internal net or make it a primary input",
             )
-
-
-@rule(
-    "NL009",
-    "fanout-anomaly",
-    Severity.INFO,
-    "netlist",
-    "A net with extreme fanout dominates simulation cost and usually "
-    "signals a collapsed or miswired benchmark.",
-)
-def check_fanout_anomaly(
-    subject: NetlistSubject, config: LintConfig
-) -> Iterator[Diagnostic]:
-    fan = subject.fanout()
-    for net, sinks in fan.items():
-        if len(sinks) > config.max_fanout:
-            yield Diagnostic(
-                rule_id="NL009",
-                severity=Severity.INFO,
-                message=(
-                    f"net {net!r} fans out to {len(sinks)} gates "
-                    f"(threshold {config.max_fanout})"
-                ),
-                location=subject.loc(net),
-                hint="buffer the net or raise LintConfig.max_fanout",
-            )
-
-
-@rule(
-    "NL010",
-    "depth-anomaly",
-    Severity.INFO,
-    "netlist",
-    "Logic depth approaching the gate count means the circuit is a "
-    "chain; benchmark stand-ins should look like circuits, not shift "
-    "registers.",
-)
-def check_depth_anomaly(
-    subject: NetlistSubject, config: LintConfig
-) -> Iterator[Diagnostic]:
-    nl = subject.netlist
-    # depth requires an evaluable netlist; skip when other rules already fire
-    if subject.undefined_references() or subject.find_cycle() is not None:
-        return
-    n_gates = nl.num_gates()
-    if n_gates < 32:
-        return  # tiny fixtures (adders, parity trees) are legitimately chain-like
-    depth = nl.depth()
-    if depth > config.depth_ratio * n_gates:
-        yield Diagnostic(
-            rule_id="NL010",
-            severity=Severity.INFO,
-            message=(
-                f"logic depth {depth} exceeds {config.depth_ratio:.0%} of "
-                f"the gate count ({n_gates})"
-            ),
-            location=Location(obj=nl.name, source=subject.source),
-            hint="regenerate with a wider/shallower GeneratorConfig",
-        )
 
 
 # ------------------------------------------------------------------ #
@@ -419,9 +349,7 @@ _BENCH_DEF_RE = re.compile(
     "parser keeps only the first and the simulation silently diverges "
     "from the tool that kept the last.",
 )
-def check_multiply_driven(
-    subject: NetlistSubject, config: LintConfig
-) -> Iterator[Diagnostic]:
+def check_multiply_driven(subject: NetlistSubject) -> Iterator[Diagnostic]:
     if subject.bench_text is None:
         return
     defined: dict[str, int] = {}
@@ -457,9 +385,7 @@ def check_multiply_driven(
     "An operator outside the BENCH dialect (typo'd NAND, vendor cell "
     "name) means the line was dropped and the netlist is incomplete.",
 )
-def check_unknown_op(
-    subject: NetlistSubject, config: LintConfig
-) -> Iterator[Diagnostic]:
+def check_unknown_op(subject: NetlistSubject) -> Iterator[Diagnostic]:
     if subject.bench_text is None:
         return
     from ..netlist.gates import BENCH_TYPES

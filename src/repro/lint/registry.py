@@ -1,76 +1,21 @@
-"""Rule registry: declarative catalog of lint rules plus waiver handling.
+"""Rule registry: declarative catalog of lint rules.
 
 Every rule registers itself with the :func:`rule` decorator, naming the
-analyzer it belongs to (``netlist``, ``scheme``, ``orap``, ``cnf``).  The
-analyzer drivers in :mod:`repro.lint.api` fetch their rules from here, so
-adding a rule is one decorated function — no driver changes.
-
-Waivers let a benchmark ship with a known, justified finding: a
-:class:`Waiver` matches a rule id plus an ``fnmatch`` pattern over the
-finding's object name, and carries a mandatory justification.  Waived
-findings stay in the report (marked ``waived``) but never fail pre-flight.
+analyzer it belongs to (``netlist``, ``scheme``, ``orap``).  The analyzer
+drivers in :mod:`repro.lint.api` fetch their rules from here, so adding a
+rule is one decorated function — no driver changes.
 """
 
 from __future__ import annotations
 
-import fnmatch
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from .diagnostics import Diagnostic, LintReport, Severity
 
-
-@dataclass(frozen=True)
-class Waiver:
-    """A justified suppression of one rule on matching objects.
-
-    Attributes:
-        rule_id: the rule to waive (exact id).
-        pattern: ``fnmatch`` pattern over ``Diagnostic.location.obj``
-            (``"*"`` waives the rule everywhere).
-        reason: why this finding is acceptable — mandatory; an empty
-            reason raises, because an unexplained waiver is a lie waiting
-            to happen.
-    """
-
-    rule_id: str
-    pattern: str
-    reason: str
-
-    def __post_init__(self) -> None:
-        if not self.reason.strip():
-            raise ValueError(f"waiver for {self.rule_id} needs a reason")
-
-    def matches(self, diag: Diagnostic) -> bool:
-        """True when this waiver applies to a finding."""
-        return diag.rule_id == self.rule_id and fnmatch.fnmatch(
-            diag.location.obj, self.pattern
-        )
-
-
-@dataclass(frozen=True)
-class LintConfig:
-    """Knobs shared by every analyzer run.
-
-    Attributes:
-        waivers: justified suppressions (see :class:`Waiver`).
-        disabled_rules: rule ids to skip entirely.
-        max_fanout: fanout above which ``NL009`` flags a net.  The default
-            is generous — real benchmark nets (clock-less combinational
-            cores) rarely exceed a few hundred sinks.
-        depth_ratio: ``NL010`` flags circuits whose logic depth exceeds
-            this fraction of the gate count (a chain, not a circuit).
-    """
-
-    waivers: tuple[Waiver, ...] = ()
-    disabled_rules: frozenset[str] = frozenset()
-    max_fanout: int = 512
-    depth_ratio: float = 0.5
-
-
-# Checker signature: (subject, config) -> iterable of Diagnostic.  The
-# subject's concrete type depends on the analyzer (see api.py contexts).
-CheckFn = Callable[[Any, LintConfig], Iterable[Diagnostic]]
+# Checker signature: subject -> iterable of Diagnostic.  The subject's
+# concrete type depends on the analyzer (see api.py contexts).
+CheckFn = Callable[[Any], Iterable[Diagnostic]]
 
 
 @dataclass(frozen=True)
@@ -81,7 +26,7 @@ class LintRule:
         id: stable identifier, ``<analyzer prefix><number>``.
         title: short human name (docs, ``repro lint --rules``).
         severity: default severity of the rule's findings.
-        analyzer: which driver runs it (``netlist``/``scheme``/``orap``/``cnf``).
+        analyzer: which driver runs it (``netlist``/``scheme``/``orap``).
         rationale: why the rule exists, one sentence (rule catalog).
         check: the checker function.
     """
@@ -97,7 +42,7 @@ class LintRule:
 _REGISTRY: dict[str, LintRule] = {}
 
 #: analyzers a rule may register under
-ANALYZERS = ("netlist", "scheme", "orap", "cnf")
+ANALYZERS = ("netlist", "scheme", "orap")
 
 
 def rule(
@@ -142,37 +87,15 @@ def get_rule(rule_id: str) -> LintRule:
     return _REGISTRY[rule_id]
 
 
-def run_rules(
-    analyzer: str,
-    subject: Any,
-    config: LintConfig,
-    report: LintReport,
-) -> LintReport:
-    """Run every enabled rule of one analyzer over a subject.
+def run_rules(analyzer: str, subject: Any, report: LintReport) -> LintReport:
+    """Run every rule of one analyzer over a subject.
 
-    Findings are waiver-filtered (matched findings are kept but marked)
-    and appended to ``report``; executed rule ids are recorded for
-    coverage assertions.
+    Findings are appended to ``report``; executed rule ids are recorded
+    for coverage assertions.
     """
     for lint_rule in rules_for(analyzer):
-        if lint_rule.id in config.disabled_rules:
-            continue
         if lint_rule.id not in report.rules_run:
             report.rules_run.append(lint_rule.id)
-        for diag in lint_rule.check(subject, config):
-            if any(w.matches(diag) for w in config.waivers):
-                diag = Diagnostic(
-                    rule_id=diag.rule_id,
-                    severity=diag.severity,
-                    message=diag.message,
-                    location=diag.location,
-                    hint=diag.hint,
-                    waived=True,
-                )
+        for diag in lint_rule.check(subject):
             report.add(diag)
     return report
-
-
-def iter_catalog() -> Iterator[LintRule]:
-    """Rules in catalog order (docs generator / ``--rules`` listing)."""
-    return iter(all_rules())

@@ -29,7 +29,7 @@ from ..orap.scheme import (
 )
 from ..orap.schedule import final_state
 from .diagnostics import Diagnostic, Location, Severity
-from .registry import LintConfig, rule
+from .registry import rule
 
 
 @dataclass
@@ -81,9 +81,7 @@ class SchemeSubject:
     "WLL's corruption probability 1-2^-w assumes every control gate has "
     "exactly the configured width w of distinct key-derived inputs.",
 )
-def check_control_arity(
-    subject: SchemeSubject, config: LintConfig
-) -> Iterator[Diagnostic]:
+def check_control_arity(subject: SchemeSubject) -> Iterator[Diagnostic]:
     wll = subject.wll_config
     if wll is None:
         return
@@ -138,9 +136,7 @@ def check_control_arity(
     "A key input feeding no logic is a free bit: every key value unlocks "
     "it, silently shrinking the effective key space.",
 )
-def check_unused_key_bit(
-    subject: SchemeSubject, config: LintConfig
-) -> Iterator[Diagnostic]:
+def check_unused_key_bit(subject: SchemeSubject) -> Iterator[Diagnostic]:
     nl = subject.locked.locked
     used: set[str] = set()
     for g in nl.gates():
@@ -164,9 +160,7 @@ def check_unused_key_bit(
     "WLL deals key bits round-robin so reuse stays balanced; a heavily "
     "reused bit becomes a single point of sensitization.",
 )
-def check_key_reuse(
-    subject: SchemeSubject, config: LintConfig
-) -> Iterator[Diagnostic]:
+def check_key_reuse(subject: SchemeSubject) -> Iterator[Diagnostic]:
     if subject.wll_config is None or not subject.control_gates():
         return
     feeds = subject.key_feed_map()
@@ -201,7 +195,7 @@ def check_key_reuse(
     "the LFSR on every scan-enable rising edge (Fig. 2); a suppressed "
     "generator leaks its key bit through the scan chain.",
 )
-def check_pulse_clear(design: OraPDesign, config: LintConfig) -> Iterator[Diagnostic]:
+def check_pulse_clear(design: OraPDesign) -> Iterator[Diagnostic]:
     # replicate the chip's per-cell suppression flags onto a scratch
     # register, load a nonzero key, and fire a scan-enable rising edge
     kr = KeyRegister(design.lfsr_config)
@@ -236,9 +230,7 @@ def check_pulse_clear(design: OraPDesign, config: LintConfig) -> Iterator[Diagno
     "under the planned schedule, or some key bits are uncontrollable and "
     "no memory content can unlock the chip.",
 )
-def check_reseed_coverage(
-    design: OraPDesign, config: LintConfig
-) -> Iterator[Diagnostic]:
+def check_reseed_coverage(design: OraPDesign) -> Iterator[Diagnostic]:
     sym = SymbolicLFSR(design.lfsr_config)
     for inject in design.key_sequence.schedule.inject:
         sym.step_symbolic(inject=inject)
@@ -265,9 +257,7 @@ def check_reseed_coverage(
     "points from functional flip-flops; any other split changes the "
     "threat-(e) security argument.",
 )
-def check_response_split(
-    design: OraPDesign, config: LintConfig
-) -> Iterator[Diagnostic]:
+def check_response_split(design: OraPDesign) -> Iterator[Diagnostic]:
     n_points = len(design.lfsr_config.reseed_points)
     n_resp = len(design.response_points)
     if design.config.variant == "basic":
@@ -323,9 +313,7 @@ def check_response_split(
     "design time, which requires the response flops' sequential cones to "
     "contain no key gates or key inputs.",
 )
-def check_response_cone(
-    design: OraPDesign, config: LintConfig
-) -> Iterator[Diagnostic]:
+def check_response_cone(design: OraPDesign) -> Iterator[Diagnostic]:
     if design.config.variant == "basic" or not design.response_flops:
         return
     flop_names = {ff.name for ff in design.design.flops}
@@ -358,9 +346,7 @@ def check_response_cone(
     "locking key; a mismatch means a multi-hour campaign measures a "
     "permanently locked chip.",
 )
-def check_unlock_reaches_key(
-    design: OraPDesign, config: LintConfig
-) -> Iterator[Diagnostic]:
+def check_unlock_reaches_key(design: OraPDesign) -> Iterator[Diagnostic]:
     stream = None
     if design.response_points:
         flop_names = {ff.name for ff in design.design.flops}
@@ -407,7 +393,7 @@ def check_unlock_reaches_key(
     "The key register must be exactly as wide as the locking key; a "
     "mismatch truncates or zero-pads the key the core sees.",
 )
-def check_key_width(design: OraPDesign, config: LintConfig) -> Iterator[Diagnostic]:
+def check_key_width(design: OraPDesign) -> Iterator[Diagnostic]:
     if design.lfsr_config.size != len(design.locked.key_inputs):
         yield Diagnostic(
             rule_id="OR006",

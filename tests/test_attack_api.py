@@ -25,6 +25,8 @@ from repro.attacks import (
 )
 from repro.bench import GeneratorConfig, generate_netlist
 from repro.experiments import RunPolicy, run_table1
+from repro.lint import LintReport, lint_netlist, lint_orap, lint_paper_benchmarks
+from repro.lint.cli import lint_orap_chips, lint_path, run_lint
 from repro.locking import WLLConfig, lock_weighted
 from repro.netlist import Netlist
 from repro.runtime.budget import Budget
@@ -197,7 +199,10 @@ class TestRemovedIn120:
     engine's ``backend=`` lane choice (the fused lane is the one lane,
     checked against BitSimulator), the telemetry-overhead projection,
     ``repro chaos run --keep``, ``detects(early_exit=)`` and
-    ``repro.sim.words_for_assignment``."""
+    ``repro.sim.words_for_assignment``.  1.7.0 cut ``repro.lint`` down to
+    the pre-flight it gates: the CNF analyzer, waivers, ``LintConfig``,
+    the info rules and ``repro lint --no-info`` are gone, and so is every
+    lint name or parameter that only lint's own tests used."""
 
     SERVICE_EXPORTS = (
         "JobSpec", "JobStatus", "execute_job", "job_content_key",
@@ -355,6 +360,63 @@ class TestRemovedIn120:
             lambda wll: main(["chaos", "run", "--keep"]), SystemExit,
             id="cli-chaos-run---keep",
         ),
+        pytest.param(
+            lambda wll: importlib.import_module("repro.lint.cnf_rules"),
+            ModuleNotFoundError,
+            id="import-repro.lint.cnf_rules",
+        ),
+        *(
+            pytest.param(
+                lambda wll, n=n: getattr(importlib.import_module("repro.lint"), n),
+                AttributeError,
+                id=f"repro.lint.{n}",
+            )
+            for n in (
+                "LintConfig", "Waiver", "DEFAULT_CONFIG", "CnfSubject",
+                "lint_cnf", "lint_dimacs_path", "lint_locked",
+                "merge_reports", "iter_catalog",
+            )
+        ),
+        *(
+            pytest.param(
+                lambda wll, n=n: getattr(LintReport(), n), AttributeError,
+                id=f"LintReport.{n}",
+            )
+            for n in ("extend", "to_json", "active")
+        ),
+        pytest.param(
+            lambda wll: lint_netlist(wll.locked, config=None), TypeError,
+            id="lint_netlist-config",
+        ),
+        pytest.param(
+            lambda wll: lint_orap(None, config=None), TypeError,
+            id="lint_orap-config",
+        ),
+        pytest.param(
+            lambda wll: lint_path("x.bench", config=None), TypeError,
+            id="lint_path-config",
+        ),
+        pytest.param(
+            lambda wll: lint_paper_benchmarks(include_fixtures=False),
+            TypeError,
+            id="lint_paper_benchmarks-include_fixtures",
+        ),
+        pytest.param(
+            lambda wll: lint_orap_chips(seed=7), TypeError,
+            id="lint_orap_chips-seed",
+        ),
+        *(
+            pytest.param(
+                lambda wll, k=k: run_lint(list_rules=True, **{k: None}),
+                TypeError,
+                id=f"run_lint-{k}",
+            )
+            for k in ("show_info", "config")
+        ),
+        pytest.param(
+            lambda wll: main(["lint", "--no-info"]), SystemExit,
+            id="cli-lint---no-info",
+        ),
     ]
 
     @pytest.mark.parametrize("call,error", CASES)
@@ -365,3 +427,11 @@ class TestRemovedIn120:
             assert info.value.code == 2  # argparse: invalid subcommand
         if error is ValueError:
             assert "unknown" in str(info.value)  # an unknown name's error
+
+    @pytest.mark.parametrize("suffix", [".cnf", ".dimacs"])
+    def test_removed_lint_suffix_is_unsupported(self, suffix, tmp_path):
+        p = tmp_path / f"f{suffix}"
+        p.write_text("p cnf 2 1\n1 2 0\n")
+        (diag,) = lint_path(p).diagnostics
+        assert diag.rule_id == "IO001"
+        assert f"unsupported file type {suffix!r}" in diag.message

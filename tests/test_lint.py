@@ -1,6 +1,6 @@
 """The static-analysis subsystem: one firing test per rule, the golden
-corpus (every bundled benchmark must lint clean), waivers, the registry,
-the CLI driver, and the ExperimentRunner pre-flight integration."""
+corpus (every bundled benchmark must lint clean), the registry, the CLI
+driver, and the ExperimentRunner pre-flight integration."""
 
 import copy
 import io
@@ -15,29 +15,25 @@ from repro.experiments.attack_matrix import run_attack_matrix
 from repro.experiments.runner import ExperimentRunner, RunPolicy, RunStatus
 from repro.lint import (
     Diagnostic,
-    LintConfig,
     LintReport,
     Location,
+    NetlistSubject,
     SchemeSubject,
     Severity,
-    Waiver,
     all_rules,
     get_rule,
     lint_bench_text,
-    lint_cnf,
-    lint_locked,
     lint_netlist,
     lint_orap,
     lint_paper_benchmarks,
     lint_verilog_path,
-    merge_reports,
     rule,
+    run_rules,
 )
 from repro.lint.cli import catalog_text, lint_orap_chips, lint_path, run_lint
 from repro.locking import LockedCircuit, WLLConfig, lock_weighted
 from repro.netlist import GateType, Netlist
 from repro.orap.scheme import OraPConfig, closed_fanin_cone, protect
-from repro.sat.cnf import CNF
 
 #: rule ids proven to fire somewhere in this module; the meta-test at the
 #: bottom asserts the whole catalog is covered
@@ -54,9 +50,9 @@ def fired(report, rule_id):
     return [d for d in diags if d.rule_id == rule_id]
 
 
-def check(rule_id, subject, config=None):
+def check(rule_id, subject):
     """Run one rule's checker directly (isolates multi-rule subjects)."""
-    return list(get_rule(rule_id).check(subject, config or LintConfig()))
+    return list(get_rule(rule_id).check(subject))
 
 
 @pytest.fixture(scope="module")
@@ -156,25 +152,6 @@ class TestNetlistRules:
         (diag,) = fired(lint_netlist(nl), "NL008")
         assert diag.severity is Severity.ERROR
 
-    def test_nl009_fanout_anomaly(self):
-        text = (
-            "INPUT(a)\nOUTPUT(x)\nOUTPUT(y)\nOUTPUT(z)\n"
-            "x = NOT(a)\ny = NOT(a)\nz = NOT(a)\n"
-        )
-        report = lint_bench_text(text, config=LintConfig(max_fanout=2))
-        (diag,) = fired(report, "NL009")
-        assert "3" in diag.message
-        # default threshold: same netlist is fine
-        assert not [d for d in lint_bench_text(text) if d.rule_id == "NL009"]
-
-    def test_nl010_depth_anomaly(self):
-        nl = Netlist("chain")
-        prev = nl.add_input("a")
-        for i in range(40):
-            prev = nl.add_gate(f"n{i}", GateType.NOT, (prev,))
-        nl.set_outputs([prev])
-        fired(lint_netlist(nl), "NL010")
-
     def test_nl011_multiply_driven_net(self):
         report = lint_bench_text(
             "INPUT(a)\nINPUT(b)\nOUTPUT(x)\nx = AND(a, b)\nx = OR(a, b)\n"
@@ -267,7 +244,9 @@ class TestSchemeRules:
         assert "unbalanced" in diag.message
 
     def test_clean_wll_lock_has_no_scheme_findings(self):
-        report = lint_locked(_wll_locked())
+        locked = _wll_locked()
+        report = run_rules("scheme", SchemeSubject(locked=locked), LintReport())
+        run_rules("netlist", NetlistSubject(locked.locked), report)
         assert report.is_clean()
         assert {"WL001", "WL002", "WL003"} <= set(report.rules_run)
 
@@ -342,59 +321,6 @@ class TestOrapRules:
 
 
 # ------------------------------------------------------------------ #
-# CNF rules
-
-
-class TestCnfRules:
-    def test_cn001_literal_out_of_range(self):
-        report = lint_cnf(CNF(n_vars=2, clauses=[(1, 5)]))
-        (diag,) = fired(report, "CN001")
-        assert "n_vars=2" in diag.message
-
-    def test_cn001_zero_literal(self):
-        report = lint_cnf(CNF(n_vars=1, clauses=[(0,)]))
-        assert [d for d in report if d.rule_id == "CN001"]
-
-    def test_cn002_tautology(self):
-        cnf = CNF()
-        cnf.add_clause([1, -1, 2])
-        (diag,) = fired(lint_cnf(cnf), "CN002")
-        assert diag.severity is Severity.WARNING
-
-    def test_cn003_duplicate_clause(self):
-        cnf = CNF()
-        cnf.add_clause([1, 2])
-        cnf.add_clause([2, 1])  # same clause, different order
-        (diag,) = fired(lint_cnf(cnf), "CN003")
-        assert "duplicates clause 0" in diag.message
-
-    def test_cn004_duplicate_literal(self):
-        cnf = CNF()
-        cnf.add_clause([1, 1, 2])
-        fired(lint_cnf(cnf), "CN004")
-
-    def test_cn005_empty_clause(self):
-        report = lint_cnf(CNF(n_vars=1, clauses=[()]))
-        (diag,) = fired(report, "CN005")
-        assert "UNSAT" in diag.message
-
-    def test_cn006_key_variable_uncovered(self):
-        cnf = CNF(n_vars=3, clauses=[(1, 2)])
-        report = lint_cnf(cnf, key_vars=[2, 3])
-        (diag,) = fired(report, "CN006")
-        assert "3" in diag.message
-
-    def test_real_circuit_encoding_is_clean(self):
-        from repro.bench import c17
-        from repro.sat.tseitin import CircuitEncoder
-
-        enc = CircuitEncoder(c17())
-        key_vars = [enc.var(i) for i in enc.netlist.inputs]
-        report = lint_cnf(enc.cnf, key_vars=key_vars)
-        assert report.is_clean()
-
-
-# ------------------------------------------------------------------ #
 # file drivers (IO001) and the verilog parity contract
 
 
@@ -444,71 +370,58 @@ class TestFileDrivers:
         report = lint_path(p)
         assert report.is_clean(strict=True)
 
-    def test_io001_unparseable_dimacs(self, tmp_path):
-        p = tmp_path / "bad.cnf"
-        p.write_text("p cnf garbage\n1 0\n")
-        report = lint_path(p)
-        assert [d for d in report if d.rule_id == "IO001"]
+    @pytest.mark.parametrize("suffix", [".bench", ".v"])
+    def test_io001_non_utf8_file(self, tmp_path, suffix):
+        p = tmp_path / f"binary{suffix}"
+        p.write_bytes((BAD_CORPUS / "non_utf8.bench").read_bytes())
+        (diag,) = lint_path(p).diagnostics
+        assert diag.rule_id == "IO001" and diag.severity is Severity.ERROR
+        assert "utf-8" in diag.message
+        assert str(p) in diag.location.source
 
-    def test_good_dimacs_lints(self, tmp_path):
-        p = tmp_path / "ok.cnf"
-        p.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
-        report = lint_path(p)
-        assert report.is_clean(strict=True)
+    def test_non_utf8_verilog_diagnostic_is_located(self, tmp_path):
+        from repro.corpus.frontend import parse_path_recovering
+
+        p = tmp_path / "late.v"
+        p.write_bytes(b"module m (a, y);\ninput a;\n// caf\xe9\nendmodule\n")
+        (diag,) = parse_path_recovering(p).errors
+        assert diag.line_no == 3
+        (lint_diag,) = lint_path(p).diagnostics
+        assert lint_diag.location.line_no == 3
+
+    @pytest.mark.parametrize("name", ["d.bench", "d.v"])
+    def test_io001_directory(self, tmp_path, name):
+        p = tmp_path / name
+        p.mkdir()
+        (diag,) = lint_path(p).diagnostics
+        assert diag.rule_id == "IO001"
+        assert "cannot read file" in diag.message
 
 
 # ------------------------------------------------------------------ #
-# registry, waivers, config
+# registry and diagnostics
 
 
 class TestRegistry:
     def test_catalog_is_complete(self):
         rules = all_rules()
-        assert len(rules) >= 25
+        assert len(rules) == 19
         assert [r.id for r in rules] == sorted(r.id for r in rules)
         for r in rules:
             assert r.rationale, f"{r.id} has no rationale"
-            assert r.analyzer in ("netlist", "scheme", "orap", "cnf")
+            assert r.analyzer in ("netlist", "scheme", "orap")
+            assert r.severity in (Severity.ERROR, Severity.WARNING)
 
     def test_duplicate_rule_id_rejected(self):
         with pytest.raises(ValueError, match="duplicate rule id"):
 
             @rule("NL001", "again", Severity.ERROR, "netlist", "dup")
-            def nope(subject, config):
+            def nope(subject):
                 return ()
 
     def test_unknown_analyzer_rejected(self):
         with pytest.raises(ValueError, match="unknown analyzer"):
             rule("XX001", "x", Severity.ERROR, "quantum", "nope")
-
-    def test_waiver_requires_reason(self):
-        with pytest.raises(ValueError, match="needs a reason"):
-            Waiver(rule_id="NL004", pattern="*", reason="   ")
-
-    def test_waiver_marks_but_keeps_finding(self):
-        cfg = LintConfig(
-            waivers=(
-                Waiver(
-                    rule_id="NL004",
-                    pattern="d",
-                    reason="fixture intentionally keeps a dead cone",
-                ),
-            )
-        )
-        report = lint_bench_text(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(o)\no = AND(a, b)\nd = OR(a, b)\n",
-            config=cfg,
-        )
-        waived = [d for d in report if d.rule_id == "NL004"]
-        assert waived and all(d.waived for d in waived)
-        assert report.is_clean(strict=True)
-        assert "waived" in report.summary()
-
-    def test_disabled_rule_does_not_run(self):
-        cfg = LintConfig(disabled_rules=frozenset({"NL005"}))
-        report = lint_bench_text("INPUT(a)\nOUTPUT(o)\no = CONST0()\n", config=cfg)
-        assert "NL005" not in report.rules_run
-
 
 class TestDiagnostics:
     def test_format_is_compiler_style(self):
@@ -524,25 +437,16 @@ class TestDiagnostics:
         assert "(hint: define 'x')" in text
 
     def test_to_dict_round_trips_severity(self):
-        diag = Diagnostic("CN005", Severity.ERROR, "empty")
+        diag = Diagnostic("NL003", Severity.ERROR, "undriven")
         d = diag.to_dict()
-        assert d["rule"] == "CN005" and d["severity"] == "error"
+        assert d["rule"] == "NL003" and d["severity"] == "error"
 
     def test_sorted_puts_errors_first(self):
         report = LintReport(subject="s")
-        report.add(Diagnostic("NL009", Severity.INFO, "i"))
         report.add(Diagnostic("NL004", Severity.WARNING, "w"))
+        report.add(Diagnostic("WL003", Severity.WARNING, "w"))
         report.add(Diagnostic("NL002", Severity.ERROR, "e"))
-        assert [d.rule_id for d in report.sorted()] == ["NL002", "NL004", "NL009"]
-
-    def test_merge_reports(self):
-        a = lint_bench_text("INPUT(a)\nOUTPUT(o)\n", source="a")
-        b = lint_bench_text("INPUT(a)\nOUTPUT(o)\no = NOT(a)\n", source="b")
-        merged = merge_reports("both", [a, b])
-        assert merged.subject == "both"
-        assert len(merged) == len(a) + len(b)
-        assert set(a.rules_run) <= set(merged.rules_run)
-
+        assert [d.rule_id for d in report.sorted()] == ["NL002", "NL004", "WL003"]
 
 # ------------------------------------------------------------------ #
 # golden corpus: everything this repo ships must lint clean
@@ -553,18 +457,18 @@ class TestGoldenCorpus:
         reports = lint_paper_benchmarks()
         assert len(reports) >= 10
         for report in reports:
-            assert len(report.active()) == 0, report.format()
+            assert len(report) == 0, report.format()
 
     def test_netlist_rule_coverage_on_corpus(self):
         report = lint_paper_benchmarks(circuits=["s38417"])[0]
-        expected = {f"NL{i:03d}" for i in range(1, 11)}
+        expected = {f"NL{i:03d}" for i in (1, 2, 3, 4, 5, 6, 7, 8, 11, 12)}
         assert expected <= set(report.rules_run)
 
     def test_orap_chips_are_clean(self):
         reports = lint_orap_chips()
         assert len(reports) == 2
         for report in reports:
-            assert len(report.active()) == 0, report.format()
+            assert len(report) == 0, report.format()
 
     def test_generator_never_orphans_inputs(self):
         # regression: pruning used to leave unused PIs at small scales
@@ -664,7 +568,7 @@ class TestCli:
         buf = io.StringIO()
         assert run_lint(list_rules=True, out=buf) == 0
         text = buf.getvalue()
-        assert "NL001" in text and "OR005" in text and "CN006" in text
+        assert "NL001" in text and "OR005" in text and "WL001" in text
         assert catalog_text().splitlines()[0].startswith("ID")
 
     def test_clean_file_exits_zero(self, tmp_path):
