@@ -94,8 +94,9 @@ bench-corpus:
 #          runs (actions/cache): byte-identical.
 # Both traces must be schema-valid and both caches must verify.  Every
 # malformed netlist in tests/data/corpus_bad/ must then yield structured
-# diagnostics from the parser and an error from `repro lint`'s file driver,
-# and a fresh BENCH_corpus.json is gated.
+# diagnostics from the parser and an error from `repro lint`'s file driver
+# that matches the campaign pre-flight's findings, and a fresh
+# BENCH_corpus.json is gated.
 # .repro-cache-smoke is NOT wiped: stale entries self-invalidate via
 # CACHE_VERSION salts.
 SMOKE_ENV = PYTHONPATH=src

@@ -2,11 +2,12 @@
 """Parser-robustness gate over the malformed-netlist corpus.
 
 Every file under ``tests/data/corpus_bad/`` is deliberately broken.
-The streaming front end must turn each of them into **structured
+The front end's one reader must turn each of them into **structured
 diagnostics** — at least one :class:`ParseDiagnostic` carrying a real
 line number — and must never raise.  ``repro lint``'s file driver
 (:func:`repro.lint.cli.lint_path`) must likewise report at least one
-error for each file without raising.  A traceback here means a malformed
+error for each file without raising, and exactly the findings a corpus
+campaign's pre-flight reports for it.  A traceback here means a malformed
 real-world netlist would crash a campaign or ``repro lint`` instead of
 surfacing a lint finding, which is exactly the failure mode the
 recovering parser exists to prevent.
@@ -31,11 +32,13 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--dir", type=Path, default=DEFAULT_DIR)
     args = parser.parse_args(argv)
 
-    from repro.corpus.frontend import parse_path_recovering
+    from repro.corpus.frontend import read_netlist
+    from repro.corpus.loader import load_circuit, preflight_report
     from repro.lint.cli import lint_path
 
+    # resolved, as the campaign loader names its sources
     files = sorted(
-        p for p in args.dir.iterdir()
+        p.resolve() for p in args.dir.iterdir()
         if p.suffix in (".bench", ".v")
     )
     if not files:
@@ -46,7 +49,7 @@ def main(argv: "list[str] | None" = None) -> int:
     failures = 0
     for path in files:
         try:
-            result = parse_path_recovering(path)
+            result = read_netlist(path)
         except Exception:
             print(f"  {path.name}: FAIL — parser raised:")
             traceback.print_exc()
@@ -72,6 +75,12 @@ def main(argv: "list[str] | None" = None) -> int:
             continue
         if not report.has_errors:
             print(f"  {path.name}: FAIL — repro lint reported no error")
+            failures += 1
+            continue
+        preflight = preflight_report(load_circuit(path))
+        if report.sorted() != preflight.sorted():
+            print(f"  {path.name}: FAIL — repro lint and the campaign "
+                  f"pre-flight disagree")
             failures += 1
             continue
         first = located[0]

@@ -1,11 +1,12 @@
-"""Real-corpus ingestion: streaming netlist front end + benchmark manager.
+"""Real-corpus ingestion: the netlist front end + benchmark manager.
 
 ``repro.corpus`` owns everything between a benchmark distribution and a
 :class:`~repro.netlist.SequentialCircuit` in memory:
 
-* :mod:`repro.corpus.frontend` — the unified streaming, error-recovering
-  BENCH/Verilog parser front end (``repro.netlist.parse_bench`` and
-  friends delegate here);
+* :mod:`repro.corpus.frontend` — the one error-recovering BENCH/Verilog
+  front end: :func:`read_netlist` reads every netlist file
+  (``repro.netlist.load_bench`` and friends, ``repro lint`` and the
+  campaign loader delegate here);
 * :mod:`repro.corpus.manifest` — the checked-in catalog of the
   ISCAS'85/'89 and ITC'99 class fixtures packaged in
   ``repro/corpus/fixtures/``, each with its pinned blake2b digest;
@@ -25,6 +26,7 @@ from .frontend import (
     ParseResult,
     parse_bench_recovering,
     parse_verilog_recovering,
+    read_netlist,
 )
 from .manifest import ENTRIES, FAMILIES, CorpusEntry
 from .loader import CircuitHandle, CorpusError, load_circuit, preflight_report
@@ -41,4 +43,5 @@ __all__ = [
     "parse_bench_recovering",
     "parse_verilog_recovering",
     "preflight_report",
+    "read_netlist",
 ]

@@ -3,9 +3,9 @@
 Writes ``BENCH_corpus.json`` (gated by ``scripts/bench_compare.py
 --only corpus``):
 
-* **per-fixture** — every packaged fixture parsed through the streaming
-  front end, with line counts and wall-clock (informational: the files
-  are tiny);
+* **per-fixture** — every packaged fixture read and parsed through the
+  front end's one reader, with line counts and wall-clock
+  (informational: the files are tiny);
 * **synthetic** — a deterministic generated netlist large enough for a
   stable ``lines_per_s`` figure, checked against the embedded
   ``min_lines_per_s`` floor (conservative: an order of magnitude below
@@ -29,7 +29,7 @@ import sys
 import time
 from pathlib import Path
 
-from .frontend import parse_bench_recovering, parse_verilog_recovering
+from .frontend import parse_bench_recovering, read_netlist
 from .manifest import ENTRIES, FIXTURES_DIR
 
 #: conservative floor for the synthetic parse (lines/second); the
@@ -51,23 +51,16 @@ y = AND(a, b)
 
 
 def _parse_fixture(path: Path) -> tuple[int, float, dict]:
-    """Parse one fixture; returns (lines, seconds, stats)."""
-    text = path.read_text()
-    lines = text.splitlines()
+    """Read and parse one fixture; returns (lines, seconds, stats)."""
     start = time.perf_counter()
-    if path.suffix == ".v":
-        result = parse_verilog_recovering(lines, name=path.stem,
-                                          source=path.name)
-    else:
-        result = parse_bench_recovering(lines, name=path.stem,
-                                        source=path.name)
+    result = read_netlist(path)
     elapsed = time.perf_counter() - start
     if result.errors:
         raise SystemExit(
             f"corpus bench: fixture {path.name} failed to parse: "
             f"{result.errors[0].format()}"
         )
-    return len(lines), elapsed, dict(result.stats)
+    return result.stats["lines"], elapsed, dict(result.stats)
 
 
 def _roundtrip_ok() -> bool:
@@ -77,8 +70,8 @@ def _roundtrip_ok() -> bool:
     for entry in ENTRIES:
         if entry.fmt != "bench":
             continue
-        text = (FIXTURES_DIR / entry.filename).read_text()
-        first = write_bench(parse_bench(text, name=entry.name))
+        path = FIXTURES_DIR / entry.filename
+        first = write_bench(read_netlist(path, name=entry.name).raise_first())
         second = write_bench(parse_bench(first, name=entry.name))
         if first != second:
             return False

@@ -1,12 +1,13 @@
-"""Unified streaming front end for BENCH and structural Verilog.
+"""The one netlist front end: BENCH and structural Verilog.
 
-One tokenizer + recursive-descent scanner serves both the strict parsing
-API (``repro.netlist.parse_bench`` / ``parse_verilog`` delegate here) and
-a recovering mode used by ``repro lint`` and the corpus robustness gate:
+Every netlist file is read by :func:`read_netlist`: the bytes are read
+once, decoded as strict UTF-8 and handed, as lines, to the recovering
+parser the suffix picks.  ``load_circuit`` (campaigns), ``load_bench``,
+``load_verilog`` and ``repro lint`` all call it, so they agree on every
+file.  One tokenizer + recursive-descent scanner per format serves both
+the strict parsing API (``repro.netlist.parse_bench`` / ``parse_verilog``
+delegate here) and the recovering mode:
 
-* **line-streaming** — input is consumed as an iterator of lines, never a
-  whole-file read; ``load_bench``/``load_verilog`` hand the open file
-  object straight to the scanner;
 * **error-recovering** — instead of raising at the first problem, the
   scanner records a :class:`ParseDiagnostic` (file/line/col + offending
   line) and resynchronizes at the next statement boundary (the next line
@@ -31,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from ..netlist.gates import BENCH_TYPES, GateType
 from ..netlist.netlist import Netlist, NetlistError
@@ -40,7 +41,6 @@ from ..netlist.sequential import FlipFlop, SequentialCircuit
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..lint.diagnostics import Diagnostic
     from ..netlist.bench_io import NetlistFormatError
-
 
 # ------------------------------------------------------------------ #
 # diagnostics
@@ -95,12 +95,14 @@ class ParseResult:
     ``circuit`` is the best-effort model (None when nothing could be
     assembled); it is only guaranteed valid when ``errors`` is empty.
     ``stats`` carries throughput accounting: physical ``lines`` consumed,
-    ``gates`` and ``flops`` accepted.
+    ``gates`` and ``flops`` accepted.  ``provenance`` maps each net to
+    the 1-based line that defines it (input, gate or flop).
     """
 
     circuit: SequentialCircuit | None
     errors: list[ParseDiagnostic] = field(default_factory=list)
     stats: dict[str, int] = field(default_factory=dict)
+    provenance: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -157,11 +159,11 @@ def tokenize(line: str) -> list[Token] | None:
 
 
 class _LineStream:
-    """Streaming logical-line reader shared by both scanners.
+    """Logical-line reader shared by both scanners.
 
     Strips CRLF, merges trailing-backslash continuations (the merged
     line reports the first physical line's number) and counts physical
-    lines for the throughput stats.  Never materializes the whole input.
+    lines for the throughput stats.
     """
 
     def __init__(self, lines: Iterable[str], comment: str | None = None):
@@ -245,20 +247,15 @@ def _loop_site(
     core: Netlist, defined_at: Mapping[str, tuple[int, str]]
 ) -> tuple[int, str]:
     """``(line_no, line)`` of the earliest-defined gate on a combinational
-    loop of ``core``, or ``(0, "")`` when it has none (lazy import: the
-    lint package depends on this module)."""
-    from ..lint.netlist_rules import NetlistSubject
-
-    loop = NetlistSubject(core).find_cycle()
-    if loop is None:
-        return 0, ""
+    loop of ``core``, or ``(0, "")`` when it has none."""
+    loop = core.one_loop()
     return min((defined_at[n] for n in loop if n in defined_at), default=(0, ""))
 
 
 def parse_bench_recovering(
     lines: Iterable[str], name: str = "bench", source: str | None = None
 ) -> ParseResult:
-    """Streaming, error-recovering BENCH parse.
+    """Error-recovering BENCH parse.
 
     Scans line by line, recording a :class:`ParseDiagnostic` per defect
     and resynchronizing at the next line.  Recovery policy per defect
@@ -388,42 +385,8 @@ def parse_bench_recovering(
             "gates": n_gates,
             "flops": len(flops),
         },
+        provenance={net: no for net, (no, _) in defined_at.items()},
     )
-
-
-def parse_bench_strict(
-    text: str, name: str = "bench", source: str | None = None
-) -> SequentialCircuit:
-    """Strict BENCH parse: first recovered error is raised."""
-    return parse_bench_recovering(
-        text.splitlines(), name=name, source=source
-    ).raise_first()
-
-
-def _load_streaming(path: str | Path, parse) -> ParseResult:
-    """Stream a file's lines into a recovering ``parse``.  A file that is
-    not text gets one diagnostic at its first undecodable line."""
-    p = Path(path)
-    try:
-        with open(p, "r") as fh:
-            return parse(fh, name=p.stem, source=str(p))
-    except UnicodeDecodeError as exc:
-        line_no = 0
-        with open(p, "rb") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                try:
-                    raw.decode(exc.encoding)
-                except UnicodeDecodeError:
-                    break
-        message = f"not {exc.encoding} text ({exc.reason})"
-        return ParseResult(
-            None, [ParseDiagnostic(message, source=str(p), line_no=line_no)]
-        )
-
-
-def load_bench_streaming(path: str | Path) -> ParseResult:
-    """Recovering parse of a BENCH file, streamed (no whole-file read)."""
-    return _load_streaming(path, parse_bench_recovering)
 
 
 # ------------------------------------------------------------------ #
@@ -499,7 +462,7 @@ class _VerilogCommentStripper:
 def parse_verilog_recovering(
     lines: Iterable[str], name: str | None = None, source: str | None = None
 ) -> ParseResult:
-    """Streaming, error-recovering parse of structural Verilog.
+    """Error-recovering parse of structural Verilog.
 
     Statements are assembled on the fly (``;`` is the resync boundary);
     a bad statement records a diagnostic and scanning continues at the
@@ -523,7 +486,7 @@ def parse_verilog_recovering(
     outputs: list[str] = []
     ff_updates: dict[str, tuple[str, str]] = {}  # state reg -> (prev, d)
     ff_q_assign: dict[str, tuple[str, int]] = {}  # q net -> (state reg, line)
-    defined_at: dict[str, tuple[int, str]] = {}  # gate net -> (line, stmt)
+    defined_at: dict[str, tuple[int, str]] = {}  # net -> (line, stmt)
     pending_assigns: list[tuple[str, str, int, str]] = []
     n_gates = 0
 
@@ -559,6 +522,7 @@ def parse_verilog_recovering(
                 if kind == "input":
                     try:
                         core.add_input(net)
+                        defined_at[net] = (line_no, stmt)
                     except NetlistError as exc:
                         err(str(exc), line_no, stmt)
                 elif kind == "output":
@@ -709,6 +673,7 @@ def parse_verilog_recovering(
             if scan_clean:
                 err(str(exc), line_no)
             continue
+        defined_at[q] = (line_no, "")
         flops.append(FlipFlop(reg, d=d, q=q))
 
     circuit: SequentialCircuit | None = None
@@ -737,26 +702,37 @@ def parse_verilog_recovering(
             "gates": n_gates,
             "flops": len(flops),
         },
+        provenance={net: no for net, (no, _) in defined_at.items()},
     )
 
 
-def parse_verilog_strict(
-    text: str, name: str | None = None, source: str | None = None
-) -> SequentialCircuit:
-    """Strict Verilog parse: first recovered error is raised."""
-    return parse_verilog_recovering(
-        text.splitlines(), name=name, source=source
-    ).raise_first()
+def read_netlist(
+    path: str | Path,
+    data: bytes | None = None,
+    name: str | None = None,
+    parse: Callable[..., ParseResult] | None = None,
+) -> ParseResult:
+    """Recovering parse of one netlist file.
 
-
-def load_verilog_streaming(path: str | Path) -> ParseResult:
-    """Recovering parse of a Verilog file, streamed."""
-    return _load_streaming(path, parse_verilog_recovering)
-
-
-def parse_path_recovering(path: str | Path) -> ParseResult:
-    """Dispatch a file to the right recovering parser by suffix."""
+    ``data`` is the file's bytes when the caller already holds them;
+    otherwise they are read here (an ``OSError`` propagates).  They are
+    decoded as strict UTF-8, whatever the locale: an undecodable byte
+    gives one diagnostic at the line that holds it.  ``parse`` defaults
+    to the parser the suffix picks: ``.v`` is Verilog, anything else
+    BENCH.
+    """
     p = Path(path)
-    if p.suffix.lower() == ".v":
-        return load_verilog_streaming(p)
-    return load_bench_streaming(p)
+    if data is None:
+        data = p.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        message = f"not utf-8 text ({exc.reason})"
+        return ParseResult(
+            None, [ParseDiagnostic(message, source=str(p), line_no=line_no)]
+        )
+    if parse is None:
+        verilog = p.suffix.lower() == ".v"
+        parse = parse_verilog_recovering if verilog else parse_bench_recovering
+    return parse(text.splitlines(), name=name or p.stem, source=str(p))

@@ -17,12 +17,7 @@ from pathlib import Path
 
 from .. import telemetry
 from ..netlist.sequential import SequentialCircuit
-from .frontend import (
-    ParseDiagnostic,
-    ParseResult,
-    parse_bench_recovering,
-    parse_verilog_recovering,
-)
+from .frontend import ParseResult, read_netlist
 from .manifest import FIXTURES_DIR, blake2b_hex, find_entry
 
 
@@ -38,20 +33,19 @@ class CircuitHandle:
     name: str
     path: str
     digest: str
-    circuit: SequentialCircuit | None
-    errors: tuple[ParseDiagnostic, ...]
-    stats: "dict[str, int]"
+    parsed: ParseResult
 
     @property
     def ok(self) -> bool:
-        return not self.errors and self.circuit is not None
+        return self.parsed.ok
+
+    @property
+    def stats(self) -> "dict[str, int]":
+        return self.parsed.stats
 
     def require_circuit(self) -> SequentialCircuit:
         """The parsed circuit, or the first parse error as an exception."""
-        if self.errors:
-            raise self.errors[0].to_error()
-        assert self.circuit is not None
-        return self.circuit
+        return self.parsed.raise_first()
 
 
 #: (resolved path, digest) -> handle.  Per-process; pool workers build
@@ -59,16 +53,6 @@ class CircuitHandle:
 #: the pre-flight fix needs (parent lints and workers compute from the
 #: same memoized object within each process).
 _MEMO: dict[tuple[str, str], CircuitHandle] = {}
-
-
-def _parse_file(path: Path, text: str, name: str) -> ParseResult:
-    if path.suffix.lower() == ".v":
-        return parse_verilog_recovering(
-            text.splitlines(), name=name, source=str(path)
-        )
-    return parse_bench_recovering(
-        text.splitlines(), name=name, source=str(path)
-    )
 
 
 def load_circuit(path: "str | Path", name: "str | None" = None) -> CircuitHandle:
@@ -85,15 +69,11 @@ def load_circuit(path: "str | Path", name: "str | None" = None) -> CircuitHandle
     if cached is not None:
         telemetry.counter_add("corpus.parse.cached")
         return cached
-    result = _parse_file(p, data.decode("utf-8", errors="replace"),
-                         name or p.stem)
     handle = CircuitHandle(
         name=name or p.stem,
         path=str(p),
         digest=digest,
-        circuit=result.circuit,
-        errors=tuple(result.errors),
-        stats=dict(result.stats),
+        parsed=read_netlist(p, data, name),
     )
     _MEMO[key] = handle
     telemetry.counter_add("corpus.parse")
@@ -117,20 +97,11 @@ def load_corpus_circuit(name: str) -> CircuitHandle:
 
 
 def preflight_report(handle: CircuitHandle):
-    """Lint report for one handle, without re-parsing the file.
+    """Lint report for one handle, without re-parsing the file: the same
+    driver ``repro lint`` runs on a file."""
+    from ..lint.api import lint_parsed
 
-    Parse diagnostics flow in as IO001; when the parse was clean the
-    full netlist rule set runs over the already-parsed circuit.
-    """
-    from ..lint import LintReport, lint_netlist
-
-    if not handle.errors and handle.circuit is not None:
-        return lint_netlist(handle.circuit, handle.path)
-    report = LintReport(subject=handle.path)
-    kind = "verilog" if handle.path.endswith(".v") else "netlist"
-    for diag in handle.errors:
-        report.add(diag.to_lint(kind))
-    return report
+    return lint_parsed(handle.parsed, handle.path)
 
 
 def clear_memo() -> None:

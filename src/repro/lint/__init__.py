@@ -13,14 +13,7 @@ the row into an ``error`` outcome instead of spending a solver budget on
 a malformed circuit.  ``repro lint`` is the command-line face.
 """
 
-from .api import (
-    lint_bench_path,
-    lint_bench_text,
-    lint_netlist,
-    lint_orap,
-    lint_paper_benchmarks,
-    lint_verilog_path,
-)
+from .api import lint_netlist, lint_orap, lint_paper_benchmarks, lint_parsed
 from .diagnostics import Diagnostic, LintReport, Location, Severity
 from .netlist_rules import NetlistSubject
 from .registry import (
@@ -45,12 +38,10 @@ __all__ = [
     "Severity",
     "all_rules",
     "get_rule",
-    "lint_bench_path",
-    "lint_bench_text",
     "lint_netlist",
     "lint_orap",
     "lint_paper_benchmarks",
-    "lint_verilog_path",
+    "lint_parsed",
     "rule",
     "rules_for",
     "run_rules",

@@ -4,32 +4,33 @@ Entry points:
 
 * :func:`lint_netlist` — a :class:`~repro.netlist.Netlist` or
   :class:`~repro.netlist.SequentialCircuit`;
-* :func:`lint_bench_text` / :func:`lint_bench_path` — BENCH source,
-  scanned tolerantly so *all* problems are reported (the strict parser
-  stops at the first);
-* :func:`lint_verilog_path` — structural Verilog, through the corpus
-  front end's recovering parser;
+* :func:`lint_parsed` — one netlist file as the corpus front end parsed
+  it; ``repro lint <file>`` and a corpus campaign's pre-flight both run
+  it, so they report the same findings;
 * :func:`lint_orap` — a full OraP design (orap + scheme + netlist rules);
 * :func:`lint_paper_benchmarks` — every bundled benchmark stand-in and
   fixture, the corpus ``repro lint`` checks by default.
 
 ``IO001`` is the one driver-level diagnostic: a file that cannot be
-modelled at all (unreadable, bad Verilog).  It is emitted directly rather
-than through the registry because no subject exists yet.
+modelled at all (unreadable, or any parse diagnostic).  It is emitted
+directly rather than through the registry because no subject exists yet.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from ..netlist import Netlist, NetlistError, SequentialCircuit
-from ..netlist.gates import BENCH_TYPES, GateType
+from ..netlist import Netlist, SequentialCircuit
 from ..orap.scheme import OraPDesign
 from .diagnostics import LintReport
-from .netlist_rules import _BENCH_DEF_RE, NetlistSubject
+from .netlist_rules import NetlistSubject
 from .registry import run_rules
 from .scheme_rules import SchemeSubject
+
+if TYPE_CHECKING:  # pragma: no cover - the corpus front end loads lazily
+    from ..corpus.frontend import ParseResult
 
 # ------------------------------------------------------------------ #
 # netlist / sequential
@@ -56,111 +57,25 @@ def lint_netlist(
     return run_rules("netlist", subject, LintReport(subject=subject.source))
 
 
-# ------------------------------------------------------------------ #
-# BENCH text (tolerant scan — keeps going where the parser raises)
+def lint_parsed(parsed: ParseResult, source: str) -> LintReport:
+    """Lint one netlist file from its front-end parse.
 
-_IO_PREFIXES = ("INPUT(", "OUTPUT(")
-
-
-def _tolerant_bench_subject(text: str, source: str) -> NetlistSubject:
-    """Best-effort model of BENCH text for linting.
-
-    Unlike :func:`repro.netlist.parse_bench` this never raises: duplicate
-    drivers keep the first definition (NL011 reports the clash), unknown
-    operators drop the line (NL012 reports it), and structural problems
-    (cycles, undefined nets) are left in the model for the netlist rules
-    to find.  DFFs take the full-scan view: Q nets become pseudo inputs,
-    D nets pseudo outputs.
+    Each parse diagnostic becomes one located IO001 (the front end
+    suppresses cascade errors, so one defect yields one finding); a
+    cleanly parsed file gets the netlist rules, located by the lines
+    that define each net.
     """
-    netlist = Netlist(Path(source).stem or "bench")
-    outputs: list[str] = []
-    flop_qs: list[str] = []
-    flop_ds: list[str] = []
-    provenance: dict[str, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        upper = line.upper()
-        if upper.startswith(_IO_PREFIXES) and ")" in line:
-            name = line[line.index("(") + 1 : line.rindex(")")].strip()
-            if not name:
-                continue
-            if upper.startswith("INPUT("):
-                if not netlist.has_net(name):
-                    netlist.add_input(name)
-                    provenance[name] = line_no
-            else:
-                outputs.append(name)
-                provenance.setdefault(name, line_no)
-            continue
-        m = _BENCH_DEF_RE.match(line)
-        if not m:
-            continue  # NL012 reports unparseable definitions from the text
-        lhs = m.group("lhs")
-        op = m.group("op").upper()
-        args_text = line[line.index("(") + 1 : line.rindex(")")] if ")" in line else ""
-        args = [a.strip() for a in args_text.split(",") if a.strip()]
-        if netlist.has_net(lhs):
-            continue  # NL011 reports the duplicate driver
-        provenance[lhs] = line_no
-        if op == "DFF":
-            netlist.add_input(lhs)
-            flop_qs.append(lhs)
-            if args:
-                flop_ds.append(args[0])
-            continue
-        gtype = BENCH_TYPES.get(op)
-        if gtype is None:
-            continue  # NL012 reports the unknown operator
-        try:
-            netlist.add_gate(lhs, gtype, args)
-        except (NetlistError, ValueError):
-            # arity violations (e.g. NOT with two inputs): model the net as
-            # a buffer of its first argument so downstream rules still run
-            if args:
-                netlist.add_gate(lhs, GateType.BUF, (args[0],))
-    netlist.set_outputs(outputs + [d for d in flop_ds if d not in outputs])
-    return NetlistSubject(
-        netlist=netlist,
-        source=source,
-        provenance=provenance,
-        pseudo_inputs=frozenset(flop_qs),
-        pseudo_outputs=frozenset(flop_ds),
-        bench_text=text,
-    )
-
-
-def lint_bench_text(text: str, source: str = "<string>") -> LintReport:
-    """Lint BENCH source text (tolerant: reports every finding at once)."""
-    subject = _tolerant_bench_subject(text, source)
-    return run_rules("netlist", subject, LintReport(subject=source))
-
-
-def lint_bench_path(path: str | Path) -> LintReport:
-    """Lint a BENCH file from disk."""
-    p = Path(path)
-    return lint_bench_text(p.read_text(), source=str(p))
-
-
-def lint_verilog_path(path: str | Path) -> LintReport:
-    """Lint a structural Verilog file (recovering parse, then rules).
-
-    Every scan-level parse diagnostic becomes one IO001 (the recovering
-    front end suppresses cascade errors, so a single defect yields a
-    single finding); a cleanly parsed file gets the netlist rule set.
-    """
-    from ..corpus.frontend import load_verilog_streaming
-
-    p = Path(path)
-    report = LintReport(subject=str(p))
-    result = load_verilog_streaming(p)
-    if result.errors:
-        for diag in result.errors:
-            report.add(diag.to_lint("verilog"))
+    report = LintReport(subject=source)
+    if parsed.errors:
+        kind = "verilog" if Path(source).suffix.lower() == ".v" else "netlist"
+        for diag in parsed.errors:
+            report.add(diag.to_lint(kind))
         return report
-    assert result.circuit is not None
-    return run_rules("netlist", _subject_of(result.circuit, str(p)), report)
+    assert parsed.circuit is not None
+    subject = replace(
+        _subject_of(parsed.circuit, source), provenance=parsed.provenance
+    )
+    return run_rules("netlist", subject, report)
 
 
 # ------------------------------------------------------------------ #

@@ -12,22 +12,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Sequence, TextIO
 
-from .api import (
-    lint_bench_path,
-    lint_paper_benchmarks,
-    lint_orap,
-    lint_verilog_path,
-)
+from .api import lint_orap, lint_paper_benchmarks, lint_parsed
 from .diagnostics import Diagnostic, LintReport, Location, Severity
 from .registry import all_rules
 
-#: file suffix -> path linter
-_SUFFIX_LINTERS: dict[str, Callable[[Path], LintReport]] = {
-    ".bench": lint_bench_path,
-    ".v": lint_verilog_path,
-}
+#: file suffixes ``repro lint`` reads as netlists
+_SUFFIXES = (".bench", ".v")
 
 
 def _io_error(p: Path, message: str) -> LintReport:
@@ -44,24 +36,29 @@ def _io_error(p: Path, message: str) -> LintReport:
 
 
 def lint_path(path: str | Path) -> LintReport:
-    """Dispatch one file to the right analyzer by suffix.
+    """Lint one netlist file: what a corpus campaign's pre-flight runs.
 
-    An unknown suffix, or a file that cannot be read as text (missing,
-    a directory, not UTF-8), produces one ``IO001`` error report instead
-    of raising, so a mixed file list still yields one report per path.
+    The file goes through the corpus front end's one reader
+    (:func:`~repro.corpus.frontend.read_netlist`), then
+    :func:`~repro.lint.api.lint_parsed`.  An unknown suffix, or a file
+    that cannot be read (missing, a directory), produces one ``IO001``
+    error report instead of raising, so a mixed file list still yields
+    one report per path.
     """
+    from ..corpus.frontend import read_netlist
+
     p = Path(path)
-    linter = _SUFFIX_LINTERS.get(p.suffix.lower())
-    if linter is None:
+    if p.suffix.lower() not in _SUFFIXES:
         return _io_error(
             p,
             f"unsupported file type {p.suffix!r} "
-            f"(expected one of {sorted(_SUFFIX_LINTERS)})",
+            f"(expected one of {sorted(_SUFFIXES)})",
         )
     try:
-        return linter(p)
-    except (OSError, UnicodeDecodeError) as exc:
+        parsed = read_netlist(p)
+    except OSError as exc:
         return _io_error(p, f"cannot read file: {exc}")
+    return lint_parsed(parsed, str(p))
 
 
 def lint_orap_chips() -> list[LintReport]:

@@ -2,15 +2,15 @@
 
 The rules work on a :class:`NetlistSubject` wrapper instead of the raw
 :class:`~repro.netlist.Netlist` because lint must keep going on inputs the
-strict model refuses — a netlist with undefined fan-ins or combinational
-cycles still deserves a complete report, not an exception after the first
-problem.  The wrapper therefore rebuilds fanout and reachability maps
-tolerantly (skipping undefined references) instead of calling
-:meth:`Netlist.topological_order`.
+strict model refuses — a netlist object built in code with undefined
+fan-ins or combinational cycles still deserves a complete report, not an
+exception after the first problem.  The wrapper therefore rebuilds fanout
+and reachability maps tolerantly (skipping undefined references) instead
+of calling :meth:`Netlist.topological_order`.
 
-Rule ids are ``NL0xx``; the bench-text-level rules (``NL011``/``NL012``)
-read the raw source that the tolerant BENCH scan in :mod:`repro.lint.api`
-keeps on the subject.
+Rule ids are ``NL0xx``.  No rule reads source text: a netlist file is
+linted from the corpus front end's parse, whose diagnostics become IO001
+(see :func:`repro.lint.api.lint_parsed`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ KEY_INPUT_RE = re.compile(r"^keyinput\d+(_\d+x)?$")
 
 @dataclass
 class NetlistSubject:
-    """A netlist plus optional bench provenance, prepared for linting.
+    """A netlist plus optional file provenance, prepared for linting.
 
     Attributes:
         netlist: the circuit under analysis (may be structurally broken).
@@ -39,9 +39,6 @@ class NetlistSubject:
             the sequential layer (flip-flop Q nets) — exempt from NL005.
         pseudo_outputs: core outputs consumed by the sequential layer
             (flip-flop D nets) — exempt from dead-net logic.
-        bench_text: raw BENCH source when the subject came from a file;
-            enables the text-level rules (NL011/NL012) that fire on input
-            the strict parser refuses to model at all.
     """
 
     netlist: Netlist
@@ -49,7 +46,6 @@ class NetlistSubject:
     provenance: Mapping[str, int] = field(default_factory=dict)
     pseudo_inputs: frozenset[str] = frozenset()
     pseudo_outputs: frozenset[str] = frozenset()
-    bench_text: str | None = None
 
     def loc(self, net: str) -> Location:
         """Location of a net, with file/line when provenance exists."""
@@ -328,82 +324,4 @@ def check_key_convention(subject: NetlistSubject) -> Iterator[Diagnostic]:
                 ),
                 location=subject.loc(g.name),
                 hint="rename the internal net or make it a primary input",
-            )
-
-
-# ------------------------------------------------------------------ #
-# BENCH-text rules: fire on raw source, so they still report on input
-# the strict parser rejects outright
-
-_BENCH_DEF_RE = re.compile(
-    r"^\s*(?P<lhs>[\w.\[\]$/]+)\s*=\s*(?P<op>\w+)\s*\("
-)
-
-
-@rule(
-    "NL011",
-    "multiply-driven-net",
-    Severity.ERROR,
-    "netlist",
-    "Two drivers on one net is the classic hand-edited-BENCH bug; the "
-    "parser keeps only the first and the simulation silently diverges "
-    "from the tool that kept the last.",
-)
-def check_multiply_driven(subject: NetlistSubject) -> Iterator[Diagnostic]:
-    if subject.bench_text is None:
-        return
-    defined: dict[str, int] = {}
-    for line_no, raw in enumerate(subject.bench_text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        m = _BENCH_DEF_RE.match(line)
-        lhs: str | None = None
-        if m:
-            lhs = m.group("lhs")
-        elif line.upper().startswith("INPUT(") and ")" in line:
-            lhs = line[line.index("(") + 1 : line.rindex(")")].strip()
-        if not lhs:
-            continue
-        if lhs in defined:
-            yield Diagnostic(
-                rule_id="NL011",
-                severity=Severity.ERROR,
-                message=(
-                    f"net {lhs!r} is driven here and on line {defined[lhs]}"
-                ),
-                location=Location(obj=lhs, source=subject.source, line_no=line_no),
-                hint="a net may have exactly one driver",
-            )
-        else:
-            defined[lhs] = line_no
-
-
-@rule(
-    "NL012",
-    "unknown-gate-op",
-    Severity.ERROR,
-    "netlist",
-    "An operator outside the BENCH dialect (typo'd NAND, vendor cell "
-    "name) means the line was dropped and the netlist is incomplete.",
-)
-def check_unknown_op(subject: NetlistSubject) -> Iterator[Diagnostic]:
-    if subject.bench_text is None:
-        return
-    from ..netlist.gates import BENCH_TYPES
-
-    known = set(BENCH_TYPES) | {"DFF"}
-    for line_no, raw in enumerate(subject.bench_text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        m = _BENCH_DEF_RE.match(line)
-        if not m:
-            continue
-        op = m.group("op").upper()
-        if op not in known:
-            yield Diagnostic(
-                rule_id="NL012",
-                severity=Severity.ERROR,
-                message=f"unknown BENCH gate type {op!r}",
-                location=Location(
-                    obj=m.group("lhs"), source=subject.source, line_no=line_no
-                ),
-                hint=f"supported: {', '.join(sorted(known))}",
             )

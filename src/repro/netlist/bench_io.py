@@ -59,14 +59,16 @@ def parse_bench(
     :class:`NetlistFormatError` naming ``source`` (defaults to ``name``)
     and the offending line.
 
-    This is the strict view of the :mod:`repro.corpus.frontend` streaming
-    scanner (imported lazily — ``repro.corpus`` imports this module for
+    This is the strict view of the :mod:`repro.corpus.frontend` scanner
+    (imported lazily — ``repro.corpus`` imports this module for
     :class:`NetlistFormatError`): the first recovered diagnostic is
     raised, preserving the historical message/line contract.
     """
-    from ..corpus.frontend import parse_bench_strict
+    from ..corpus.frontend import parse_bench_recovering
 
-    return parse_bench_strict(text, name=name, source=source)
+    return parse_bench_recovering(
+        text.splitlines(), name=name, source=source
+    ).raise_first()
 
 
 def parse_bench_combinational(
@@ -83,10 +85,11 @@ def parse_bench_combinational(
 
 
 def load_bench(path: str | Path) -> SequentialCircuit:
-    """Parse a BENCH file from disk, streamed (errors carry the path)."""
-    from ..corpus.frontend import load_bench_streaming
+    """Parse a BENCH file from disk (errors carry the path); a fresh
+    circuit on each call."""
+    from ..corpus.frontend import parse_bench_recovering, read_netlist
 
-    return load_bench_streaming(path).raise_first()
+    return read_netlist(path, parse=parse_bench_recovering).raise_first()
 
 
 def write_bench(circuit: SequentialCircuit | Netlist) -> str:

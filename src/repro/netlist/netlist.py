@@ -263,19 +263,36 @@ class Netlist:
                 if indeg[succ] == 0:
                     queue.append(succ)
         if len(order) != len(self._gates):
-            stuck = {n for n, d in indeg.items() if d > 0}
             raise NetlistError(
-                f"combinational cycle involving {self._one_loop(stuck)[:8]}"
+                f"combinational cycle involving {self.one_loop()[:8]}"
             )
         self._topo = order
         self._fanout = fanout
         return order
 
-    def _one_loop(self, stuck: set[str]) -> list[str]:
-        """The nets of one loop among those Kahn's pass left unvisited,
-        sorted.  Each of them has an unvisited fan-in, so following
-        those fan-ins must revisit a net; nets merely downstream of the
-        loop are never on the walk's cycle."""
+    def one_loop(self) -> list[str]:
+        """The nets of one combinational loop, sorted; empty when there
+        is none.  Undefined fan-ins are ignored.  Kahn's pass leaves
+        unvisited exactly the nets on or downstream of a loop; each of
+        them has an unvisited fan-in, so following those fan-ins must
+        revisit a net, and nets merely downstream of the loop are never
+        on the walk's cycle."""
+        indeg = dict.fromkeys(self._gates, 0)
+        fanout: dict[str, list[str]] = {n: [] for n in self._gates}
+        for g in self._gates.values():
+            for f in g.fanin:
+                if f in fanout:
+                    indeg[g.name] += 1
+                    fanout[f].append(g.name)
+        queue = deque(n for n, d in indeg.items() if d == 0)
+        while queue:
+            for succ in fanout[queue.popleft()]:
+                indeg[succ] -= 1
+                if indeg[succ] == 0:
+                    queue.append(succ)
+        stuck = {n for n, d in indeg.items() if d > 0}
+        if not stuck:
+            return []
         seen: dict[str, int] = {}
         path: list[str] = []
         net = min(stuck)

@@ -11,7 +11,7 @@ Malformed input raises :class:`~repro.netlist.bench_io.NetlistFormatError`
 with file/line context — the same error contract as the BENCH reader, so
 callers (and ``repro lint``) report both formats uniformly.
 
-Parsing is delegated to the unified streaming front end in
+Parsing is delegated to the one netlist front end in
 :mod:`repro.corpus.frontend` (imported lazily: ``repro.corpus`` imports
 :mod:`repro.netlist` at top level); this module keeps the historical
 strict API.  The front end additionally handles ``//`` and ``/* */``
@@ -23,21 +23,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .gates import GateType
 from .sequential import SequentialCircuit
-
-#: primitive instantiation name -> gate type (re-exported for callers
-#: that introspect the accepted subset)
-_PRIMITIVES = {
-    "and": GateType.AND,
-    "nand": GateType.NAND,
-    "or": GateType.OR,
-    "nor": GateType.NOR,
-    "xor": GateType.XOR,
-    "xnor": GateType.XNOR,
-    "not": GateType.NOT,
-    "buf": GateType.BUF,
-}
 
 
 def parse_verilog(
@@ -49,16 +35,18 @@ def parse_verilog(
     input raises :class:`NetlistFormatError` naming ``source`` (defaults
     to the module name) and the offending line.
     """
-    from ..corpus.frontend import parse_verilog_strict
+    from ..corpus.frontend import parse_verilog_recovering
 
-    return parse_verilog_strict(text, name=name, source=source)
+    return parse_verilog_recovering(
+        text.splitlines(), name=name, source=source
+    ).raise_first()
 
 
 def load_verilog(path: str | Path) -> SequentialCircuit:
-    """Parse structural Verilog from a file, streamed.
+    """Parse structural Verilog from a file; a fresh circuit on each call.
 
     Errors are :class:`NetlistFormatError` naming the file path and line.
     """
-    from ..corpus.frontend import load_verilog_streaming
+    from ..corpus.frontend import parse_verilog_recovering, read_netlist
 
-    return load_verilog_streaming(path).raise_first()
+    return read_netlist(path, parse=parse_verilog_recovering).raise_first()

@@ -202,7 +202,10 @@ class TestRemovedIn120:
     ``repro.sim.words_for_assignment``.  1.7.0 cut ``repro.lint`` down to
     the pre-flight it gates: the CNF analyzer, waivers, ``LintConfig``,
     the info rules and ``repro lint --no-info`` are gone, and so is every
-    lint name or parameter that only lint's own tests used."""
+    lint name or parameter that only lint's own tests used.  1.8.0 left
+    one netlist reader: lint's tolerant BENCH scan, its file drivers, the
+    text rules NL011/NL012 and the front end's per-format file entry
+    points are gone."""
 
     SERVICE_EXPORTS = (
         "JobSpec", "JobStatus", "execute_job", "job_content_key",
@@ -416,6 +419,39 @@ class TestRemovedIn120:
         pytest.param(
             lambda wll: main(["lint", "--no-info"]), SystemExit,
             id="cli-lint---no-info",
+        ),
+        *(
+            pytest.param(
+                lambda wll, m=m, n=n: getattr(importlib.import_module(m), n),
+                AttributeError,
+                id=f"{m}.{n}",
+            )
+            for m, names in (
+                ("repro.lint",
+                 ("lint_bench_text", "lint_bench_path", "lint_verilog_path")),
+                ("repro.corpus.frontend",
+                 ("parse_bench_strict", "parse_verilog_strict",
+                  "load_bench_streaming", "load_verilog_streaming",
+                  "parse_path_recovering")),
+            )
+            for n in names
+        ),
+        *(
+            pytest.param(
+                lambda wll, r=r: importlib.import_module(
+                    "repro.lint"
+                ).get_rule(r),
+                KeyError,
+                id=f"get_rule-{r}",
+            )
+            for r in ("NL011", "NL012")
+        ),
+        pytest.param(
+            lambda wll: importlib.import_module("repro.lint").NetlistSubject(
+                wll.locked, bench_text=""
+            ),
+            TypeError,
+            id="NetlistSubject-bench_text",
         ),
     ]
 

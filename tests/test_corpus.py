@@ -9,6 +9,9 @@ the working directory.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,6 +103,26 @@ class TestLoader:
         p.write_text("INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n")
         with pytest.raises(ValueError, match="FROB"):
             load_circuit(p).require_circuit()
+
+
+class TestImportTime:
+    def test_import_experiments_loads_no_corpus_module(self):
+        # every campaign imports repro.experiments; the corpus front end
+        # loads only when a corpus circuit is asked for
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, repro.experiments; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.corpus')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestRegistryBridge:

@@ -13,9 +13,8 @@ import pytest
 from repro.corpus.frontend import (
     ParseDiagnostic,
     parse_bench_recovering,
-    parse_bench_strict,
-    parse_path_recovering,
     parse_verilog_recovering,
+    read_netlist,
     tokenize,
 )
 from repro.corpus.manifest import ENTRIES, FIXTURES_DIR
@@ -149,7 +148,7 @@ class TestRecovery:
 
     def test_strict_mode_raises_first_error(self):
         with pytest.raises(NetlistFormatError) as exc:
-            parse_bench_strict(
+            parse_bench(
                 "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n", source="s.bench"
             )
         assert "s.bench:3" in str(exc.value)
@@ -261,5 +260,5 @@ class TestFixtureRoundTrip:
             "module x (a, y);\n  input a;\n  output y;\n"
             "  not g (y, a);\nendmodule\n"
         )
-        assert parse_path_recovering(tmp_path / "x.bench").ok
-        assert parse_path_recovering(tmp_path / "x.v").ok
+        assert read_netlist(tmp_path / "x.bench").ok
+        assert read_netlist(tmp_path / "x.v").ok
