@@ -240,6 +240,73 @@ def _reference_bruteforce(nl, known, remaining, probes):
     return None
 
 
+class _KeyedOracle:
+    """Counts queries to ``nl`` with ``key`` applied."""
+
+    def __init__(self, nl, key):
+        self.nl, self.key, self.n_queries = nl, key, 0
+
+    def query(self, assignment):
+        self.n_queries += 1
+        return self.nl.evaluate_outputs({**assignment, **self.key})
+
+
+_RLL_KEY = {
+    "keyinput0": 0, "keyinput1": 0, "keyinput2": 0, "keyinput3": 1,
+    "keyinput4": 1, "keyinput5": 1, "keyinput6": 1, "keyinput7": 1,
+}
+_WLL_KEY = {
+    "keyinput0": 0, "keyinput1": 0, "keyinput2": 0, "keyinput3": 1,
+    "keyinput4": 0, "keyinput5": 1, "keyinput6": 1, "keyinput7": 0,
+    "keyinput8": 0, "keyinput9": 0, "keyinput10": 1, "keyinput11": 1,
+}
+#: (completed, iterations, oracle_queries, recovered_key, notes), recorded
+#: from the attack whose miters held two full copies of the netlist and
+#: were re-encoded for every attempt
+_PINNED_SENSITIZATION = {
+    "rll": (
+        True, 59, 49, _RLL_KEY,
+        {"bits_recovered": 8, "key_width": 8, "brute_forced": True},
+    ),
+    "wll": (
+        True, 48, 48, _WLL_KEY,
+        {"bits_recovered": 12, "key_width": 12, "brute_forced": True},
+    ),
+    "bruteforce_host": (
+        True, 7, 55, {**_BF_KEY, "k7": 0},
+        {"bits_recovered": 8, "key_width": 8, "brute_forced": True},
+    ),
+}
+
+
+class TestPinnedOutcomes:
+    """Sensitization and bypass outcomes that a change of their miters'
+    encoding must leave exactly as they are."""
+
+    @pytest.mark.parametrize("case", sorted(_PINNED_SENSITIZATION))
+    def test_sensitization(self, case, request):
+        if case == "bruteforce_host":
+            nl, _, keys = _bruteforce_host()
+            oracle = _KeyedOracle(nl, _BF_KEY)
+        else:
+            lc = request.getfixturevalue(case)
+            nl, keys, oracle = lc.locked, lc.key_inputs, IdealOracle(lc.original)
+        res = sensitization_attack(nl, keys, oracle)
+        got = (
+            res.completed, res.iterations, res.oracle_queries,
+            res.recovered_key, res.notes,
+        )
+        assert got == _PINNED_SENSITIZATION[case]
+
+    def test_bypass_sarlock(self, sar):
+        res = bypass_attack(
+            sar.locked, sar.key_inputs, IdealOracle(sar.original),
+            BypassConfig(max_error_points=8),
+        )
+        assert res.completed
+        assert netlist_is_correct(sar, res.notes["netlist"])
+
+
 class TestBruteforceBits:
     @pytest.mark.parametrize("n_probes", [20, 64, 100])
     @pytest.mark.parametrize(
