@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install dev lint test verify-fast verify-robust bench bench-sim bench-sim-smoke bench-corpus bench-gate campaign-smoke chaos-smoke experiments examples clean
+.PHONY: install dev lint test verify-fast verify-robust bench bench-sim bench-sim-smoke bench-corpus bench-gate campaign-smoke chaos-smoke experiments paper-scale examples clean
 
 install:
 	pip install -e .
@@ -141,6 +141,12 @@ campaign-smoke:
 # regenerate every paper artifact at default scale
 experiments:
 	$(PY) -m repro all
+
+# Table I at the paper's own sizes (scale 1.0: the paper's key widths),
+# cold; prints the table, then its wall time and peak RSS on stderr
+# (scripts/paper_scale.py; the manual paper-scale CI workflow runs it)
+paper-scale:
+	PYTHONPATH=src $(PY) scripts/paper_scale.py -- table1 --scale 1.0 --no-cache
 
 examples:
 	PYTHONPATH=src $(PY) examples/quickstart.py

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from ..netlist import GateType, Netlist
 from ..runtime.budget import Budget, ResourceExhausted
-from ..sat import CNF, CircuitEncoder, Solver
+from ..sat import CNF, ClauseTemplate, Solver, encode_gate
 from .config import AttackConfig
 from .oracle import Oracle
 from .result import AttackResult, exhausted_result
@@ -50,26 +50,36 @@ def enumerate_disagreements(
     limit: int,
     budget: Budget | None = None,
 ) -> list[dict[str, int]] | None:
-    """All inputs where two fixed-key copies differ (None if > limit)."""
+    """All inputs where two fixed-key copies differ (None if > limit).
+
+    Copy B is stamped only over the fanout cone of the key bits where
+    ``key_a`` and ``key_b`` differ; every other net is one variable in
+    both copies, and only the cone's outputs get a difference variable.
+    """
     key_set = set(key_inputs)
     data_inputs = [i for i in locked.inputs if i not in key_set]
     cnf = CNF()
     x_vars = {name: cnf.new_var() for name in data_inputs}
     ka = {name: cnf.new_var() for name in key_inputs}
-    kb = {name: cnf.new_var() for name in key_inputs}
     for name in key_inputs:
         cnf.add_clause([ka[name]] if key_a[name] else [-ka[name]])
-        cnf.add_clause([kb[name]] if key_b[name] else [-kb[name]])
-    enc_a = CircuitEncoder(locked, cnf=cnf, share={**x_vars, **ka})
-    enc_b = CircuitEncoder(locked, cnf=cnf, share={**x_vars, **kb})
+    kb = {
+        name: cnf.new_var()
+        for name in key_inputs
+        if bool(key_a[name]) != bool(key_b[name])
+    }
+    for name, v in kb.items():
+        cnf.add_clause([v] if key_b[name] else [-v])
+    template = ClauseTemplate(locked)
+    outputs = template.cone_outputs(kb)
+    if not outputs:
+        return []  # no differing key bit reaches an output
+    var_a = template.stamp(cnf, {**x_vars, **ka})
+    var_b = template.stamp_cone(cnf, var_a, kb)
     diffs = []
-    for o in locked.outputs:
-        va, vb = enc_a.var(o), enc_b.var(o)
+    for o in outputs:
         d = cnf.new_var()
-        cnf.add_clause([-d, va, vb])
-        cnf.add_clause([-d, -va, -vb])
-        cnf.add_clause([d, -va, vb])
-        cnf.add_clause([d, va, -vb])
+        encode_gate(cnf, GateType.XOR, d, [var_a[o], var_b[o]])
         diffs.append(d)
     cnf.add_clause(diffs)
     # simulation helpers for cube expansion

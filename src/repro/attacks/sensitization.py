@@ -25,9 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .. import telemetry
-from ..netlist import Netlist
+from ..netlist import GateType, Netlist
 from ..runtime.budget import Budget, ResourceExhausted
-from ..sat import CNF, ClauseTemplate, Solver
+from ..sat import CNF, ClauseTemplate, Solver, encode_gate
 from .config import AttackConfig
 from ..sim import compile_engine, pack_patterns, tail_mask
 from .oracle import Oracle
@@ -58,59 +58,66 @@ class SensitizationConfig(AttackConfig):
     verify_patterns: int = 16
 
 
-def _find_sensitizing_pattern(
-    template: ClauseTemplate,
-    data_inputs: Sequence[str],
-    key_inputs: Sequence[str],
-    target_bit: str,
-    known: dict[str, int],
-    forbidden: list[dict[str, int]],
-    budget: Budget | None = None,
-) -> tuple[dict[str, int], dict[str, int]] | None:
-    """Find (pattern, other_keys) flipping some output when target flips.
+class _SensitizingMiter:
+    """One key bit's sensitization miter on one incremental solver.
 
-    Both copies are stamped from ``template``, the locked netlist's
-    clauses.  ``known`` pins already-recovered key bits; ``forbidden``
-    excludes previously tried patterns.
+    Copy A (target bit 0) is the locked netlist's full stamp; copy B
+    (target bit 1) is stamped only over the bit's fanout cone, so every
+    net outside it is one variable in both copies.  Only the cone's
+    outputs can differ, and at least one must.  ``known`` pins the
+    already-recovered key bits; :meth:`block` excludes a tried pattern.
     """
-    cnf = CNF()
-    x_vars = {name: cnf.new_var() for name in data_inputs}
-    other = [k for k in key_inputs if k != target_bit and k not in known]
-    k_vars = {name: cnf.new_var() for name in other}
-    t0 = cnf.new_var()  # copy A: target = 0
-    t1 = cnf.new_var()  # copy B: target = 1
-    cnf.add_clause([-t0])
-    cnf.add_clause([t1])
-    const_vars: dict[str, int] = {}
-    for name, bit in known.items():
-        v = cnf.new_var()
-        cnf.add_clause([v] if bit else [-v])
-        const_vars[name] = v
-    share_a = {**x_vars, **k_vars, **const_vars, target_bit: t0}
-    share_b = {**x_vars, **k_vars, **const_vars, target_bit: t1}
-    var_a = template.stamp(cnf, share_a)
-    var_b = template.stamp(cnf, share_b)
-    diffs = []
-    for o in template.netlist.outputs:
-        va, vb = var_a[o], var_b[o]
-        d = cnf.new_var()
-        cnf.add_clause([-d, va, vb])
-        cnf.add_clause([-d, -va, -vb])
-        cnf.add_clause([d, -va, vb])
-        cnf.add_clause([d, va, -vb])
-        diffs.append(d)
-    cnf.add_clause(diffs)
-    for pat in forbidden:
-        cnf.add_clause(
-            [(-x_vars[i] if pat[i] else x_vars[i]) for i in data_inputs]
+
+    def __init__(
+        self,
+        template: ClauseTemplate,
+        data_inputs: Sequence[str],
+        key_inputs: Sequence[str],
+        target_bit: str,
+        known: dict[str, int],
+    ) -> None:
+        cnf = CNF()
+        self.x_vars = {name: cnf.new_var() for name in data_inputs}
+        other = [k for k in key_inputs if k != target_bit and k not in known]
+        self.k_vars = {name: cnf.new_var() for name in other}
+        t0 = cnf.new_var()  # copy A: target = 0
+        t1 = cnf.new_var()  # copy B: target = 1
+        cnf.add_clause([-t0])
+        cnf.add_clause([t1])
+        const_vars: dict[str, int] = {}
+        for name, bit in known.items():
+            v = cnf.new_var()
+            cnf.add_clause([v] if bit else [-v])
+            const_vars[name] = v
+        share_a = {**self.x_vars, **self.k_vars, **const_vars, target_bit: t0}
+        var_a = template.stamp(cnf, share_a)
+        var_b = template.stamp_cone(cnf, var_a, {target_bit: t1})
+        diffs = []
+        for o in template.cone_outputs([target_bit]):
+            d = cnf.new_var()
+            encode_gate(cnf, GateType.XOR, d, [var_a[o], var_b[o]])
+            diffs.append(d)
+        cnf.add_clause(diffs)
+        self.solver = Solver(cnf)
+
+    def solve(
+        self, budget: Budget | None = None
+    ) -> tuple[dict[str, int], dict[str, int]] | None:
+        """(pattern, other_keys) flipping some output when the target
+        flips, or None when no unblocked pattern does."""
+        res = self.solver.solve(budget=budget)
+        if not res.sat:
+            return None
+        assert res.model is not None
+        pattern = {i: int(res.model[v]) for i, v in self.x_vars.items()}
+        others = {k: int(res.model[v]) for k, v in self.k_vars.items()}
+        return pattern, others
+
+    def block(self, pattern: dict[str, int]) -> None:
+        """Exclude ``pattern`` from every later :meth:`solve`."""
+        self.solver.add_clause(
+            [(-v if pattern[i] else v) for i, v in self.x_vars.items()]
         )
-    res = Solver(cnf).solve(budget=budget)
-    if not res.sat:
-        return None
-    assert res.model is not None
-    pattern = {i: int(res.model[x_vars[i]]) for i in data_inputs}
-    others = {k: int(res.model[k_vars[k]]) for k in other}
-    return pattern, others
 
 
 def sensitization_attack(
@@ -161,22 +168,20 @@ def sensitization_attack(
                 "attack.sensitization.round", round=round_no
             ) as round_span:
                 progress = False
+                miters = 0
                 for bit in key_inputs:
                     if bit in known:
                         continue
                     if budget is not None:
                         budget.check_deadline()
-                    forbidden: list[dict[str, int]] = []
+                    if not template.cone_outputs([bit]):
+                        continue  # the bit reaches no output: no pattern
+                    miter = _SensitizingMiter(
+                        template, data_inputs, key_inputs, bit, known
+                    )
+                    miters += 1
                     for _ in range(config.attempts_per_bit):
-                        found = _find_sensitizing_pattern(
-                            template,
-                            data_inputs,
-                            key_inputs,
-                            bit,
-                            known,
-                            forbidden,
-                            budget=budget,
-                        )
+                        found = miter.solve(budget=budget)
                         if found is None:
                             break
                         pattern, others = found
@@ -190,7 +195,7 @@ def sensitization_attack(
                         if not is_golden(
                             pattern, bit, others, sensitized, out0, out1
                         ):
-                            forbidden.append(pattern)
+                            miter.block(pattern)
                             continue
                         want = oracle.query(pattern)
                         want = {o: int(bool(want[o])) for o in locked.outputs}
@@ -200,8 +205,10 @@ def sensitization_attack(
                             known[bit] = 0 if m0 else 1
                             progress = True
                             break
-                        forbidden.append(pattern)
-                round_span.set(bits_known=len(known), progress=progress)
+                        miter.block(pattern)
+                round_span.set(
+                    bits_known=len(known), progress=progress, miters=miters
+                )
             if len(known) == len(key_inputs):
                 break
             if not progress:

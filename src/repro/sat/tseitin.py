@@ -5,14 +5,17 @@ per-instance variable map, so several circuit copies (the two keyed copies
 of a SAT-attack miter, unrolled oracle constraints, ...) can share input
 variables while keeping distinct internal variables.  It stamps a
 :class:`ClauseTemplate`, which a caller encoding many copies of one
-netlist builds once and stamps itself.  The per-gate clauses come from
+netlist builds once and stamps itself.  A copy that differs from an
+earlier one only below some root nets (the sensitization and bypass
+miters) is stamped with :meth:`ClauseTemplate.stamp_cone`: it shares
+every net outside the roots' fanout cone.  The per-gate clauses come from
 :func:`encode_gate`, the one gate-to-CNF table, which partial encodings
 (the fanout-cone miter of SAT-ATPG) call directly.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..netlist import GateType, Netlist
 from .cnf import CNF
@@ -31,15 +34,22 @@ class ClauseTemplate:
     def __init__(self, netlist: Netlist) -> None:
         self.netlist = netlist
         self.nets = tuple(netlist.topological_order())
-        local = {name: i for i, name in enumerate(self.nets, 1)}
+        self._local = local = {name: i for i, name in enumerate(self.nets, 1)}
         scratch = CNF(n_vars=len(self.nets))
+        # net i's clauses are clauses[clause_end[i-1]:clause_end[i]] and
+        # its auxiliaries aux_end[i-1]+1..aux_end[i] (local ids)
+        self._clause_end = [0]
+        self._aux_end = [scratch.n_vars]
         for name in self.nets:
             gate = netlist.gate(name)
             encode_gate(
                 scratch, gate.gtype, local[name], [local[f] for f in gate.fanin]
             )
+            self._clause_end.append(len(scratch.clauses))
+            self._aux_end.append(scratch.n_vars)
         self.n_aux = scratch.n_vars - len(self.nets)
         self.clauses = scratch.clauses
+        self._cones: dict[frozenset[str], tuple[list[int], list[str]]] = {}
 
     def stamp(
         self, cnf: CNF, share: Mapping[str, int] | None = None
@@ -72,6 +82,70 @@ class ClauseTemplate:
         lut = [0, *mapped, *[-v for v in reversed(mapped)]]
         get = lut.__getitem__
         cnf.clauses.extend([tuple(map(get, c)) for c in self.clauses])
+        return var_of
+
+    def _cone(self, roots: Iterable[str]) -> tuple[list[int], list[str]]:
+        """Local ids of the fanout cone of ``roots`` (roots included), in
+        topological order, and the outputs inside it, in output order.
+        Computed on first use and kept per root set."""
+        key = frozenset(roots)
+        hit = self._cones.get(key)
+        if hit is None:
+            cone = self.netlist.transitive_fanout(key)
+            ids = sorted(self._local[n] for n in cone)
+            outs = [o for o in self.netlist.outputs if o in cone]
+            hit = self._cones[key] = (ids, outs)
+        return hit
+
+    def cone_outputs(self, roots: Iterable[str]) -> list[str]:
+        """Outputs in the fanout cone of ``roots``: the only outputs a
+        :meth:`stamp_cone` copy over these roots can drive differently
+        from its base copy."""
+        return self._cone(roots)[1]
+
+    def stamp_cone(
+        self, cnf: CNF, base: Mapping[str, int], roots: Mapping[str, int]
+    ) -> dict[str, int]:
+        """Append a copy that differs from ``base`` only below ``roots``.
+
+        ``base`` is the net-to-variable map of a copy already stamped
+        into ``cnf``; ``roots`` gives new variables (already allocated)
+        to some of its nets.  Every net outside the fanout cone of the
+        roots keeps its ``base`` variable; every other net of the cone
+        gets a fresh variable, in topological order, then the cone's
+        auxiliaries, then the clauses of the cone's gates only.  The
+        roots are cut points: their own gates add no clause.  Returns
+        the copy's net-to-variable map.
+        """
+        top = cnf.n_vars
+        for name, v in roots.items():
+            if not 0 < abs(v) <= top:
+                raise ValueError(
+                    f"root variable {v} of net {name!r} is not allocated "
+                    f"in the CNF ({top} variables)"
+                )
+        cone, _ = self._cone(roots)
+        nets, local = self.nets, self._local
+        lut = [0] * (len(nets) + self.n_aux + 1)
+        for name, v in base.items():
+            lut[local[name]] = v
+        var_of = dict(base)
+        for name, v in roots.items():
+            lut[local[name]] = var_of[name] = int(v)
+        gates = [i for i in cone if nets[i - 1] not in roots]
+        for i in gates:
+            lut[i] = var_of[nets[i - 1]] = cnf.new_var()
+        aux_end = self._aux_end
+        for i in gates:
+            for a in range(aux_end[i - 1] + 1, aux_end[i] + 1):
+                lut[a] = cnf.new_var()
+        lut.extend(-v for v in reversed(lut[1:]))
+        get = lut.__getitem__
+        clauses, ends = self.clauses, self._clause_end
+        for i in gates:
+            cnf.clauses.extend(
+                [tuple(map(get, c)) for c in clauses[ends[i - 1] : ends[i]]]
+            )
         return var_of
 
 

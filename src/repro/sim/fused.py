@@ -40,7 +40,8 @@ below the net count (to 13–16% of it on the Table I stand-ins).
 **Forced lanes** re-simulate one pattern block once per lane with one
 net overridden.  Lanes are sorted by forced net and cut into chunks
 whose reused-row arena (rows × lanes × words) fits
-``optape._LANE_CHUNK_BYTES``.  A chunk runs only the steps of nets in
+``optape._LANE_CHUNK_BYTES``, but hold at least
+``optape._MIN_CHUNK_LANES`` lanes.  A chunk runs only the steps of nets in
 the union of its lanes' fanout cones: every other net keeps its
 unforced value, so an operand outside the union is read as a broadcast
 row of the unforced matrix, and outputs outside it cannot differ.  The
@@ -494,6 +495,7 @@ def forced_lane_diffs(
     forced_words: np.ndarray,
     n_patterns: int,
     chunk_bytes: int,
+    min_lanes: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(lanes, diff)`` per lane chunk: ``diff`` is the
     tail-masked ``(k, len(lanes), n_words)`` XOR against ``good`` of the
@@ -502,14 +504,14 @@ def forced_lane_diffs(
 
     ``rows`` are net rows (snapshot positions), ``forced_words`` their
     ``(L, n_words)`` forces, ``good`` the unforced :func:`run_values`
-    matrix; each chunk's reused-row arena holds at most ``chunk_bytes``
-    (or one lane).
+    matrix; each chunk's reused-row arena holds at most ``chunk_bytes``,
+    or ``min_lanes`` lanes if more.
     """
     program = materialized_for(engine)
     n_lanes = rows.shape[0]
     nw = good.shape[1]
     n_rows = program.n_rows
-    chunk = max(1, chunk_bytes // (n_rows * nw * 8))
+    chunk = max(min_lanes, chunk_bytes // (n_rows * nw * 8))
     order = np.argsort(rows, kind="stable")
     sorted_rows = rows[order].tolist()
     net_steps, fanout, phys = program.net_steps, program.fanout, program.phys

@@ -62,6 +62,11 @@ from .bitsim import popcount_lanes
 #: chunk's arena stays cache-resident and peak memory does not move,
 #: large enough that each step's dispatch is amortized over many lanes
 _LANE_CHUNK_BYTES = 2 << 20
+#: lanes per forced-lane chunk at least, whatever the arena bytes: on a
+#: paper-size circuit one lane's arena alone passes ``_LANE_CHUNK_BYTES``,
+#: and one lane per chunk pays a fanout-cone walk and one dispatch per
+#: step for every candidate net
+_MIN_CHUNK_LANES = 64
 
 
 class OpTapeEngine:
@@ -190,8 +195,9 @@ class OpTapeEngine:
         :meth:`BitSimulator.run` with ``forced={net: forced_words[k]}``.
         Lanes are laid side by side on the word axis (like
         :meth:`run_keyed`), sorted by row and evaluated in chunks whose
-        reused-row arena holds at most ``_LANE_CHUNK_BYTES``; a chunk
-        evaluates only the union of its lanes' fanout cones.
+        reused-row arena holds at most ``_LANE_CHUNK_BYTES`` (but at least
+        ``_MIN_CHUNK_LANES`` lanes); a chunk evaluates only the union of
+        its lanes' fanout cones.
 
         Args:
             good: the unforced ``(n_nets, n_words)`` value matrix, as
@@ -239,7 +245,7 @@ class OpTapeEngine:
         n_patterns: int,
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Validate the lanes, then :func:`repro.sim.fused.forced_lane_diffs`
-        at today's ``_LANE_CHUNK_BYTES``."""
+        at today's ``_LANE_CHUNK_BYTES`` and ``_MIN_CHUNK_LANES``."""
         rows = np.asarray(rows, dtype=np.int64)
         forced_words = np.asarray(forced_words, dtype=np.uint64)
         n_lanes = rows.shape[0]
@@ -249,7 +255,8 @@ class OpTapeEngine:
                 f"forced_words must be ({n_lanes}, {nw}), got {forced_words.shape}"
             )
         return fused.forced_lane_diffs(
-            self, good, rows, forced_words, n_patterns, _LANE_CHUNK_BYTES
+            self, good, rows, forced_words, n_patterns, _LANE_CHUNK_BYTES,
+            _MIN_CHUNK_LANES,
         )
 
     def run_keyed(

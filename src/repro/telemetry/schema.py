@@ -36,6 +36,8 @@ KNOWN_SPANS = frozenset(
         "attack.appsat.iteration",
         "attack.doubledip.iteration",
         "attack.hillclimb.restart",
+        # one pass over the unknown key bits; ``miters`` counts the
+        # solvers it built (one per key bit that reaches an output)
         "attack.sensitization.round",
         # compiled-simulation layer: compile snapshots a netlist, each
         # program (materialized or fused) is built on first use

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro import telemetry
 from repro.attacks import (
     AppSATConfig,
     BypassConfig,
@@ -35,6 +36,7 @@ from repro.locking import (
     lock_weighted,
 )
 from repro.netlist import GateType, Netlist
+from repro.telemetry import MemorySink
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +307,26 @@ class TestPinnedOutcomes:
         )
         assert res.completed
         assert netlist_is_correct(sar, res.notes["netlist"])
+
+
+class TestSensitizationTrace:
+    def test_round_span_counts_miters(self):
+        # k7 reaches no output: it gets no miter, in either round
+        nl, _, keys = _bruteforce_host()
+        sink = MemorySink()
+        telemetry.configure(sink)
+        try:
+            sensitization_attack(nl, keys, _KeyedOracle(nl, _BF_KEY))
+        finally:
+            telemetry.shutdown()
+        rounds = [
+            r["attrs"] for r in sink.of_kind("span")
+            if r["name"] == "attack.sensitization.round"
+        ]
+        assert rounds == [
+            {"round": 0, "bits_known": 7, "progress": True, "miters": 7},
+            {"round": 1, "bits_known": 7, "progress": False, "miters": 0},
+        ]
 
 
 class TestBruteforceBits:

@@ -131,6 +131,7 @@ class TestForcedCones:
         # each net forced one to three times with different words, lanes
         # in random order: results come back in caller order
         monkeypatch.setattr(optape, "_LANE_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(optape, "_MIN_CHUNK_LANES", 1)
         nl = _random_circuit(seed)
 
         def lanes_of(rng, nw):
@@ -147,6 +148,7 @@ class TestForcedCones:
     @pytest.mark.parametrize("chunk_bytes", [1, 200])
     def test_chunks_whose_cones_miss_outputs(self, monkeypatch, chunk_bytes):
         monkeypatch.setattr(optape, "_LANE_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(optape, "_MIN_CHUNK_LANES", 1)
         nl = _two_islands()
         engine = _check(
             nl, lambda rng, nw: [(n, _random_words(rng, nw)) for n in nl.nets], 100, 3
@@ -155,7 +157,8 @@ class TestForcedCones:
         rows = np.array([engine.net_index("lg2"), engine.net_index("rg0")])
         chunks = list(
             fused.forced_lane_diffs(
-                engine, good, rows, ~good[rows], 100, optape._LANE_CHUNK_BYTES
+                engine, good, rows, ~good[rows], 100, optape._LANE_CHUNK_BYTES,
+                optape._MIN_CHUNK_LANES,
             )
         )
         # lg2 reaches one output of four, rg0 reaches the right island's two
@@ -190,6 +193,7 @@ class TestForcedCones:
     @pytest.mark.parametrize("chunk_bytes", [1, 5000, 40000, 2 << 20])
     def test_arena_never_exceeds_the_cap(self, monkeypatch, chunk_bytes):
         monkeypatch.setattr(optape, "_LANE_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(optape, "_MIN_CHUNK_LANES", 1)
         nl = _random_circuit(4, n_gates=120)
         engine = compile_engine(nl, cache=False)
         good = engine.run(random_words(len(nl.inputs), 300, seed=4))
@@ -220,6 +224,34 @@ class TestForcedCones:
             if r["name"] == "optape.forced.steps_skipped"
         ]
         assert (skipped > 0) == (attrs["chunks"] > 1)
+
+    @pytest.mark.parametrize("min_lanes", [1, 3, 7, 10_000])
+    def test_lane_floor_overrides_the_byte_cap(self, monkeypatch, min_lanes):
+        # one lane's arena passes the byte cap, as on a paper-size circuit
+        monkeypatch.setattr(optape, "_LANE_CHUNK_BYTES", 1)
+        nl = _random_circuit(5, n_gates=100)
+        engine = compile_engine(nl, cache=False)
+        good = engine.run(random_words(len(nl.inputs), 200, seed=5))
+        rows = np.arange(engine.n_nets)
+        monkeypatch.setattr(optape, "_MIN_CHUNK_LANES", 1)
+        want = engine.count_output_flips(good, rows, ~good[rows], 200)
+        monkeypatch.setattr(optape, "_MIN_CHUNK_LANES", min_lanes)
+        sink = MemorySink()
+        telemetry.configure(sink)
+        try:
+            got = engine.count_output_flips(good, rows, ~good[rows], 200)
+        finally:
+            telemetry.shutdown()
+        assert np.array_equal(got, want)
+        (span,) = [
+            r for r in sink.of_kind("span")
+            if r["name"] == "optape.run" and "chunks" in r["attrs"]
+        ]
+        lane_bytes = fused.materialized_for(engine).n_rows * good.shape[1] * 8
+        assert span["attrs"]["chunks"] == -(-engine.n_nets // min_lanes)
+        assert span["attrs"]["arena_bytes"] == lane_bytes * min(
+            min_lanes, engine.n_nets
+        )
 
     def test_arena_is_smaller_than_the_matrix(self):
         # live-range reuse: a lane costs far fewer rows than nets

@@ -134,6 +134,7 @@ class TestForcedLanesAgainstBitSimulator:
         # 1 byte -> one lane per chunk; the others split the lanes into
         # several uneven chunks
         monkeypatch.setattr(optape, "_LANE_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(optape, "_MIN_CHUNK_LANES", 1)
         _check_lanes(_random_circuit(7, n_gates=90), 150, seed=7)
         _check_lanes(_with_constants(), 70, seed=8)
 
