@@ -24,7 +24,6 @@ from .result import (
     key_is_correct,
     netlist_is_correct,
 )
-from .encoding import AIGEncoder
 from .satattack import SATAttackConfig, extract_consistent_key, sat_attack
 from .appsat import AppSATConfig, appsat_attack
 from .doubledip import DoubleDIPConfig, doubledip_attack
@@ -56,7 +55,6 @@ __all__ = [
     "exhausted_result",
     "key_is_correct",
     "netlist_is_correct",
-    "AIGEncoder",
     "SATAttackConfig",
     "extract_consistent_key",
     "sat_attack",

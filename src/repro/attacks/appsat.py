@@ -18,9 +18,8 @@ from typing import Sequence
 from .. import telemetry
 from ..netlist import GateType, Netlist
 from ..runtime.budget import ResourceExhausted
-from ..sat import Solver
+from ..sat import AIGEncoder, Solver
 from .config import AttackConfig
-from .encoding import AIGEncoder
 from .oracle import Oracle
 from .result import AttackResult, exhausted_result
 from .satattack import extract_consistent_key

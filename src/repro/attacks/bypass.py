@@ -50,11 +50,16 @@ def enumerate_disagreements(
     limit: int,
     budget: Budget | None = None,
 ) -> list[dict[str, int]] | None:
-    """All inputs where two fixed-key copies differ (None if > limit).
+    """All inputs where two fixed-key copies differ, as cubes (None if
+    more than ``limit``).
 
     Copy B is stamped only over the fanout cone of the key bits where
     ``key_a`` and ``key_b`` differ; every other net is one variable in
     both copies, and only the cone's outputs get a difference variable.
+    The "some output differs" clause sits under an activation literal,
+    so the same solver also finds inputs where the copies agree: a cube
+    drops an input's literal only if that lets no agreeing input in, so
+    the cubes hold exactly the disagreeing inputs.
     """
     key_set = set(key_inputs)
     data_inputs = [i for i in locked.inputs if i not in key_set]
@@ -81,39 +86,49 @@ def enumerate_disagreements(
         d = cnf.new_var()
         encode_gate(cnf, GateType.XOR, d, [var_a[o], var_b[o]])
         diffs.append(d)
-    cnf.add_clause(diffs)
-    # simulation helpers for cube expansion
+    act = cnf.new_var()
+    cnf.add_clause([-act, *diffs])
+    agree = [-d for d in diffs]
+
     def disagrees(pattern: Mapping[str, int]) -> bool:
         asg_a = {**pattern, **key_a}
         asg_b = {**pattern, **key_b}
         return locked.evaluate_outputs(asg_a) != locked.evaluate_outputs(asg_b)
+
+    def literals(cube: Mapping[str, int]) -> list[int]:
+        return [x_vars[i] if bit else -x_vars[i] for i, bit in cube.items()]
 
     solver = Solver(cnf)
     cubes: list[dict[str, int]] = []
     while True:
         if budget is not None:
             budget.check_deadline()
-        res = solver.solve(budget=budget)
+        res = solver.solve(assumptions=[act], budget=budget)
         if not res.sat:
             return cubes
         assert res.model is not None
         pattern = {i: int(res.model[x_vars[i]]) for i in data_inputs}
-        # expand to a cube: inputs whose flip preserves the disagreement are
-        # don't-cares (point-function blocks compare only a subset of
-        # inputs, so each error "point" is really a cube over the rest)
+        # expand to a cube (point-function blocks compare only a subset
+        # of inputs, so each error "point" is really a cube over the
+        # rest): keep an input's literal if the copies agree anywhere in
+        # the wider cube, seen at once when its own flip agrees, else
+        # asked of the miter (two flips can cancel)
         cube = dict(pattern)
         for name in data_inputs:
             flipped = dict(pattern)
             flipped[name] ^= 1
-            if disagrees(flipped):
-                del cube[name]
+            if not disagrees(flipped):
+                continue
+            wider = {i: bit for i, bit in cube.items() if i != name}
+            if not solver.solve(
+                assumptions=[*literals(wider), *agree], budget=budget
+            ).sat:
+                cube = wider
         cubes.append(cube)
         if len(cubes) > limit:
             return None
         # block the whole cube
-        solver.add_clause(
-            [(-x_vars[i] if bit else x_vars[i]) for i, bit in cube.items()]
-        )
+        solver.add_clause([-lit for lit in literals(cube)])
 
 
 def build_bypassed_netlist(

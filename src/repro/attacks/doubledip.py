@@ -23,10 +23,9 @@ from typing import Sequence
 from .. import telemetry
 from ..netlist import Netlist
 from ..runtime.budget import ResourceExhausted
-from ..sat import Solver
+from ..sat import AIGEncoder, Solver
 from ..synth.aig import lit_not
 from .config import AttackConfig
-from .encoding import AIGEncoder
 from .oracle import Oracle
 from .result import AttackResult, exhausted_result
 from .satattack import extract_consistent_key

@@ -9,7 +9,7 @@ inputs ``X`` but have independent key vectors ``K1``/``K2``.  Repeatedly:
 3. Constrain both key copies to produce ``Y*`` on ``X*``.
 
 All circuit copies are encoded through a shared structurally-hashed AIG
-(:mod:`repro.attacks.encoding`): the I/O-constraint copies have constant
+(:mod:`repro.sat.aigenc`): the I/O-constraint copies have constant
 data inputs that fold away, so each iteration adds only a small key-cone —
 the trick that keeps instances tractable, as in the original attack tool's
 use of ABC-style preprocessing.
@@ -52,9 +52,8 @@ import numpy as np
 from .. import telemetry
 from ..netlist import Netlist
 from ..runtime.budget import Budget, BudgetExhausted, ResourceExhausted
-from ..sat import Solver
+from ..sat import AIGEncoder, Solver
 from .config import AttackConfig
-from .encoding import AIGEncoder
 from .oracle import Oracle
 from .result import AttackResult, exhausted_result
 

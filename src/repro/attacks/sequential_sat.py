@@ -28,9 +28,8 @@ from typing import Sequence
 from ..netlist import SequentialCircuit
 from ..orap.chip import ProtectedChip
 from ..runtime.budget import ResourceExhausted
-from ..sat import Solver
+from ..sat import AIGEncoder, Solver
 from .config import AttackConfig
-from .encoding import AIGEncoder
 from .result import AttackResult, exhausted_result
 
 

@@ -77,49 +77,6 @@ class NetlistSubject:
             if not nl.has_net(f)
         ]
 
-    def find_cycle(self) -> list[str] | None:
-        """One combinational cycle as a closed net path, or None.
-
-        Iterative DFS over defined-fanin edges; returns the loop with its
-        first net repeated at the end (``[a, b, c, a]``).
-        """
-        nl = self.netlist
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {n: WHITE for n in nl.nets}
-        parent: dict[str, str] = {}
-        for root in nl.nets:
-            if color[root] != WHITE:
-                continue
-            stack: list[tuple[str, Iterator[str]]] = [
-                (root, iter(nl.gate(root).fanin))
-            ]
-            color[root] = GREY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for f in it:
-                    if not nl.has_net(f):
-                        continue
-                    if color[f] == GREY:
-                        # close the loop: walk parents from node back to f
-                        loop = [node]
-                        cur = node
-                        while cur != f:
-                            cur = parent[cur]
-                            loop.append(cur)
-                        loop.reverse()
-                        return loop + [loop[0]]
-                    if color[f] == WHITE:
-                        color[f] = GREY
-                        parent[f] = node
-                        stack.append((f, iter(nl.gate(f).fanin)))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-        return None
-
     def reaches_input(self) -> set[str]:
         """Nets whose cone contains at least one INPUT (BFS from inputs)."""
         fan = self.fanout()
@@ -147,13 +104,13 @@ class NetlistSubject:
     "topological evaluation.",
 )
 def check_cycle(subject: NetlistSubject) -> Iterator[Diagnostic]:
-    loop = subject.find_cycle()
-    if loop is not None:
-        shown = " -> ".join(loop[:9]) + (" ..." if len(loop) > 9 else "")
+    loop = subject.netlist.one_loop()
+    if loop:
+        shown = ", ".join(loop[:8]) + (", ..." if len(loop) > 8 else "")
         yield Diagnostic(
             rule_id="NL001",
             severity=Severity.ERROR,
-            message=f"combinational cycle: {shown}",
+            message=f"combinational cycle through {shown}",
             location=subject.loc(loop[0]),
             hint="break the loop",
         )

@@ -1,15 +1,11 @@
-"""SAT substrate: CNF, CDCL solver, Tseitin circuit encoding, miters and
-combinational equivalence checking."""
+"""SAT substrate: CNF, CDCL solver, Tseitin and strashed-AIG circuit
+encodings, and combinational equivalence checking."""
 
 from .cnf import CNF, evaluate_clause, evaluate_cnf
 from .solver import BudgetExhausted, SolveResult, Solver, solve_cnf
-from .tseitin import CircuitEncoder, ClauseTemplate, encode_gate, encode_netlist
-from .equivalence import (
-    build_miter,
-    check_equivalence,
-    prove_unlocks,
-    solve_circuit,
-)
+from .tseitin import ClauseTemplate, encode_gate
+from .aigenc import AIGEncoder
+from .equivalence import check_equivalence, prove_unlocks
 
 __all__ = [
     "CNF",
@@ -19,12 +15,9 @@ __all__ = [
     "SolveResult",
     "Solver",
     "solve_cnf",
-    "CircuitEncoder",
     "ClauseTemplate",
     "encode_gate",
-    "encode_netlist",
-    "build_miter",
+    "AIGEncoder",
     "check_equivalence",
     "prove_unlocks",
-    "solve_circuit",
 ]

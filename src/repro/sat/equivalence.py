@@ -1,4 +1,4 @@
-"""Miter construction and SAT-based combinational equivalence checking.
+"""SAT-based combinational equivalence checking.
 
 Used by tests to prove that a locked circuit with the correct key is
 functionally identical to the original, and by the SAT attack to validate
@@ -7,65 +7,12 @@ candidate keys.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from ..netlist import Netlist
-from .cnf import CNF
-from .solver import Solver, SolveResult
-from .tseitin import CircuitEncoder
-
-
-def build_miter(
-    a: Netlist,
-    b: Netlist,
-    shared_inputs: Sequence[str] | None = None,
-) -> tuple[CNF, CircuitEncoder, CircuitEncoder, int]:
-    """Build a miter: shared inputs, XOR-compared outputs.
-
-    Returns ``(cnf, enc_a, enc_b, diff_var)`` where ``diff_var`` is true iff
-    some output pair differs.  Outputs are compared positionally, so both
-    circuits must have the same number of outputs.
-    """
-    if len(a.outputs) != len(b.outputs):
-        raise ValueError("miter requires equal output counts")
-    cnf = CNF()
-    share_names = (
-        list(shared_inputs)
-        if shared_inputs is not None
-        else [i for i in a.inputs if i in set(b.inputs)]
-    )
-    shared = {name: cnf.new_var() for name in share_names}
-    enc_a = CircuitEncoder(a, cnf=cnf, share=dict(shared))
-    enc_b = CircuitEncoder(b, cnf=cnf, share=dict(shared))
-    diffs: list[int] = []
-    for oa, ob in zip(a.outputs, b.outputs):
-        va, vb = enc_a.var(oa), enc_b.var(ob)
-        d = cnf.new_var()
-        # d <-> va xor vb
-        cnf.add_clause([-d, va, vb])
-        cnf.add_clause([-d, -va, -vb])
-        cnf.add_clause([d, -va, vb])
-        cnf.add_clause([d, va, -vb])
-        diffs.append(d)
-    diff_any = cnf.new_var()
-    cnf.add_clause([-diff_any] + diffs)
-    for d in diffs:
-        cnf.add_clause([diff_any, -d])
-    return cnf, enc_a, enc_b, diff_any
-
-
-def _with_fixed(netlist: Netlist, fixed: Mapping[str, int]) -> Netlist:
-    """Copy with the given inputs hardwired to constants."""
-    if not fixed:
-        return netlist
-    from ..netlist import GateType
-
-    out = netlist.copy()
-    for name, val in fixed.items():
-        out.replace_gate(
-            name, GateType.CONST1 if val else GateType.CONST0, ()
-        )
-    return out
+from ..netlist import Netlist, NetlistError
+from ..synth.aig import FALSE_LIT
+from .aigenc import AIGEncoder
+from .solver import Solver
 
 
 def check_equivalence(
@@ -77,86 +24,49 @@ def check_equivalence(
     """Prove functional equivalence of two circuits (structural + SAT).
 
     ``fixed_a``/``fixed_b`` pin inputs of either circuit to constants (e.g.
-    the locked circuit's key inputs).  Inputs not pinned and present in both
-    circuits are shared; a remaining free input of only one circuit is left
-    unconstrained (and will usually produce a counterexample).
+    the locked circuit's key inputs); pinning a name that is not an input
+    of its circuit raises :class:`~repro.netlist.NetlistError`.  Inputs
+    not pinned and present in both circuits are shared; a remaining free
+    input of only one circuit is left unconstrained (and will usually
+    produce a counterexample).  Outputs are compared positionally.
 
-    The miter is first built as a structurally-hashed AIG over shared input
-    nodes, so identical cones merge and constants propagate — for a
+    The miter is one :class:`~repro.sat.aigenc.AIGEncoder` over shared
+    input nodes, so identical cones merge and constants propagate — for a
     correctly-keyed locked circuit most of the proof closes structurally.
     Any residual miter cone goes to the CDCL solver.
 
     Returns ``(equivalent, counterexample)`` where the counterexample maps
-    shared-input names to values when inequivalent.
+    every unpinned input of either circuit to its value when inequivalent.
     """
-    from ..synth.aig import AIG, FALSE_LIT, lit_compl, lit_node
-    from ..synth.convert import netlist_to_aig
-
-    a2 = _with_fixed(a, dict(fixed_a or {}))
-    b2 = _with_fixed(b, dict(fixed_b or {}))
-    if len(a2.outputs) != len(b2.outputs):
+    if len(a.outputs) != len(b.outputs):
         raise ValueError("equivalence check requires equal output counts")
-    shared = [i for i in a2.inputs if i in set(b2.inputs)]
-
-    aig = AIG()
-    pi_lits: dict[str, int] = {}
-    netlist_to_aig(a2, aig=aig, pi_lits=pi_lits)
-    n_a = len(a2.outputs)
-    a_lits = aig.outputs[-n_a:]
-    netlist_to_aig(b2, aig=aig, pi_lits=pi_lits)
-    b_lits = aig.outputs[-len(b2.outputs):]
-
-    diffs = [aig.add_xor(la, lb) for la, lb in zip(a_lits, b_lits)]
-    any_diff = FALSE_LIT
-    for d in diffs:
-        any_diff = aig.add_or(any_diff, d)
-    if any_diff == FALSE_LIT:
+    fixed_a, fixed_b = dict(fixed_a or {}), dict(fixed_b or {})
+    solver = Solver()
+    enc = AIGEncoder(solver)
+    # every PI goes in before the first AND node
+    pis: dict[str, int] = {}
+    for nl, fixed in ((a, fixed_a), (b, fixed_b)):
+        stray = sorted(set(fixed).difference(nl.inputs))
+        if stray:
+            raise NetlistError(f"{nl.name}: pinned nets are not inputs: {stray}")
+        for name in nl.inputs:
+            if name not in fixed and name not in pis:
+                pis[name] = enc.fresh_pi(name)
+    out_a = enc.encode_netlist(a, pis, const_inputs=fixed_a)
+    out_b = enc.encode_netlist(b, pis, const_inputs=fixed_b)
+    diff = enc.diff_literal(
+        [(out_a[oa], out_b[ob]) for oa, ob in zip(a.outputs, b.outputs)]
+    )
+    if diff == FALSE_LIT:
         return True, None  # closed structurally
-
-    # SAT on the residual cone
-    cnf = CNF()
-    node_var: dict[int, int] = {}
-
-    def var_for(node: int) -> int:
-        v = node_var.get(node)
-        if v is None:
-            v = cnf.new_var()
-            node_var[node] = v
-            if node == 0:
-                cnf.add_clause([-v])
-        return v
-
-    def lit_to_sat(literal: int) -> int:
-        v = var_for(lit_node(literal))
-        return -v if lit_compl(literal) else v
-
-    # encode live AND cone of any_diff
-    stack = [lit_node(any_diff)]
-    seen: set[int] = set()
-    while stack:
-        n = stack.pop()
-        if n in seen or not aig.is_and(n):
-            continue
-        seen.add(n)
-        f0, f1 = aig.fanin0[n], aig.fanin1[n]
-        y = var_for(n)
-        s0, s1 = lit_to_sat(f0), lit_to_sat(f1)
-        cnf.add_clause([-y, s0])
-        cnf.add_clause([-y, s1])
-        cnf.add_clause([y, -s0, -s1])
-        stack.append(lit_node(f0))
-        stack.append(lit_node(f1))
-    cnf.add_clause([lit_to_sat(any_diff)])
-    result = Solver(cnf).solve()
+    enc.assert_equals(diff, 1)
+    result = solver.solve()
     if not result.sat:
         return True, None
     assert result.model is not None
-    cex: dict[str, int] = {}
-    for name in shared:
-        node = lit_node(pi_lits[name])
-        var = node_var.get(node)
-        cex[name] = int(result.model[var]) if var is not None else 0
-    return False, cex
+    return False, {
+        name: int(result.model[enc.pi_var(lit)]) for name, lit in pis.items()
+    }
 
 
 def prove_unlocks(
@@ -167,18 +77,3 @@ def prove_unlocks(
     """True iff ``locked`` with ``key`` applied equals ``original``."""
     equivalent, _ = check_equivalence(original, locked, fixed_b=key)
     return equivalent
-
-
-def solve_circuit(
-    netlist: Netlist, constraints: Mapping[str, int]
-) -> SolveResult:
-    """Find an input assignment consistent with pinned net values.
-
-    ``constraints`` may pin any net (not just inputs).  Useful for
-    justification queries in tests.
-    """
-    enc = CircuitEncoder(netlist)
-    for name, val in constraints.items():
-        v = enc.var(name)
-        enc.cnf.add_clause([v if val else -v])
-    return Solver(enc.cnf).solve()

@@ -1,16 +1,15 @@
-"""Tseitin encoding of netlists into CNF.
+"""Gate-level Tseitin encoding of netlists into CNF.
 
-:class:`CircuitEncoder` maintains a shared :class:`~repro.sat.cnf.CNF` and a
-per-instance variable map, so several circuit copies (the two keyed copies
-of a SAT-attack miter, unrolled oracle constraints, ...) can share input
-variables while keeping distinct internal variables.  It stamps a
-:class:`ClauseTemplate`, which a caller encoding many copies of one
-netlist builds once and stamps itself.  A copy that differs from an
-earlier one only below some root nets (the sensitization and bypass
-miters) is stamped with :meth:`ClauseTemplate.stamp_cone`: it shares
-every net outside the roots' fanout cone.  The per-gate clauses come from
-:func:`encode_gate`, the one gate-to-CNF table, which partial encodings
-(the fanout-cone miter of SAT-ATPG) call directly.
+A :class:`ClauseTemplate` encodes a netlist once and stamps copies of it
+into a shared :class:`~repro.sat.cnf.CNF`: each copy may share input
+variables with earlier ones while keeping distinct internal variables.
+A copy that differs from an earlier one only below some root nets (the
+sensitization and bypass miters) is stamped with
+:meth:`ClauseTemplate.stamp_cone`: it shares every net outside the roots'
+fanout cone.  The per-gate clauses come from :func:`encode_gate`, the one
+gate-to-CNF table, which partial encodings (the fanout-cone miter of
+SAT-ATPG) call directly.  The SAT-attack miters and equivalence checks
+strash into an AIG instead (:mod:`repro.sat.aigenc`).
 """
 
 from __future__ import annotations
@@ -149,41 +148,6 @@ class ClauseTemplate:
         return var_of
 
 
-class CircuitEncoder:
-    """Encodes one netlist instance into a shared CNF.
-
-    Args:
-        cnf: formula to append to (created if omitted).
-        netlist: circuit to encode.
-        prefix: namespace tag used only for diagnostics.
-        share: mapping from net name to an existing CNF variable; these nets
-            reuse the given variables instead of fresh ones (typically the
-            primary/key inputs shared across copies).
-    """
-
-    def __init__(
-        self,
-        netlist: Netlist,
-        cnf: CNF | None = None,
-        share: Mapping[str, int] | None = None,
-        prefix: str = "",
-    ) -> None:
-        self.netlist = netlist
-        self.cnf = cnf if cnf is not None else CNF()
-        self.prefix = prefix
-        self.var_of: dict[str, int] = ClauseTemplate(netlist).stamp(
-            self.cnf, share
-        )
-
-    def var(self, net: str) -> int:
-        """CNF variable carrying the value of ``net``."""
-        return self.var_of[net]
-
-    def output_vars(self) -> list[int]:
-        """CNF variables of the netlist outputs, in order."""
-        return [self.var_of[o] for o in self.netlist.outputs]
-
-
 def encode_gate(cnf: CNF, gtype: GateType, out: int, fins: Sequence[int]) -> None:
     """Add the Tseitin clauses of ``out <-> gtype(fins)`` to ``cnf``.
 
@@ -255,12 +219,3 @@ def _encode_xor2(cnf: CNF, y: int, a: int, b: int) -> None:
     cnf.add_clause([-y, -a, -b])
     cnf.add_clause([y, -a, b])
     cnf.add_clause([y, a, -b])
-
-
-def encode_netlist(
-    netlist: Netlist,
-    cnf: CNF | None = None,
-    share: Mapping[str, int] | None = None,
-) -> CircuitEncoder:
-    """Convenience constructor mirroring :class:`CircuitEncoder`."""
-    return CircuitEncoder(netlist, cnf=cnf, share=share)

@@ -2,39 +2,37 @@
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from ..netlist import GateType, Netlist
 from .aig import AIG, FALSE_LIT, TRUE_LIT, lit_not
 
 
-def netlist_to_aig(
-    netlist: Netlist,
-    aig: AIG | None = None,
-    pi_lits: dict[str, int] | None = None,
-) -> AIG:
+def netlist_to_aig(netlist: Netlist) -> AIG:
     """Structurally hash a gate netlist into an AIG (the 'strash' step).
+
+    The inputs become the AIG's PIs, in order, and the outputs its
+    outputs; :func:`strash_netlist` builds the gates.
+    """
+    aig = AIG()
+    lits = strash_netlist(aig, netlist, {i: aig.add_pi(i) for i in netlist.inputs})
+    for o in netlist.outputs:
+        aig.add_output(lits[o], o)
+    return aig
+
+
+def strash_netlist(
+    aig: AIG, netlist: Netlist, input_lits: Mapping[str, int]
+) -> dict[str, int]:
+    """Add the gates of ``netlist`` to ``aig`` over one literal per input.
 
     Multi-input gates are decomposed into balanced binary trees; inverters
     and buffers become complement edges (zero cost), which already matches
     the paper's "number of gates without inverters" counting convention.
-
-    Args:
-        aig: encode into this existing AIG (shared-PI miters); fresh if None.
-        pi_lits: existing literals for (some) inputs; missing inputs get
-            fresh PIs.  The mapping is updated in place with any additions.
-
-    Returns the AIG; this netlist's output literals are the last
-    ``len(netlist.outputs)`` entries of ``aig.outputs``.
+    Structural hashing merges a gate with any identical node already in
+    ``aig`` and folds constant inputs.  Returns every net's literal.
     """
-    if aig is None:
-        aig = AIG()
-    lit_of: dict[str, int] = {}
-    pi_lits = pi_lits if pi_lits is not None else {}
-    for name in netlist.inputs:
-        if name in pi_lits:
-            lit_of[name] = pi_lits[name]
-        else:
-            lit_of[name] = aig.add_pi(name)
-            pi_lits[name] = lit_of[name]
+    lit_of = {name: input_lits[name] for name in netlist.inputs}
     for name in netlist.topological_order():
         g = netlist.gate(name)
         t = g.gtype
@@ -70,9 +68,7 @@ def netlist_to_aig(
             lit_of[name] = aig.add_mux(s, d0, d1)
         else:  # pragma: no cover
             raise AssertionError(t)
-    for o in netlist.outputs:
-        aig.add_output(lit_of[o], o)
-    return aig
+    return lit_of
 
 
 def aig_to_netlist(aig: AIG, name: str = "aig") -> Netlist:

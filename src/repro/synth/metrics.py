@@ -11,13 +11,15 @@ excluded, exactly as the paper specifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .. import telemetry
 from ..netlist import Netlist
-from ..orap.keyregister import KeyRegister
-from ..orap.lfsr import LFSRConfig
 from .convert import netlist_to_aig
 from .passes import optimize
+
+if TYPE_CHECKING:
+    from ..orap.lfsr import LFSRConfig
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,10 @@ def measure_overhead(
         a_prot, d_prot = resynthesized_area_depth(protected, rounds)
         fixed = 0
         if lfsr_config is not None:
+            # imported here: repro.sat builds on repro.synth, and
+            # repro.orap loads the locking and simulation stacks
+            from ..orap.keyregister import KeyRegister
+
             fixed = KeyRegister(lfsr_config).gate_overhead()["total"]
         span.set(area_original=a_orig, area_protected=a_prot + fixed,
                  depth_original=d_orig, depth_protected=d_prot)

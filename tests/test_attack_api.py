@@ -205,7 +205,11 @@ class TestRemovedIn120:
     lint name or parameter that only lint's own tests used.  1.8.0 left
     one netlist reader: lint's tolerant BENCH scan, its file drivers, the
     text rules NL011/NL012 and the front end's per-format file entry
-    points are gone."""
+    points are gone.  1.9.0 left one strash and one AIG-to-CNF encoder:
+    ``repro.attacks.encoding`` moved to ``repro.sat.AIGEncoder``, and the
+    Tseitin whole-copy wrappers, the netlist-only miter helpers, lint's
+    second loop finder and ``netlist_to_aig``'s shared-AIG keywords are
+    gone."""
 
     SERVICE_EXPORTS = (
         "JobSpec", "JobStatus", "execute_job", "job_content_key",
@@ -452,6 +456,48 @@ class TestRemovedIn120:
             ),
             TypeError,
             id="NetlistSubject-bench_text",
+        ),
+        pytest.param(
+            lambda wll: importlib.import_module("repro.attacks.encoding"),
+            ModuleNotFoundError,
+            id="import-repro.attacks.encoding",
+        ),
+        *(
+            pytest.param(
+                lambda wll, m=m, n=n: getattr(importlib.import_module(m), n),
+                AttributeError,
+                id=f"{m}.{n}",
+            )
+            for m, n in (
+                ("repro.sat", "CircuitEncoder"),
+                ("repro.sat", "encode_netlist"),
+                ("repro.sat", "build_miter"),
+                ("repro.sat", "solve_circuit"),
+                ("repro.attacks", "AIGEncoder"),
+            )
+        ),
+        *(
+            pytest.param(
+                lambda wll, m=m, c=c, n=n: getattr(
+                    getattr(importlib.import_module(m), c), n
+                ),
+                AttributeError,
+                id=f"{c}.{n}",
+            )
+            for m, c, n in (
+                ("repro.sat", "AIGEncoder", "bind_pi"),
+                ("repro.lint", "NetlistSubject", "find_cycle"),
+            )
+        ),
+        *(
+            pytest.param(
+                lambda wll, k=k: importlib.import_module(
+                    "repro.synth"
+                ).netlist_to_aig(wll.locked, **{k: None}),
+                TypeError,
+                id=f"netlist_to_aig-{k}",
+            )
+            for k in ("aig", "pi_lits")
         ),
     ]
 

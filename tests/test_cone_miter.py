@@ -51,7 +51,11 @@ def _random_locked(seed, n_data=5, n_keys=4, n_gates=24, n_outputs=4):
 
 
 def _cases(n):
-    return [pytest.param(seed, id=f"seed{seed}") for seed in range(n)]
+    return _seeds(range(n))
+
+
+def _seeds(seeds):
+    return [pytest.param(seed, id=f"seed{seed}") for seed in seeds]
 
 
 def _model_of(cnf, assumptions):
@@ -210,8 +214,13 @@ def _covered(cube, xs):
         yield tuple(pattern[x] for x in xs)
 
 
+#: seeds on which growing each cube one single-input flip at a time took
+#: in inputs where the copies agree (two flips cancelled)
+_CANCELLING_FLIPS = (27, 68, 70, 72, 73)
+
+
 class TestEnumerateDisagreements:
-    @pytest.mark.parametrize("seed", _cases(16))
+    @pytest.mark.parametrize("seed", _cases(16) + _seeds(_CANCELLING_FLIPS))
     def test_cubes_cover_the_disagreeing_inputs(self, seed):
         nl, xs, ks = _random_locked(seed, n_data=8, n_keys=4, n_gates=30)
         rng = random.Random(seed)
@@ -227,9 +236,8 @@ class TestEnumerateDisagreements:
             points = set(_covered(cube, xs))
             assert points & want, cube  # each cube grew from a disagreement
             covered |= points
-        # single-flip expansion may also take in agreeing inputs on
-        # general logic, but it never misses a disagreeing one
-        assert want <= covered
+        # the cubes hold exactly the disagreeing inputs
+        assert covered == want
         assert bool(cubes) == bool(want)
 
     @pytest.mark.parametrize("scheme", ["sarlock", "antisat"])

@@ -1,12 +1,12 @@
-"""Tests for the AIG-backed CNF encoder used by the SAT attacks."""
+"""Tests for the strashed-AIG CNF encoder of the SAT attacks and of
+equivalence checking."""
 
 import itertools
 import random
 
 
-from repro.attacks.encoding import AIGEncoder
 from repro.bench import GeneratorConfig, c17, generate_netlist, ripple_adder
-from repro.sat import Solver
+from repro.sat import AIGEncoder, Solver
 
 
 class TestAIGEncoder:

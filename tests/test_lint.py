@@ -113,7 +113,8 @@ class TestNetlistRules:
         )
         (diag,) = fired(lint_netlist(nl), "NL001")
         assert diag.severity is Severity.ERROR
-        assert "->" in diag.message
+        assert diag.message == "combinational cycle through a, b"
+        assert diag.location.obj == "a"
         assert diag.hint == "break the loop"
 
     def test_nl002_undefined_fanin(self):

@@ -3,26 +3,27 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench import c17, mini_alu, ripple_adder
-from repro.netlist import GateType, Netlist
+from repro.netlist import GateType, Netlist, NetlistError
 from repro.sat import (
     CNF,
     BudgetExhausted,
-    CircuitEncoder,
     ClauseTemplate,
     Solver,
-    build_miter,
     check_equivalence,
     encode_gate,
     evaluate_cnf,
     prove_unlocks,
-    solve_circuit,
     solve_cnf,
 )
 
@@ -250,16 +251,15 @@ class TestTseitin:
         ins = [nl.add_input(f"i{k}") for k in range(arity)]
         nl.add_gate("y", gtype, ins)
         nl.set_outputs(["y"])
-        enc = CircuitEncoder(nl)
-        solver = Solver(enc.cnf)
+        cnf = CNF()
+        var = ClauseTemplate(nl).stamp(cnf)
+        solver = Solver(cnf)
         for bits in itertools.product([0, 1], repeat=arity):
             want = nl.evaluate_outputs(dict(zip(ins, bits)))["y"]
-            assumptions = [
-                enc.var(i) if b else -enc.var(i) for i, b in zip(ins, bits)
-            ]
+            assumptions = [var[i] if b else -var[i] for i, b in zip(ins, bits)]
             r = solver.solve(assumptions=assumptions)
             assert r.sat
-            assert int(r.model[enc.var("y")]) == want
+            assert int(r.model[var["y"]]) == want
 
     def test_constants_encoded(self):
         nl = Netlist("c")
@@ -267,20 +267,22 @@ class TestTseitin:
         nl.add_gate("zero", GateType.CONST0)
         nl.add_gate("y", GateType.OR, ["one", "zero"])
         nl.set_outputs(["y"])
-        enc = CircuitEncoder(nl)
-        r = Solver(enc.cnf).solve()
-        assert r.model[enc.var("y")] is True
+        cnf = CNF()
+        var = ClauseTemplate(nl).stamp(cnf)
+        r = Solver(cnf).solve()
+        assert r.model[var["y"]] is True
 
     def test_shared_variables(self):
         nl = c17()
         cnf = CNF()
         shared = {i: cnf.new_var() for i in nl.inputs}
-        e1 = CircuitEncoder(nl, cnf=cnf, share=dict(shared))
-        e2 = CircuitEncoder(nl, cnf=cnf, share=dict(shared))
+        template = ClauseTemplate(nl)
+        v1 = template.stamp(cnf, shared)
+        v2 = template.stamp(cnf, shared)
         # identical circuits over shared inputs: outputs must agree
         for o in nl.outputs:
-            cnf.add_clause([e1.var(o), -e2.var(o)])
-            cnf.add_clause([-e1.var(o), e2.var(o)])
+            cnf.add_clause([v1[o], -v2[o]])
+            cnf.add_clause([-v1[o], v2[o]])
         assert Solver(cnf).solve().sat
 
 
@@ -313,7 +315,17 @@ def _mixed_netlist():
 
 
 def _encoder_stamp(netlist, cnf, share):
-    return CircuitEncoder(netlist, cnf=cnf, share=share).var_of
+    """Gate-by-gate reference encoding: a fresh variable per unshared
+    net in topological order, then each gate through encode_gate."""
+    order = netlist.topological_order()
+    var_of = dict(share)
+    for name in order:
+        if name not in var_of:
+            var_of[name] = cnf.new_var()
+    for name in order:
+        gate = netlist.gate(name)
+        encode_gate(cnf, gate.gtype, var_of[name], [var_of[f] for f in gate.fanin])
+    return var_of
 
 
 def _template_stamp(netlist, cnf, share):
@@ -397,9 +409,9 @@ _PINNED_ENCODINGS = {
 
 
 class TestClauseTemplate:
-    """The template's stamps are the CNFs the per-gate encoder produced:
-    the hashes were recorded from ``CircuitEncoder`` before it was built
-    on :class:`ClauseTemplate`."""
+    """The template's stamps are the CNFs a gate-by-gate encoding
+    produces: the hashes were recorded from the per-gate encoder the
+    template replaced, and ``_encoder_stamp`` re-derives them."""
 
     @pytest.mark.parametrize("stamp", [_encoder_stamp, _template_stamp])
     @pytest.mark.parametrize("case", sorted(_TEMPLATE_CASES))
@@ -459,24 +471,64 @@ class TestEquivalence:
         locked.replace_gate("y0", GateType.XOR, ("y0_m", "k"))
         assert prove_unlocks(orig, locked, {"k": 0})
         assert not prove_unlocks(orig, locked, {"k": 1})
+        # a pinned name must be an input of its circuit
+        for pin in ({"k": 0, "nope": 1}, {"k": 0, "y0_m": 1}):
+            with pytest.raises(NetlistError, match="not inputs"):
+                prove_unlocks(orig, locked, pin)
 
     def test_miter_output_count_mismatch(self):
-        with pytest.raises(ValueError):
-            build_miter(ripple_adder(2), mini_alu(2))
+        with pytest.raises(ValueError, match="equal output counts"):
+            check_equivalence(ripple_adder(2), mini_alu(2))
+
+    @pytest.mark.parametrize("extra_in", ["a", "b"])
+    def test_input_of_one_circuit_only(self, extra_in):
+        plain = ripple_adder(2)
+        extra = plain.copy("extra")
+        extra.add_input("extra")
+        out = extra.outputs[0]
+        g = extra.gate(out)
+        extra.add_gate(f"{out}_m", g.gtype, g.fanin)
+        extra.replace_gate(out, GateType.XOR, (f"{out}_m", "extra"))
+        a, b = (extra, plain) if extra_in == "a" else (plain, extra)
+        eq, cex = check_equivalence(a, b)
+        assert not eq
+        assert set(cex) == set(extra.inputs)
+        # the counterexample tells the circuits apart
+        assert a.evaluate_outputs({i: cex[i] for i in a.inputs}) != (
+            b.evaluate_outputs({i: cex[i] for i in b.inputs})
+        )
+        pin = {f"fixed_{extra_in}": {"extra": 0}}
+        assert check_equivalence(a, b, **pin) == (True, None)
 
     def test_solve_circuit_justification(self):
+        # pin internal nets of a stamped copy and read back the inputs
         nl = c17()
-        r = solve_circuit(nl, {"G22": 1, "G23": 0})
-        assert r.sat
-        model_inputs = {
-            i: int(r.model[CircuitEncoder(nl).var(i)]) for i in []
-        }  # noqa: F841 — justification checked below
-        # reconstruct assignment from the result by re-solving with encoder
-        enc = CircuitEncoder(nl)
+        cnf = CNF()
+        var = ClauseTemplate(nl).stamp(cnf)
         for name, val in {"G22": 1, "G23": 0}.items():
-            v = enc.var(name)
-            enc.cnf.add_clause([v if val else -v])
-        r2 = Solver(enc.cnf).solve()
-        asg = {i: int(r2.model[enc.var(i)]) for i in nl.inputs}
-        out = nl.evaluate_outputs(asg)
-        assert out == {"G22": 1, "G23": 0}
+            cnf.add_clause([var[name] if val else -var[name]])
+        r = Solver(cnf).solve()
+        assert r.sat
+        asg = {i: int(r.model[var[i]]) for i in nl.inputs}
+        assert nl.evaluate_outputs(asg) == {"G22": 1, "G23": 0}
+
+
+class TestImportTime:
+    def test_import_sat_loads_no_attacks_module(self):
+        # the attacks build on repro.sat, never the other way round, and
+        # the OraP/locking/simulation stacks stay out of it too
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, repro.sat; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('repro.attacks', 'repro.orap'))))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
