@@ -15,13 +15,17 @@ primary outputs — the benchmark shows iteration counts and instance sizes
 climbing with depth where the scan-based attack needed a handful of DIPs.
 
 Termination caveat (inherent to the method, documented in the literature):
-UNSAT at depth ``T`` only proves key-indistinguishability over ``T``-cycle
-behaviours; the attack increases the depth until ``max_depth`` and then
-*verifies* the candidate on random functional sequences.
+UNSAT at the configured depth ``T`` only proves key-indistinguishability
+over ``T``-cycle behaviours, so the attack then *verifies* the candidate on
+random functional sequences.  The post-unlock state is not determined by
+the traces, so a candidate passes when *some* initial state reproduces
+every logged and verification trace under it — not only the state the
+extraction model happened to pick.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -101,6 +105,27 @@ def _unroll(
     return po_frames
 
 
+def _constrain_trace(
+    enc: AIGEncoder,
+    design: SequentialCircuit,
+    key_lits: dict[str, int],
+    initial_state: dict[str, int],
+    sequence: Sequence[dict[str, int]],
+    trace: Sequence[dict[str, int]],
+) -> None:
+    """Assert that the locked design under ``key_lits``, started in
+    ``initial_state``, answers ``sequence`` with the PO ``trace``."""
+    state = dict(initial_state)
+    for pi_vals, po_vals in zip(sequence, trace):
+        shared = dict(key_lits)
+        for ff in design.flops:
+            shared[ff.q] = state[ff.name]
+        outs = enc.encode_netlist(design.core, shared, const_inputs=pi_vals)
+        for o in design.primary_outputs:
+            enc.assert_equals(outs[o], po_vals[o])
+        state = {ff.name: outs[ff.d] for ff in design.flops}
+
+
 def sequential_sat_attack(
     design: SequentialCircuit,
     key_inputs: Sequence[str],
@@ -141,25 +166,6 @@ def sequential_sat_attack(
     io_log: list[tuple[list[dict[str, int]], list[dict[str, int]]]] = []
     start_queries = oracle.n_queries
 
-    def add_trace_constraint(
-        sequence: list[dict[str, int]], trace: list[dict[str, int]]
-    ) -> None:
-        for key_lits in (key1, key2):
-            const_frames = sequence
-            state: dict[str, int] = dict(s0)
-            q_of = {ff.q: ff for ff in design.flops}
-            d_of = {ff.name: ff.d for ff in design.flops}
-            for pi_vals, po_vals in zip(const_frames, trace):
-                shared: dict[str, int] = dict(key_lits)
-                for q, ff in q_of.items():
-                    shared[q] = state[ff.name]
-                outs = enc.encode_netlist(
-                    design.core, shared, const_inputs=pi_vals
-                )
-                for o in pos:
-                    enc.assert_equals(outs[o], po_vals[o])
-                state = {name: outs[d] for name, d in d_of.items()}
-
     iterations = 0
     budget = config.budget
     try:
@@ -179,7 +185,8 @@ def sequential_sat_attack(
                 {o: int(bool(frame[o])) for o in pos} for frame in trace
             ]
             io_log.append((sequence, trace))
-            add_trace_constraint(sequence, trace)
+            for key_lits in (key1, key2):
+                _constrain_trace(enc, design, key_lits, s0, sequence, trace)
             iterations += 1
     except ResourceExhausted as exc:
         return exhausted_result(
@@ -205,22 +212,43 @@ def sequential_sat_attack(
     kenc = AIGEncoder(key_solver)
     k_lits = {k: kenc.fresh_pi(k) for k in key_inputs}
     ks0 = {ff.name: kenc.fresh_pi(f"s0_{ff.name}") for ff in design.flops}
-    q_of = {ff.q: ff for ff in design.flops}
-    d_of = {ff.name: ff.d for ff in design.flops}
     for sequence, trace in io_log:
-        state = dict(ks0)
-        for pi_vals, po_vals in zip(sequence, trace):
-            shared = dict(k_lits)
-            for q, ff in q_of.items():
-                shared[q] = state[ff.name]
-            outs = kenc.encode_netlist(
-                design.core, shared, const_inputs=pi_vals
-            )
-            for o in pos:
-                kenc.assert_equals(outs[o], po_vals[o])
-            state = {name: outs[d] for name, d in d_of.items()}
+        _constrain_trace(kenc, design, k_lits, ks0, sequence, trace)
     try:
         res = key_solver.solve(budget=budget)
+        if not res.sat:
+            return AttackResult(
+                attack="sequential_sat",
+                recovered_key=None,
+                completed=False,
+                iterations=iterations,
+                oracle_queries=oracle.n_queries - start_queries,
+                notes={"reason": "inconsistent trace log"},
+            )
+        assert res.model is not None
+        key = {
+            k: int(res.model[kenc.pi_var(lit)]) for k, lit in k_lits.items()
+        }
+
+        # verification on random functional sequences (depth-bound
+        # caveat): the key passes if some post-unlock state reproduces
+        # every trace under it
+        rng = random.Random(config.seed)
+        for _ in range(config.verify_sequences):
+            sequence = [
+                {p: rng.randrange(2) for p in pis}
+                for _ in range(config.verify_length)
+            ]
+            trace = [
+                {o: int(bool(frame[o])) for o in pos}
+                for frame in oracle.query_sequence(sequence)
+            ]
+            _constrain_trace(kenc, design, k_lits, ks0, sequence, trace)
+        key_bits = [
+            kenc.pi_var(lit) if key[k] else -kenc.pi_var(lit)
+            for k, lit in k_lits.items()
+        ]
+        verified = key_solver.solve(assumptions=key_bits, budget=budget).sat
     except ResourceExhausted as exc:
         return exhausted_result(
             "sequential_sat",
@@ -228,47 +256,6 @@ def sequential_sat_attack(
             iterations=iterations,
             oracle_queries=oracle.n_queries - start_queries,
         )
-    if not res.sat:
-        return AttackResult(
-            attack="sequential_sat",
-            recovered_key=None,
-            completed=False,
-            iterations=iterations,
-            oracle_queries=oracle.n_queries - start_queries,
-            notes={"reason": "inconsistent trace log"},
-        )
-    assert res.model is not None
-    key = {k: int(res.model[kenc.pi_var(lit)]) for k, lit in k_lits.items()}
-    s0_bits = {
-        name: int(res.model[kenc.pi_var(lit)]) for name, lit in ks0.items()
-    }
-
-    # verification on random functional sequences (depth-bound caveat)
-    import random
-
-    rng = random.Random(config.seed)
-    verified = True
-    for _ in range(config.verify_sequences):
-        sequence = [
-            {p: rng.randrange(2) for p in pis}
-            for _ in range(config.verify_length)
-        ]
-        want = oracle.query_sequence(sequence)
-        state = dict(s0_bits)
-        ok = True
-        for pi_vals, po_vals in zip(sequence, want):
-            asg = dict(pi_vals)
-            asg.update(key)
-            for ff in design.flops:
-                asg[ff.q] = state[ff.name]
-            values = design.core.evaluate(asg)
-            if any(values[o] != int(bool(po_vals[o])) for o in pos):
-                ok = False
-                break
-            state = {ff.name: values[ff.d] for ff in design.flops}
-        if not ok:
-            verified = False
-            break
 
     return AttackResult(
         attack="sequential_sat",

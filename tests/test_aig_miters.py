@@ -160,7 +160,7 @@ _PINNED_RUNS = {
             "keyinput0": 1, "keyinput1": 1, "keyinput2": 0,
             "keyinput3": 1, "keyinput4": 0, "keyinput5": 0,
         },
-        "33e921f1ad7361e8",
+        "52ccf58f4da697f8",
     ),
 }
 
