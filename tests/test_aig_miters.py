@@ -89,15 +89,15 @@ _ONE_DIP = {
 
 #: sha256 prefixes of (AIG arrays, clause list) per (attack, lock)
 _PINNED_MITERS = {
-    ("appsat", "rll"): "f4c7e0831ecb4044",
-    ("appsat", "sar"): "f11aac39405d4928",
-    ("appsat", "wll"): "05bae580de01b95f",
-    ("doubledip", "rll"): "0d4657af62c9d622",
-    ("doubledip", "sar"): "c179ac1391ec19bf",
-    ("doubledip", "wll"): "ac4a14e78472c2a6",
-    ("sat", "rll"): "ca8e90c985cc3a9b",
-    ("sat", "sar"): "33d9c071e75ea505",
-    ("sat", "wll"): "680091de62fefa7c",
+    ("appsat", "rll"): "90a8fd759bbddedc",
+    ("appsat", "sar"): "a728ca1b29c693e3",
+    ("appsat", "wll"): "b77b6f4cae15683b",
+    ("doubledip", "rll"): "0f6526ca16c7cee2",
+    ("doubledip", "sar"): "223c61efc612160a",
+    ("doubledip", "wll"): "ff07f00de3b93283",
+    ("sat", "rll"): "de9440d31aa4f6a2",
+    ("sat", "sar"): "ddfacb8297735efb",
+    ("sat", "wll"): "adae3364a3e40cb9",
 }
 
 
@@ -151,16 +151,16 @@ _SMALL_KEY = {
     "keyinput3": 0, "keyinput4": 1, "keyinput5": 0,
 }
 _PINNED_RUNS = {
-    "appsat": (2, 2, _SMALL_KEY, "ce3cea0acb658241"),
-    "doubledip": (2, 2, _SMALL_KEY, "0c518832dcc469b9"),
-    "sat": (5, 5, _SMALL_KEY, "db0f07a9c0de2a55"),
+    "appsat": (2, 2, _SMALL_KEY, "a66be22bbec29f78"),
+    "doubledip": (2, 2, _SMALL_KEY, "6dbf6204c6c0ee7b"),
+    "sat": (5, 5, _SMALL_KEY, "b5aa4601d67be054"),
     "sequential": (
         1, 3,
         {
             "keyinput0": 1, "keyinput1": 1, "keyinput2": 0,
             "keyinput3": 1, "keyinput4": 0, "keyinput5": 0,
         },
-        "52ccf58f4da697f8",
+        "a23582a3ebccd7d7",
     ),
 }
 
